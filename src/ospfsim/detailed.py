@@ -16,6 +16,7 @@ from typing import Optional
 from .core import (
     Ack,
     DbdDetailed,
+    DetailedNeighbor,
     EMPTY_LSDB,
     Hello,
     Lsa,
@@ -35,7 +36,7 @@ from .core import (
 )
 from .lsdb import get_lsa, install, lsa_exist, new_lsa_detailed
 from .neighbors import (
-    DetailedNbrTable,
+    NbrTable,
     add_reqs,
     clean_reqs,
     clean_rxmts,
@@ -47,7 +48,7 @@ from .neighbors import (
     min_header,
     nbr_exist,
     nbr_field_set,
-    new_nbr_detailed,
+    new_nbr,
     select_fired,
     upd_rxmts,
 )
@@ -82,7 +83,7 @@ class AdjPolicy:
 @dataclass(frozen=True)
 class DetailedNodeState:
     ip: NodeId
-    nbrs: DetailedNbrTable = DetailedNbrTable()
+    nbrs: NbrTable = NbrTable()
     lsdb: Lsdb = EMPTY_LSDB
     hellot: TimeStamp = 0
 
@@ -108,7 +109,7 @@ def _flood(
             armed.append(replace(n, rxmt_deadline=now + cfg.rxmtintvl))
         else:
             armed.append(n)
-    nbrs = DetailedNbrTable.of(armed)
+    nbrs = NbrTable.of(armed)
     st = replace(state, nbrs=nbrs)
     return st, [groupcast(Upd(lsas, st.ip), flood_nips(nbrs))]
 
@@ -124,13 +125,11 @@ def _refresh_own_lsa(
 def detailed_timers(
     state: DetailedNodeState,
     now: TimeStamp,
-    adj: AdjPolicy,
     cfg: ProtocolConfig,
 ) -> tuple[DetailedNodeState, Emissions]:
     """Periodic work, each due action at most once per call, in order:
     hello, dead-neighbour removal, dbd/request/update retransmission,
     own-advertisement refresh."""
-    del adj
     st, ems = state, []
 
     if st.hellot <= now:
@@ -140,7 +139,7 @@ def detailed_timers(
     dead = dead_nbrs(st.nbrs, now)
     if dead:
         gone = {n.nip for n in dead}
-        live = DetailedNbrTable.of(n for n in st.nbrs if n.nip not in gone)
+        live = NbrTable.of(n for n in st.nbrs if n.nip not in gone)
         st = replace(st, nbrs=live)
         st, more = _refresh_own_lsa(st, now, cfg)
         ems.extend(more)
@@ -187,7 +186,8 @@ def handle_hello_detailed(
     cfg: ProtocolConfig,
 ) -> tuple[DetailedNodeState, Emissions]:
     if not nbr_exist(state.nbrs, sip):
-        st = replace(state, nbrs=new_nbr_detailed(state.nbrs, sip))
+        entry = DetailedNeighbor(nip=sip, ns=NeighborState.INIT)
+        st = replace(state, nbrs=new_nbr(state.nbrs, entry))
         return handle_hello_detailed(st, ips, sip, now, adj, cfg)
 
     nbrs = nbr_field_set(state.nbrs, sip, "inact_deadline", now + cfg.rtdeadintvl)

@@ -16,7 +16,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     Hello,
@@ -61,7 +61,6 @@ class EngineConfig:
     rxmtintvl: int = 24
     refreshintvl: int = 1000
     time_sending: int = 1
-    time_spread: int = 0
     boot_offsets: dict[NodeId, int] = field(default_factory=dict)
     loss_prob: float = 0.0
     seed: int = 0
@@ -79,8 +78,6 @@ class EngineConfig:
             raise ConfigError("loss_prob must lie in [0, 1]")
         if self.time_sending < 1:
             raise ConfigError("time_sending must be at least 1 tick")
-        if self.time_spread != 0:
-            raise ConfigError("the engine is deterministic; time_spread must be 0")
         for key in ("hellointvl", "rtdeadintvl", "rxmtintvl", "refreshintvl"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")
@@ -199,7 +196,7 @@ class SimState:
     def _timers(self, state, now):
         if self.config.model == "simple":
             return simple_timers(state, now, self._proto)
-        return detailed_timers(state, now, self.config.adjacency, self._proto)
+        return detailed_timers(state, now, self._proto)
 
     def _handle(self, state, msg, now):
         if self.config.model == "simple":
@@ -250,8 +247,6 @@ class SimState:
         for flight in sorted(due, key=lambda f: f.sender):
             kind = message_kind(flight.payload)
             for rcpt in sorted(flight.recipients):
-                if not self.topology.connected(flight.sender, rcpt):
-                    continue
                 rt = self.nodes[rcpt]
                 if not rt.booted:
                     events.append(TraceEvent(
@@ -391,7 +386,6 @@ def converged(sim: SimState, topology: Topology) -> bool:
 def run(
     config: EngineConfig,
     topology: Topology,
-    on_events: Optional[Callable[[list[TraceEvent]], None]] = None,
 ) -> tuple[SimState, list[TraceEvent], Verdict]:
     """Tick until converged or out of budget.
 
@@ -401,23 +395,17 @@ def run(
     config.validate()
     sim = SimState(config, topology)
     trace: list[TraceEvent] = []
-
-    def emit(evs: list[TraceEvent]):
-        trace.extend(evs)
-        if on_events is not None:
-            on_events(evs)
-
     while sim.now < config.max_ticks:
         try:
-            emit(sim.tick())
+            trace.extend(sim.tick())
         except QueueOverflowError as exc:
             verdict = Verdict("queue_overflow", at_tick=exc.tick, node=exc.node,
                               counts=dict(sim.counts))
             return sim, trace, verdict
         if sim.converged():
             at = sim.now - 1
-            emit([TraceEvent(at, 0, "converged",
-                             {"counts": dict(sim.counts)})])
+            trace.append(TraceEvent(at, 0, "converged",
+                                    {"counts": dict(sim.counts)}))
             return sim, trace, Verdict("converged", at_tick=at,
                                        counts=dict(sim.counts))
     return sim, trace, Verdict("timed_out", at_tick=sim.now,

@@ -43,6 +43,9 @@ TIMER_ONLY = "T"
 MSG_ONLY = "M"
 IDLE = "-"
 
+# largest topology the explorer accepts, in nodes
+NODE_LIMIT = 4
+
 
 @dataclass
 class ExploreConfig:
@@ -55,8 +58,6 @@ class ExploreConfig:
     rtdeadintvl: int = 50
     time_sending: int = 1
     max_states: int = 2_000_000
-    node_limit: int = 4
-    properties: frozenset[str] = frozenset({"P1", "P2", "P3"})
 
     def resolved_age_bound(self) -> int:
         return (
@@ -66,10 +67,10 @@ class ExploreConfig:
         )
 
     def validate(self) -> None:
-        if self.topology.n > self.node_limit:
+        if self.topology.n > NODE_LIMIT:
             raise ValueError(
                 f"topology has {self.topology.n} nodes; exploration is "
-                f"limited to {self.node_limit}"
+                f"limited to {NODE_LIMIT}"
             )
         if self.queue_bound < 1:
             raise ValueError("queue_bound must be positive")
@@ -188,10 +189,6 @@ class _World:
                       dict(self.flights))
 
 
-def _encode_msg(msg):
-    return msg  # already a tuple
-
-
 def _encode(world: _World):
     nodes = []
     for ip in sorted(world.nodes):
@@ -250,7 +247,7 @@ def initial_state(config: ExploreConfig, boots: dict[int, int]):
 class _Ctx:
     __slots__ = (
         "topology", "bound", "hellointvl", "rtdeadintvl", "time_sending",
-        "queue_bound", "properties", "violations",
+        "queue_bound", "violations",
     )
 
     def __init__(self, config: ExploreConfig):
@@ -260,7 +257,6 @@ class _Ctx:
         self.rtdeadintvl = config.rtdeadintvl
         self.time_sending = config.time_sending
         self.queue_bound = config.queue_bound
-        self.properties = config.properties
         self.violations: list[Violation] = []
 
 
@@ -273,12 +269,7 @@ def _install(node: _Node, ip: int, o: int, a: int, links, ctx: _Ctx) -> bool:
     old = _own_age(node, o)
     if not newer_age(a, old, ctx.bound):
         return False
-    if (
-        "P3" in ctx.properties
-        and old != 0
-        and a != old
-        and 2 * abs(a - old) == ctx.bound
-    ):
+    if old != 0 and a != old and 2 * abs(a - old) == ctx.bound:
         ctx.violations.append(Violation(
             "P3", f"origin {o}: age {old} -> {a} crosses the wrap window",
             node=ip,
@@ -393,9 +384,7 @@ def _check_occupancy(world: _World, ctx: _Ctx, tracker: dict) -> None:
     occ = 0
     for ip, node in world.nodes.items():
         occ = max(occ, len(node.inq), len(node.outq))
-        if "P1" in ctx.properties and (
-            len(node.inq) > ctx.queue_bound or len(node.outq) > ctx.queue_bound
-        ):
+        if len(node.inq) > ctx.queue_bound or len(node.outq) > ctx.queue_bound:
             which = "input" if len(node.inq) > ctx.queue_bound else "output"
             ctx.violations.append(Violation(
                 "P1",
@@ -408,8 +397,6 @@ def _check_occupancy(world: _World, ctx: _Ctx, tracker: dict) -> None:
 
 
 def _check_db(world: _World, ctx: _Ctx) -> None:
-    if "P2" not in ctx.properties:
-        return
     for ip, node in world.nodes.items():
         for o, (a, links) in node.lsdb.items():
             if not 0 <= a <= ctx.bound or o in links:
@@ -419,25 +406,30 @@ def _check_db(world: _World, ctx: _Ctx) -> None:
                 ))
 
 
+def _deliver(world: _World) -> list:
+    """Start of a tick: boots fire, then due transmissions deliver in
+    sender order; messages to nodes not yet booted are lost.  Returns
+    (sender, recipient, message, received) per recipient, in that order."""
+    for node in world.nodes.values():
+        if node.boot_res == 0:
+            node.boot_res = BOOTED
+    handed = []
+    for sender in sorted(world.flights):
+        msg, recipients, res = world.flights[sender]
+        if res <= 0:
+            del world.flights[sender]
+            for rcpt in sorted(recipients):
+                rnode = world.nodes[rcpt]
+                if rnode.booted:
+                    rnode.inq.append(msg)
+                handed.append((sender, rcpt, msg, rnode.booted))
+    return handed
+
+
 def successors(canon, ctx: _Ctx, tracker: dict):
     """All (choice-combo, successor) pairs one tick onward."""
     base = _decode(canon)
-
-    # boots fire, then due transmissions deliver in sender order
-    for node in base.nodes.values():
-        if node.boot_res == 0:
-            node.boot_res = BOOTED
-    delivered = []
-    for sender in sorted(base.flights):
-        msg, recipients, res = base.flights[sender]
-        if res <= 0:
-            delivered.append(sender)
-            for rcpt in sorted(recipients):
-                rnode = base.nodes[rcpt]
-                if rnode.booted:
-                    rnode.inq.append(msg)
-    for sender in delivered:
-        del base.flights[sender]
+    _deliver(base)
 
     ctx.violations = []
     _check_occupancy(base, ctx, tracker)
@@ -517,15 +509,7 @@ def state_converged(canon, topology: Topology) -> bool:
 def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
     """The engine schedule: every node runs timers first, then one message."""
     base = _decode(canon)
-    for node in base.nodes.values():
-        if node.boot_res == 0:
-            node.boot_res = BOOTED
-    for sender in sorted(base.flights):
-        msg, recipients, res = base.flights[sender]
-        if res <= 0:
-            for rcpt in sorted(recipients):
-                if base.nodes[rcpt].booted:
-                    base.nodes[rcpt].inq.append(msg)
+    _deliver(base)
     labels = []
     for ip in sorted(base.nodes):
         node = base.nodes[ip]
@@ -721,54 +705,33 @@ def _longest_unconverged_path(succ_graph, converged_states):
 
 def counterexample_trace(config: ExploreConfig, counterexample: Counterexample):
     """Engine-format trace events (tick, node, kind, detail) along a
-    recorded counterexample path."""
+    recorded counterexample path.  Raises RuntimeError, through
+    :func:`replay`, when the recorded choices do not replay."""
     from .engine import TraceEvent  # local import to avoid a cycle
 
-    ctx = _Ctx(config)
-    tracker = {"max_occ": 0}
-    canon = initial_state(config, counterexample.boot_offsets)
+    path, _ = replay(config, counterexample)
     events: list[TraceEvent] = []
-    path = [canon]
-    for combo in counterexample.choices:
-        nxt = None
-        for c, child, violations in successors(canon, ctx, tracker):
-            if c == combo and child is not None:
-                nxt = child
-                break
-        if nxt is None:
-            break
-        path.append(nxt)
-        canon = nxt
-
     for tick, (cur, nxt) in enumerate(zip(path, path[1:] + [None])):
         world = _decode(cur)
         for ip in sorted(world.nodes):
             if world.nodes[ip].boot_res == 0:
                 events.append(TraceEvent(tick, ip, "boot", {}))
-        for sender in sorted(world.flights):
-            msg, recipients, res = world.flights[sender]
-            if res <= 0:
-                for rcpt in sorted(recipients):
-                    # boot fires before delivery within the tick
-                    if world.nodes[rcpt].boot_res in (BOOTED, 0):
-                        events.append(TraceEvent(
-                            tick, rcpt, "deliver",
-                            {"from": sender, "type": msg[0]},
-                        ))
-                    else:
-                        events.append(TraceEvent(
-                            tick, rcpt, "drop",
-                            {"from": sender, "type": msg[0],
-                             "reason": "not_booted"},
-                        ))
+        for sender, rcpt, msg, received in _deliver(world):
+            if received:
+                events.append(TraceEvent(
+                    tick, rcpt, "deliver", {"from": sender, "type": msg[0]},
+                ))
+            else:
+                events.append(TraceEvent(
+                    tick, rcpt, "drop",
+                    {"from": sender, "type": msg[0], "reason": "not_booted"},
+                ))
         if nxt is None:
             continue
         after = _decode(nxt)
         for sender in sorted(after.flights):
-            started = sender not in world.flights or (
-                world.flights[sender][2] <= 0
-            )
-            if started:
+            # a sender whose flight is still under way started nothing
+            if sender not in world.flights:
                 msg, recipients, _ = after.flights[sender]
                 events.append(TraceEvent(
                     tick, sender, "send",

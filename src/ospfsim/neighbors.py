@@ -9,7 +9,7 @@ error (raising).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .core import (
     DbdDetailed,
@@ -27,10 +27,14 @@ from .core import (
 )
 from .lsdb import install
 
+Neighbor = Union[SimpleNeighbor, DetailedNeighbor]
+
 
 @dataclass(frozen=True)
-class SimpleNbrTable:
-    entries: tuple[SimpleNeighbor, ...] = ()
+class NbrTable:
+    """Neighbour entries of either model, kept sorted by neighbour id."""
+
+    entries: tuple[Neighbor, ...] = ()
 
     def __post_init__(self):
         nips = [n.nip for n in self.entries]
@@ -41,10 +45,10 @@ class SimpleNbrTable:
         )
 
     @classmethod
-    def of(cls, entries: Iterable[SimpleNeighbor]) -> "SimpleNbrTable":
+    def of(cls, entries: Iterable[Neighbor]) -> "NbrTable":
         return cls(tuple(entries))
 
-    def get(self, nip: NodeId) -> Optional[SimpleNeighbor]:
+    def get(self, nip: NodeId) -> Optional[Neighbor]:
         for n in self.entries:
             if n.nip == nip:
                 return n
@@ -60,61 +64,19 @@ class SimpleNbrTable:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class DetailedNbrTable:
-    entries: tuple[DetailedNeighbor, ...] = ()
-
-    def __post_init__(self):
-        nips = [n.nip for n in self.entries]
-        if len(nips) != len(set(nips)):
-            raise ValueError("duplicate neighbour entries")
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda n: n.nip))
-        )
-
-    @classmethod
-    def of(cls, entries: Iterable[DetailedNeighbor]) -> "DetailedNbrTable":
-        return cls(tuple(entries))
-
-    def get(self, nip: NodeId) -> Optional[DetailedNeighbor]:
-        for n in self.entries:
-            if n.nip == nip:
-                return n
-        return None
-
-    def nips(self) -> frozenset[NodeId]:
-        return frozenset(n.nip for n in self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
+# bench/layertrace.py imports both names and wraps get/nips/of on each,
+# so both stay bound to the one class
+SimpleNbrTable = DetailedNbrTable = NbrTable
 
 
 def nbr_exist(nbrs, nip: NodeId) -> bool:
     return nbrs.get(nip) is not None
 
 
-def new_nbr_simple(nbrs: SimpleNbrTable, nip: NodeId) -> SimpleNbrTable:
-    if nbr_exist(nbrs, nip):
-        raise RuntimeError(f"neighbour {nip} already exists")
-    return SimpleNbrTable.of(nbrs.entries + (SimpleNeighbor(nip, 0),))
-
-
-def new_nbr_detailed(nbrs: DetailedNbrTable, nip: NodeId) -> DetailedNbrTable:
-    if nbr_exist(nbrs, nip):
-        raise RuntimeError(f"neighbour {nip} already exists")
-    entry = DetailedNeighbor(nip=nip, ns=NeighborState.INIT)
-    return DetailedNbrTable.of(nbrs.entries + (entry,))
-
-
-def set_inact_t_simple(
-    nbrs: SimpleNbrTable, nip: NodeId, t: TimeStamp
-) -> SimpleNbrTable:
-    """Reset a neighbour's inactivity deadline, inserting the entry if absent."""
-    rest = tuple(n for n in nbrs.entries if n.nip != nip)
-    return SimpleNbrTable.of(rest + (SimpleNeighbor(nip, t),))
+def new_nbr(nbrs: NbrTable, entry: Neighbor) -> NbrTable:
+    if nbr_exist(nbrs, entry.nip):
+        raise RuntimeError(f"neighbour {entry.nip} already exists")
+    return NbrTable.of(nbrs.entries + (entry,))
 
 
 def dead_nbrs(nbrs, t: TimeStamp):
@@ -122,23 +84,17 @@ def dead_nbrs(nbrs, t: TimeStamp):
     return tuple(n for n in nbrs.entries if n.inact_deadline < t)
 
 
-def nbr_field_get(nbrs: DetailedNbrTable, nip: NodeId, fieldname: str):
-    """One component of a neighbour's entry, or None when the entry is absent."""
-    entry = nbrs.get(nip)
-    return getattr(entry, fieldname) if entry is not None else None
-
-
 def nbr_field_set(
-    nbrs: DetailedNbrTable, nip: NodeId, fieldname: str, value
-) -> DetailedNbrTable:
+    nbrs: NbrTable, nip: NodeId, fieldname: str, value
+) -> NbrTable:
     entry = nbrs.get(nip)
     if entry is None:
         return nbrs
     rest = tuple(n for n in nbrs.entries if n.nip != nip)
-    return DetailedNbrTable.of(rest + (replace(entry, **{fieldname: value}),))
+    return NbrTable.of(rest + (replace(entry, **{fieldname: value}),))
 
 
-def inc_ddsqn(nbrs: DetailedNbrTable, nip: NodeId) -> DetailedNbrTable:
+def inc_ddsqn(nbrs: NbrTable, nip: NodeId) -> NbrTable:
     entry = nbrs.get(nip)
     if entry is None:
         return nbrs
@@ -146,20 +102,20 @@ def inc_ddsqn(nbrs: DetailedNbrTable, nip: NodeId) -> DetailedNbrTable:
 
 
 def init_nbr(
-    nbrs: DetailedNbrTable, nip: NodeId, ns: NeighborState
-) -> DetailedNbrTable:
+    nbrs: NbrTable, nip: NodeId, ns: NeighborState
+) -> NbrTable:
     """Reset a neighbour to state ``ns``, wiping request and retransmission lists."""
     entry = nbrs.get(nip)
     if entry is None:
         return nbrs
     reset = replace(entry, ns=ns, req_list=frozenset(), rxmt_list=EMPTY_LSDB)
     rest = tuple(n for n in nbrs.entries if n.nip != nip)
-    return DetailedNbrTable.of(rest + (reset,))
+    return NbrTable.of(rest + (reset,))
 
 
 def clean_reqs(
-    nbrs: DetailedNbrTable, nip: NodeId, lsdb: Lsdb
-) -> Optional[DetailedNbrTable]:
+    nbrs: NbrTable, nip: NodeId, lsdb: Lsdb
+) -> Optional[NbrTable]:
     """Drop request-list headers dominated by the database; None when nip is absent."""
     entry = nbrs.get(nip)
     if entry is None:
@@ -171,8 +127,8 @@ def clean_reqs(
 
 
 def add_reqs(
-    nbrs: DetailedNbrTable, nip: NodeId, lsdb: Lsdb, hdrs: frozenset[LsaHeader]
-) -> Optional[DetailedNbrTable]:
+    nbrs: NbrTable, nip: NodeId, lsdb: Lsdb, hdrs: frozenset[LsaHeader]
+) -> Optional[NbrTable]:
     """Extend the request list with ``hdrs``, then clean it against ``lsdb``."""
     entry = nbrs.get(nip)
     if entry is None:
@@ -182,8 +138,8 @@ def add_reqs(
 
 
 def clean_rxmts(
-    nbrs: DetailedNbrTable, nip: NodeId, hdrs: frozenset[LsaHeader]
-) -> Optional[DetailedNbrTable]:
+    nbrs: NbrTable, nip: NodeId, hdrs: frozenset[LsaHeader]
+) -> Optional[NbrTable]:
     """Drop retransmission entries acknowledged by ``hdrs``; None when nip is absent."""
     entry = nbrs.get(nip)
     if entry is None:
@@ -196,7 +152,7 @@ def clean_rxmts(
     return nbr_field_set(nbrs, nip, "rxmt_list", rxmts)
 
 
-def upd_rxmts(nbrs: DetailedNbrTable, lsas: Lsdb) -> DetailedNbrTable:
+def upd_rxmts(nbrs: NbrTable, lsas: Lsdb) -> NbrTable:
     """Install ``lsas`` into the retransmission list of every neighbour at
     Exchange or beyond; earlier neighbours are untouched."""
     out = []
@@ -205,11 +161,11 @@ def upd_rxmts(nbrs: DetailedNbrTable, lsas: Lsdb) -> DetailedNbrTable:
             out.append(replace(n, rxmt_list=install(n.rxmt_list, lsas)))
         else:
             out.append(n)
-    return DetailedNbrTable.of(out)
+    return NbrTable.of(out)
 
 
 def select_fired(
-    nbrs: DetailedNbrTable, now: TimeStamp, ip: NodeId, kind: str
+    nbrs: NbrTable, now: TimeStamp, ip: NodeId, kind: str
 ) -> Optional[NodeId]:
     """Deterministically pick a neighbour whose ``kind`` timer has fired.
 
@@ -241,7 +197,7 @@ def select_fired(
     return min(cands) if cands else None
 
 
-def flood_nips(nbrs: DetailedNbrTable) -> frozenset[NodeId]:
+def flood_nips(nbrs: NbrTable) -> frozenset[NodeId]:
     """Destinations for flooding: every neighbour at Exchange or beyond."""
     return frozenset(
         n.nip for n in nbrs.entries if n.ns >= NeighborState.EXCHANGE
@@ -249,7 +205,7 @@ def flood_nips(nbrs: DetailedNbrTable) -> frozenset[NodeId]:
 
 
 def gen_dbd(
-    nbrs: DetailedNbrTable, lsdb: Lsdb, nip: NodeId, ip: NodeId
+    nbrs: NbrTable, lsdb: Lsdb, nip: NodeId, ip: NodeId
 ) -> Optional[DbdDetailed]:
     """Database summary message for ``nip``.
 

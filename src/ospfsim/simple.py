@@ -21,6 +21,7 @@ from .core import (
     ProtocolConfig,
     ReqSimple,
     SendInstruction,
+    SimpleNeighbor,
     TimeStamp,
     Upd,
     broadcast,
@@ -29,11 +30,11 @@ from .core import (
 )
 from .lsdb import install, lsa_exist, new_lsa_simple
 from .neighbors import (
-    SimpleNbrTable,
+    NbrTable,
     dead_nbrs,
     nbr_exist,
-    new_nbr_simple,
-    set_inact_t_simple,
+    nbr_field_set,
+    new_nbr,
 )
 
 Emissions = list[SendInstruction]
@@ -42,7 +43,7 @@ Emissions = list[SendInstruction]
 @dataclass(frozen=True)
 class SimpleNodeState:
     ip: NodeId
-    nbrs: SimpleNbrTable = SimpleNbrTable()
+    nbrs: NbrTable = NbrTable()
     lsdb: Lsdb = EMPTY_LSDB
     hellot: TimeStamp = 0
 
@@ -63,7 +64,7 @@ def simple_timers(
     dead = dead_nbrs(st.nbrs, now)
     if dead:
         gone = {n.nip for n in dead}
-        live = SimpleNbrTable.of(n for n in st.nbrs if n.nip not in gone)
+        live = NbrTable.of(n for n in st.nbrs if n.nip not in gone)
         lsa = new_lsa_simple(st.ip, now, live)
         st = replace(st, nbrs=live, lsdb=install(st.lsdb, Lsdb.of([lsa])))
         ems.append(groupcast(Upd(Lsdb.of([lsa]), st.ip), live.nips()))
@@ -75,8 +76,7 @@ def _discover(
 ) -> tuple[SimpleNodeState, Emissions]:
     """Shared new-neighbour block: record the sender, advertise the new
     link to everyone known, and offer the sender a database summary."""
-    nbrs = new_nbr_simple(state.nbrs, sip)
-    nbrs = set_inact_t_simple(nbrs, sip, now + cfg.rtdeadintvl)
+    nbrs = new_nbr(state.nbrs, SimpleNeighbor(sip, now + cfg.rtdeadintvl))
     lsa = new_lsa_simple(state.ip, now, nbrs)
     lsdb = install(state.lsdb, Lsdb.of([lsa]))
     st = replace(state, nbrs=nbrs, lsdb=lsdb)
@@ -97,7 +97,7 @@ def handle_hello_simple(
     del ips
     if not nbr_exist(state.nbrs, sip):
         return _discover(state, sip, now, cfg)
-    nbrs = set_inact_t_simple(state.nbrs, sip, now + cfg.rtdeadintvl)
+    nbrs = nbr_field_set(state.nbrs, sip, "inact_deadline", now + cfg.rtdeadintvl)
     return replace(state, nbrs=nbrs), []
 
 

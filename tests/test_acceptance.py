@@ -146,6 +146,18 @@ def test_criterion_2_convergence_suite(name, topo, model):
     assert ok, detail
 
 
+def test_criterion_2_star7_detailed_never_converges():
+    # Known bad behaviour, pinned as it is today: the databases are exact
+    # from tick 395, but the hub's adjacencies keep falling back from
+    # Full until max_ticks.  See docs/criterion2_star_tail.md.
+    ok, detail = check_criterion_2("star7", star(7), "detailed")
+    assert not ok
+    assert detail == (
+        "star7/detailed: verdict=timed_out@4000 lsdb@395 bound=100 "
+        "links_ok=True replay_ok=True left_full=32 tail_link_changes=0"
+    )
+
+
 def test_criterion_2_runtime_budget():
     started = time.time()
     for name, topo in TOPOLOGIES:

@@ -27,7 +27,7 @@ from ospfsim.detailed import (
     handle_upd_detailed,
     snmis,
 )
-from ospfsim.neighbors import DetailedNbrTable
+from ospfsim.neighbors import NbrTable
 
 A, B, C = 1, 2, 3
 NS = NeighborState
@@ -42,7 +42,7 @@ def db(*entries):
 def node(ip=A, nbrs=(), lsdb=None, hellot=0):
     return DetailedNodeState(
         ip=ip,
-        nbrs=DetailedNbrTable.of(nbrs),
+        nbrs=NbrTable.of(nbrs),
         lsdb=lsdb if lsdb is not None else Lsdb(),
         hellot=hellot,
     )
@@ -309,7 +309,7 @@ def test_timers_dd_retransmit():
         nbrs=[nbr(B, NS.EX_START, ddsqn=2, dd_deadline=4, inact_deadline=99)],
         lsdb=db((A, 1, {B})),
     )
-    st, ems = detailed_timers(before, now=5, adj=ADJ, cfg=CFG)
+    st, ems = detailed_timers(before, now=5, cfg=CFG)
     assert st.nbrs.get(B).dd_deadline == 5 + CFG.rxmtintvl
     assert len(ems) == 1
     assert ems[0].payload == DbdDetailed(frozenset({LsaHeader(A, 1)}), 2, True, A)
@@ -321,7 +321,7 @@ def test_timers_req_retransmit_picks_minimum_header():
         nbrs=[nbr(B, NS.LOADING, req_deadline=0, inact_deadline=99,
                   req_list=frozenset({LsaHeader(C, 9), LsaHeader(B, 2)}))],
     )
-    st, ems = detailed_timers(before, now=5, adj=ADJ, cfg=CFG)
+    st, ems = detailed_timers(before, now=5, cfg=CFG)
     assert st.nbrs.get(B).req_deadline == 5 + CFG.rxmtintvl
     assert len(ems) == 1
     assert ems[0].payload == ReqDetailed(LsaHeader(B, 2), A)
@@ -333,7 +333,7 @@ def test_timers_rxmt_retransmit_sends_whole_list():
         nbrs=[nbr(B, NS.FULL, rxmt_deadline=0, inact_deadline=99,
                   rxmt_list=db((A, 3, {B})))],
     )
-    st, ems = detailed_timers(before, now=5, adj=ADJ, cfg=CFG)
+    st, ems = detailed_timers(before, now=5, cfg=CFG)
     assert st.nbrs.get(B).rxmt_deadline == 5 + CFG.rxmtintvl
     assert len(ems) == 1
     assert ems[0].payload == Upd(db((A, 3, {B})), A) and ems[0].dests == {B}
@@ -345,7 +345,7 @@ def test_timers_dead_removal_floods():
         nbrs=[nbr(B, NS.FULL, inact_deadline=4), nbr(C, NS.FULL, inact_deadline=90)],
         lsdb=db((A, 1, {B, C})),
     )
-    st, ems = detailed_timers(before, now=5, adj=ADJ, cfg=CFG)
+    st, ems = detailed_timers(before, now=5, cfg=CFG)
     assert st.nbrs.nips() == {C}
     assert st.lsdb.get(A) == Lsa(A, 5, frozenset({C}))
     assert len(ems) == 1
@@ -359,7 +359,7 @@ def test_timers_refresh_regenerates_old_advertisement():
         lsdb=db((A, 1, {B})),
     )
     now = 1 + CFG.refreshintvl
-    st, ems = detailed_timers(before, now=now, adj=ADJ, cfg=CFG)
+    st, ems = detailed_timers(before, now=now, cfg=CFG)
     assert st.lsdb.get(A).stamp == now
     assert len(ems) == 1 and isinstance(ems[0].payload, Upd)
 
@@ -371,7 +371,7 @@ def test_timers_quiet_is_identity():
                   req_deadline=99, rxmt_deadline=99)],
         lsdb=db((A, 40, {B})),
     )
-    st, ems = detailed_timers(before, now=41, adj=ADJ, cfg=CFG)
+    st, ems = detailed_timers(before, now=41, cfg=CFG)
     assert st == before and ems == []
 
 

@@ -154,8 +154,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EngineConfig(loss_prob=1.5).validate()
     with pytest.raises(ConfigError):
-        EngineConfig(time_spread=2).validate()
-    with pytest.raises(ConfigError):
         EngineConfig(boot_offsets={1: -1}).validate()
     with pytest.raises(ConfigError):
         EngineConfig(model="both").validate()

@@ -1,12 +1,17 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from ospfsim.engine import EngineConfig, run
 from ospfsim.explorer import (
+    Counterexample,
     ExploreConfig,
     Violation,
     _Ctx,
     _Node,
     _install,
+    counterexample_trace,
     deterministic_choice,
     explore,
     initial_state,
@@ -14,7 +19,21 @@ from ospfsim.explorer import (
     state_converged,
     successors,
 )
-from ospfsim.topology import line, star
+from ospfsim.topology import line, ring, star
+
+
+def engine_schedule_path(cfg, boots):
+    """Choices of the engine schedule from ``boots`` up to the first
+    converged state, and that state."""
+    ctx = _Ctx(cfg)
+    tracker = {"max_occ": 0}
+    canon = initial_state(cfg, boots)
+    choices = []
+    while not state_converged(canon, cfg.topology):
+        want = deterministic_choice(canon, ctx)
+        canon = {c: ch for c, ch, _ in successors(canon, ctx, tracker)}[want]
+        choices.append(want)
+    return choices, canon
 
 
 def test_two_node_exploration_passes():
@@ -50,6 +69,14 @@ def test_queue_bound_violation_with_replayable_counterexample():
         assert engine_verdict.node == ce.violation.node
 
 
+def test_counterexample_trace_raises_when_choices_do_not_replay():
+    cfg = ExploreConfig(topology=line(3), start_interval=2, queue_bound=1)
+    ce = explore(cfg).counterexample
+    bogus = dataclasses.replace(ce, choices=[("X", "X", "X")] + ce.choices[1:])
+    with pytest.raises(RuntimeError, match="does not replay"):
+        counterexample_trace(cfg, bogus)
+
+
 def test_engine_schedule_is_among_explored_interleavings():
     cfg = ExploreConfig(topology=line(3), start_interval=10)
     ctx = _Ctx(cfg)
@@ -69,14 +96,20 @@ def test_engine_schedule_is_among_explored_interleavings():
     assert state_converged(canon, cfg.topology)
 
 
-def test_engine_and_explorer_agree_on_final_links():
-    cfg = ExploreConfig(topology=line(3), start_interval=0)
-    ctx = _Ctx(cfg)
-    tracker = {"max_occ": 0}
-    canon = initial_state(cfg, {ip: 0 for ip in cfg.topology.nodes()})
-    while not state_converged(canon, cfg.topology):
-        want = deterministic_choice(canon, ctx)
-        canon = {c: ch for c, ch, _ in successors(canon, ctx, tracker)}[want]
+# star(4) is left out: with every node booting at 0 the hub's queue
+# passes the bound of 10 at tick 7 (a P1 violation), so the engine
+# schedule never reaches a converged state there
+AGREEMENT_TOPOLOGIES = [
+    ("line3", line(3)), ("line4", line(4)), ("ring3", ring(3)),
+    ("ring4", ring(4)), ("star3", star(3)),
+]
+
+
+@pytest.mark.parametrize("topo", [t for _, t in AGREEMENT_TOPOLOGIES],
+                         ids=[n for n, _ in AGREEMENT_TOPOLOGIES])
+def test_engine_and_explorer_agree_on_final_links(topo):
+    cfg = ExploreConfig(topology=topo, start_interval=0)
+    _, canon = engine_schedule_path(cfg, {ip: 0 for ip in topo.nodes()})
     nodes_t, _ = canon
     sim, _, verdict = run(EngineConfig(model="simple"), cfg.topology)
     assert verdict.kind == "converged"
@@ -119,3 +152,26 @@ def test_state_budget_reports_inconclusive():
                                     max_states=50))
     assert verdict.status == "inconclusive"
     assert "state budget" in verdict.message
+
+
+def test_explorer_requests_on_age_ties_unlike_simple_model():
+    # The explorer's dbd handler requests every header whose age is not
+    # older than its own copy, ties included, and its req handler serves
+    # ties; simple.py's lsa_exist does neither.  On line(3) under the
+    # engine schedule this costs 4 requests, 4 extra updates and 4 ticks.
+    # See docs/explorer_vs_simple.md.
+    topo = line(3)
+    boots = {ip: 0 for ip in topo.nodes()}
+    cfg = ExploreConfig(topology=topo, start_interval=0)
+    choices, _ = engine_schedule_path(cfg, boots)
+    assert len(choices) == 16
+    # counterexample_trace renders any recorded path, violating or not
+    path = Counterexample(boots, choices, Violation("none", ""), len(choices))
+    sends = Counter(
+        ev.detail["type"] for ev in counterexample_trace(cfg, path)
+        if ev.kind == "send"
+    )
+    assert sends == {"hello": 6, "dbd": 4, "req": 4, "upd": 15}
+    _, _, verdict = run(EngineConfig(model="simple"), topo)
+    assert verdict.kind == "converged" and verdict.at_tick == 11
+    assert verdict.counts == {"hello": 6, "dbd": 4, "req": 0, "upd": 11, "ack": 0}

@@ -8,11 +8,12 @@ from ospfsim.core import (
     LsaHeader,
     Lsdb,
     NeighborState,
+    ProtocolConfig,
     SimpleNeighbor,
 )
+from ospfsim.detailed import AdjPolicy, DetailedNodeState, handle_hello_detailed
 from ospfsim.neighbors import (
-    DetailedNbrTable,
-    SimpleNbrTable,
+    NbrTable,
     add_reqs,
     clean_reqs,
     clean_rxmts,
@@ -23,12 +24,9 @@ from ospfsim.neighbors import (
     init_nbr,
     min_header,
     nbr_exist,
-    nbr_field_get,
     nbr_field_set,
-    new_nbr_detailed,
-    new_nbr_simple,
+    new_nbr,
     select_fired,
-    set_inact_t_simple,
     upd_rxmts,
 )
 
@@ -37,7 +35,7 @@ NS = NeighborState
 
 
 def dtable(*entries):
-    return DetailedNbrTable.of(entries)
+    return NbrTable.of(entries)
 
 
 def dn(nip, ns=NS.INIT, **kw):
@@ -49,39 +47,40 @@ def db(*entries):
 
 
 def test_nbr_exist():
-    t = SimpleNbrTable.of([SimpleNeighbor(B, 50)])
+    t = NbrTable.of([SimpleNeighbor(B, 50)])
     assert nbr_exist(t, B)
     assert not nbr_exist(t, C)
-    assert not nbr_exist(SimpleNbrTable(), B)
+    assert not nbr_exist(NbrTable(), B)
 
 
-def test_new_nbr_simple_and_duplicate_fault():
-    t = new_nbr_simple(SimpleNbrTable(), B)
-    assert t.get(B) == SimpleNeighbor(B, 0)
+def test_new_nbr_duplicate_fault():
+    t = new_nbr(NbrTable(), SimpleNeighbor(B, 60))
+    assert t.get(B) == SimpleNeighbor(B, 60)
+    both = new_nbr(t, SimpleNeighbor(A, 70))
+    assert [n.nip for n in both] == [A, B]
     with pytest.raises(RuntimeError):
-        new_nbr_simple(t, B)
+        new_nbr(both, SimpleNeighbor(B, 0))
+    with pytest.raises(RuntimeError):
+        new_nbr(dtable(dn(B)), dn(B, NS.FULL))
 
 
 def test_new_nbr_detailed_initial_fields():
-    t = new_nbr_detailed(DetailedNbrTable(), B)
-    entry = t.get(B)
-    assert entry == DetailedNeighbor(
-        nip=B, ns=NS.INIT, inact_deadline=0, ddsqn=0, dd_deadline=0,
-        req_list=frozenset(), req_deadline=0, rxmt_list=Lsdb(),
-        rxmt_deadline=0,
+    # a hello from an unknown sender that does not list us leaves the
+    # new entry at Init with only its inactivity deadline armed
+    cfg = ProtocolConfig()
+    st, ems = handle_hello_detailed(
+        DetailedNodeState(ip=A), frozenset(), B, 11, AdjPolicy.total(), cfg
     )
-    both = new_nbr_detailed(t, C)
-    assert both.nips() == {B, C}
-
-
-def test_set_inact_t_simple_inserts_when_absent():
-    t = SimpleNbrTable.of([SimpleNeighbor(B, 10)])
-    assert set_inact_t_simple(t, B, 60).get(B).inact_deadline == 60
-    t2 = SimpleNbrTable.of([SimpleNeighbor(B, 10), SimpleNeighbor(C, 20)])
-    out = set_inact_t_simple(t2, B, 60)
-    assert out.get(B).inact_deadline == 60 and out.get(C).inact_deadline == 20
-    grown = set_inact_t_simple(SimpleNbrTable.of([SimpleNeighbor(C, 20)]), B, 60)
-    assert grown.nips() == {B, C} and grown.get(B).inact_deadline == 60
+    assert st.nbrs.get(B) == DetailedNeighbor(
+        nip=B, ns=NS.INIT, inact_deadline=11 + cfg.rtdeadintvl, ddsqn=0,
+        dd_deadline=0, req_list=frozenset(), req_deadline=0,
+        rxmt_list=Lsdb(), rxmt_deadline=0,
+    )
+    assert ems == []
+    both, _ = handle_hello_detailed(
+        st, frozenset(), C, 12, AdjPolicy.total(), cfg
+    )
+    assert both.nbrs.nips() == {B, C}
 
 
 def test_detailed_set_on_absent_is_noop():
@@ -92,10 +91,10 @@ def test_detailed_set_on_absent_is_noop():
 
 
 def test_dead_nbrs_strict():
-    t = SimpleNbrTable.of([SimpleNeighbor(B, 5)])
+    t = NbrTable.of([SimpleNeighbor(B, 5)])
     assert [n.nip for n in dead_nbrs(t, 6)] == [B]
     assert dead_nbrs(t, 5) == ()
-    assert dead_nbrs(SimpleNbrTable(), 9) == ()
+    assert dead_nbrs(NbrTable(), 9) == ()
 
 
 @pytest.mark.parametrize("fieldname,value", [
@@ -109,21 +108,21 @@ def test_dead_nbrs_strict():
 def test_set_then_get_laws(fieldname, value):
     t = dtable(dn(B, NS.EXCHANGE), dn(C, NS.INIT))
     out = nbr_field_set(t, B, fieldname, value)
-    assert nbr_field_get(out, B, fieldname) == value
+    assert getattr(out.get(B), fieldname) == value
     assert out.get(C) == t.get(C)
 
 
 def test_field_get_on_absent():
     t = dtable(dn(B, NS.EXCHANGE))
-    assert nbr_field_get(t, C, "ns") is None
-    assert nbr_field_get(t, B, "ddsqn") == 0
+    assert t.get(C) is None
+    assert t.get(B).ddsqn == 0
 
 
 def test_inc_ddsqn():
     t = dtable(dn(B))
-    assert nbr_field_get(inc_ddsqn(t, B), B, "ddsqn") == 1
+    assert inc_ddsqn(t, B).get(B).ddsqn == 1
     seven = nbr_field_set(t, B, "ddsqn", 7)
-    assert nbr_field_get(inc_ddsqn(seven, B), B, "ddsqn") == 8
+    assert inc_ddsqn(seven, B).get(B).ddsqn == 8
 
 
 def test_init_nbr_wipes_lists_keeps_rest():
@@ -204,7 +203,7 @@ def test_flood_nips_boundary():
     t = dtable(dn(B, NS.FULL), dn(C, NS.INIT))
     assert flood_nips(t) == {B}
     assert flood_nips(dtable(dn(B, NS.EXCHANGE))) == {B}
-    assert flood_nips(DetailedNbrTable()) == frozenset()
+    assert flood_nips(NbrTable()) == frozenset()
 
 
 def test_gen_dbd_branches():
@@ -226,12 +225,12 @@ def test_min_header():
 
 def test_uniqueness_preserved_by_random_operations():
     rng = random.Random(99)
-    table = DetailedNbrTable()
+    table = NbrTable()
     for _ in range(500):
         op = rng.randrange(6)
         nip = rng.randint(2, 5)
         if op == 0 and not nbr_exist(table, nip):
-            table = new_nbr_detailed(table, nip)
+            table = new_nbr(table, dn(nip))
         elif op == 1:
             # downgrades below ExStart go through init_nbr, as in the
             # protocol itself, so the empty-lists invariant holds

@@ -11,7 +11,7 @@ from ospfsim.core import (
     SimpleNeighbor,
     Upd,
 )
-from ospfsim.neighbors import SimpleNbrTable
+from ospfsim.neighbors import NbrTable
 from ospfsim.simple import (
     SimpleNodeState,
     handle_dbd_simple,
@@ -33,7 +33,7 @@ def db(*entries):
 def node(ip=A, nbrs=(), lsdb=None, hellot=0):
     return SimpleNodeState(
         ip=ip,
-        nbrs=SimpleNbrTable.of(SimpleNeighbor(n, t) for n, t in nbrs),
+        nbrs=NbrTable.of(SimpleNeighbor(n, t) for n, t in nbrs),
         lsdb=lsdb if lsdb is not None else Lsdb(),
         hellot=hellot,
     )
