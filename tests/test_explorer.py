@@ -175,3 +175,37 @@ def test_explorer_requests_on_age_ties_unlike_simple_model():
     _, _, verdict = run(EngineConfig(model="simple"), topo)
     assert verdict.kind == "converged" and verdict.at_tick == 11
     assert verdict.counts == {"hello": 6, "dbd": 4, "req": 0, "upd": 11, "ack": 0}
+
+
+# verdicts of the explorer as it stands, pinned so that a change to its
+# storage or its search cannot move them:
+# (status, states, max_queue_occupancy, depth_reached, longest_path)
+PINNED_VERDICTS = [
+    ("line3-si10", line(3), 10, 10, ("pass", 11590, 7, 27, 28)),
+    ("ring3-si3", ring(3), 3, 10, ("pass", 3378, 9, 24, 24)),
+    ("star3-si3", star(3), 3, 10, ("pass", 1765, 7, 20, 20)),
+    ("ring4-si1", ring(4), 1, 10, ("pass", 5197, 10, 27, 27)),
+    ("line2-si5-qb2", line(2), 5, 2, ("pass", 156, 2, 14, 14)),
+]
+
+
+@pytest.mark.parametrize(
+    "topo,start_interval,queue_bound,expected",
+    [p[1:] for p in PINNED_VERDICTS], ids=[p[0] for p in PINNED_VERDICTS])
+def test_pinned_verdicts(topo, start_interval, queue_bound, expected):
+    v = explore(ExploreConfig(topology=topo, start_interval=start_interval,
+                              queue_bound=queue_bound))
+    assert (v.status, v.states, v.max_queue_occupancy, v.depth_reached,
+            v.longest_path) == expected
+
+
+def test_pinned_star4_counterexample():
+    v = explore(ExploreConfig(topology=star(4), start_interval=2))
+    assert v.status == "violation"
+    ce = v.counterexample
+    assert ce.violation.prop == "P1" and ce.at_tick == 7
+    assert ce.boot_offsets == {1: 0, 2: 0, 3: 0, 4: 0}
+    assert [" ".join(c) for c in ce.choices] == [
+        "T T T T", "M M M M", "M M - -", "M M - -", "M M M -", "M - M -",
+        "M M M M",
+    ]
