@@ -9,8 +9,10 @@ atomic (hello first, then dead-neighbour removal).
 
 States are canonical: every deadline is stored as a residue relative to
 the current tick, so runs that differ only by elapsed time collide.
-Canonical states are plain nested tuples and key the visited set
-directly, which makes state identity exact (no lossy hashing).
+Canonical states are plain nested tuples.  The search holds each one
+exactly once, as a key of the dict that interns it to an int id, which
+keeps state identity exact (no hash compaction, no lossy keys); parent
+links, choices and the successor graph are int-indexed lists.
 
 Checked per state:
     P1  queue occupancy stays within the configured bound
@@ -147,6 +149,11 @@ class ExploreVerdict:
 #   (origin, age, links-tuple).
 # Canonical global state: (nodes, flights)
 #   flights: tuple of (sender, message, recipients-tuple, res), sorted.
+#
+# The scratch objects below hold every piece already in its canonical
+# form (LSDB entries as the triples above, destination and recipient sets
+# as sorted tuples, flights as the 4-tuples above), so encoding a world
+# only sorts and freezes the containers.
 
 
 class _Node:
@@ -157,9 +164,9 @@ class _Node:
         self.hellot = hellot
         self.age = age
         self.nbrs = nbrs  # dict nip -> inact residue
-        self.lsdb = lsdb  # dict origin -> (age, links frozenset)
+        self.lsdb = lsdb  # dict origin -> (origin, age, links-tuple)
         self.inq = inq  # list of messages
-        self.outq = outq  # list of (message, dests frozenset | None)
+        self.outq = outq  # list of (message, dests-tuple | None)
 
     def copy(self) -> "_Node":
         return _Node(
@@ -181,8 +188,8 @@ class _World:
     __slots__ = ("nodes", "flights")
 
     def __init__(self, nodes, flights):
-        self.nodes = nodes  # dict ip -> _Node
-        self.flights = flights  # dict sender -> (message, recipients, res)
+        self.nodes = nodes  # dict ip -> _Node, in ascending ip order
+        self.flights = flights  # dict sender -> (sender, msg, recipients, res)
 
     def copy(self) -> "_World":
         return _World({ip: n.copy() for ip, n in self.nodes.items()},
@@ -190,46 +197,30 @@ class _World:
 
 
 def _encode(world: _World):
-    nodes = []
-    for ip in sorted(world.nodes):
-        n = world.nodes[ip]
-        nodes.append((
+    nodes = tuple(
+        (
             n.boot_res,
             n.hellot,
             n.age,
             tuple(sorted(n.nbrs.items())),
-            tuple(
-                (o, a, tuple(sorted(links)))
-                for o, (a, links) in sorted(n.lsdb.items())
-            ),
+            tuple(sorted(n.lsdb.values())),
             tuple(n.inq),
-            tuple(
-                (m, tuple(sorted(d)) if d is not None else None)
-                for m, d in n.outq
-            ),
-        ))
-    flights = tuple(
-        (s, m, tuple(sorted(r)), res)
-        for s, (m, r, res) in sorted(world.flights.items())
+            tuple(n.outq),
+        )
+        for n in world.nodes.values()
     )
-    return tuple(nodes), flights
+    return nodes, tuple(sorted(world.flights.values()))
 
 
 def _decode(canon) -> _World:
     nodes_t, flights_t = canon
-    nodes = {}
-    for ip, (boot, hellot, age, nbrs, lsdb, inq, outq) in enumerate(nodes_t, 1):
-        nodes[ip] = _Node(
-            boot,
-            hellot,
-            age,
-            dict(nbrs),
-            {o: (a, frozenset(links)) for o, a, links in lsdb},
-            list(inq),
-            [(m, frozenset(d) if d is not None else None) for m, d in outq],
-        )
-    flights = {s: (m, frozenset(r), res) for s, m, r, res in flights_t}
-    return _World(nodes, flights)
+    nodes = {
+        ip: _Node(boot, hellot, age, dict(nbrs), {e[0]: e for e in lsdb},
+                  list(inq), list(outq))
+        for ip, (boot, hellot, age, nbrs, lsdb, inq, outq)
+        in enumerate(nodes_t, 1)
+    }
+    return _World(nodes, {f[0]: f for f in flights_t})
 
 
 def initial_state(config: ExploreConfig, boots: dict[int, int]):
@@ -246,12 +237,16 @@ def initial_state(config: ExploreConfig, boots: dict[int, int]):
 
 class _Ctx:
     __slots__ = (
-        "topology", "bound", "hellointvl", "rtdeadintvl", "time_sending",
+        "neighbors", "bound", "hellointvl", "rtdeadintvl", "time_sending",
         "queue_bound", "violations",
     )
 
     def __init__(self, config: ExploreConfig):
-        self.topology = config.topology
+        # sorted tuple of topology neighbours per node
+        self.neighbors = {
+            ip: tuple(sorted(config.topology.neighbors(ip)))
+            for ip in config.topology.nodes()
+        }
         self.bound = config.resolved_age_bound()
         self.hellointvl = config.hellointvl
         self.rtdeadintvl = config.rtdeadintvl
@@ -262,7 +257,7 @@ class _Ctx:
 
 def _own_age(node: _Node, origin: int) -> int:
     entry = node.lsdb.get(origin)
-    return entry[0] if entry is not None else 0
+    return entry[1] if entry is not None else 0
 
 
 def _install(node: _Node, ip: int, o: int, a: int, links, ctx: _Ctx) -> bool:
@@ -274,15 +269,17 @@ def _install(node: _Node, ip: int, o: int, a: int, links, ctx: _Ctx) -> bool:
             "P3", f"origin {o}: age {old} -> {a} crosses the wrap window",
             node=ip,
         ))
-    node.lsdb[o] = (a, frozenset(links))
+    node.lsdb[o] = (o, a, links)
     return True
 
 
 def _originate(node: _Node, ip: int, ctx: _Ctx):
+    """Install a fresh own LSA; its links, the sorted neighbour ips, are
+    also the destinations of the update that announces it."""
     node.age = next_age(node.age, ctx.bound)
-    links = frozenset(node.nbrs)
+    links = tuple(sorted(node.nbrs))
     _install(node, ip, ip, node.age, links, ctx)
-    return (ip, node.age, tuple(sorted(links)))
+    return (ip, node.age, links)
 
 
 def _emit(node: _Node, msg, dests):
@@ -298,15 +295,15 @@ def _timer_block(node: _Node, ip: int, ctx: _Ctx):
         for nip in dead:
             del node.nbrs[nip]
         lsa = _originate(node, ip, ctx)
-        _emit(node, ("upd", (lsa,), ip), frozenset(node.nbrs))
+        _emit(node, ("upd", (lsa,), ip), lsa[2])
 
 
 def _discover(node: _Node, ip: int, sip: int, ctx: _Ctx):
     node.nbrs[sip] = ctx.rtdeadintvl
     lsa = _originate(node, ip, ctx)
-    _emit(node, ("upd", (lsa,), ip), frozenset(node.nbrs))
-    hdrs = tuple((o, a) for o, (a, _) in sorted(node.lsdb.items()))
-    _emit(node, ("dbd", hdrs, ip), frozenset({sip}))
+    _emit(node, ("upd", (lsa,), ip), lsa[2])
+    hdrs = tuple((o, a) for o, a, _ in sorted(node.lsdb.values()))
+    _emit(node, ("dbd", hdrs, ip), (sip,))
 
 
 def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
@@ -325,30 +322,29 @@ def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
             (o, a) for o, a in hdrs if newer_age(a, _own_age(node, o), ctx.bound)
         )
         if reqs:
-            _emit(node, ("req", reqs, ip), frozenset({sip}))
+            _emit(node, ("req", reqs, ip), (sip,))
     elif kind == "req":
         hdrs, sip = msg[1], msg[2]
         if sip not in node.nbrs:
             return
-        wanted = {o: a for o, a in hdrs}
+        wanted = dict(hdrs)
         lsas = tuple(
-            (o, a, tuple(sorted(links)))
-            for o, (a, links) in sorted(node.lsdb.items())
-            if o in wanted and newer_age(a, wanted[o], ctx.bound)
+            e for e in sorted(node.lsdb.values())
+            if e[0] in wanted and newer_age(e[1], wanted[e[0]], ctx.bound)
         )
-        _emit(node, ("upd", lsas, ip), frozenset({sip}))
+        _emit(node, ("upd", lsas, ip), (sip,))
     elif kind == "upd":
         # an entry is fresh only when the stored copy is NOT at least as
         # new; on an age tie the stored copy wins and nothing is
         # forwarded, which is what stops update echoes from circulating
-        lsas = msg[1]
         fresh = []
-        for o, a, links in lsas:
+        for lsa in msg[1]:
+            o, a, links = lsa
             if not newer_age(_own_age(node, o), a, ctx.bound):
                 _install(node, ip, o, a, links, ctx)
-                fresh.append((o, a, links))
+                fresh.append(lsa)
         if fresh:
-            _emit(node, ("upd", tuple(fresh), ip), frozenset(node.nbrs))
+            _emit(node, ("upd", tuple(fresh), ip), tuple(sorted(node.nbrs)))
     else:
         raise ValueError(f"unknown message kind {kind!r}")
 
@@ -398,7 +394,7 @@ def _check_occupancy(world: _World, ctx: _Ctx, tracker: dict) -> None:
 
 def _check_db(world: _World, ctx: _Ctx) -> None:
     for ip, node in world.nodes.items():
-        for o, (a, links) in node.lsdb.items():
+        for o, a, links in node.lsdb.values():
             if not 0 <= a <= ctx.bound or o in links:
                 ctx.violations.append(Violation(
                     "P2", f"node {ip}: bad database entry for origin {o}",
@@ -415,10 +411,10 @@ def _deliver(world: _World) -> list:
             node.boot_res = BOOTED
     handed = []
     for sender in sorted(world.flights):
-        msg, recipients, res = world.flights[sender]
+        _, msg, recipients, res = world.flights[sender]
         if res <= 0:
             del world.flights[sender]
-            for rcpt in sorted(recipients):
+            for rcpt in recipients:
                 rnode = world.nodes[rcpt]
                 if rnode.booted:
                     rnode.inq.append(msg)
@@ -454,11 +450,10 @@ def successors(canon, ctx: _Ctx, tracker: dict):
             if ip in world.flights or not node.outq:
                 continue
             msg, dests = node.outq.pop(0)
-            if dests is None:
-                recipients = ctx.topology.neighbors(ip)
-            else:
-                recipients = dests & ctx.topology.neighbors(ip)
-            world.flights[ip] = (msg, recipients, ctx.time_sending)
+            reach = ctx.neighbors[ip]
+            recipients = (reach if dests is None
+                          else tuple(d for d in dests if d in reach))
+            world.flights[ip] = (ip, msg, recipients, ctx.time_sending)
 
         _check_occupancy(world, ctx, tracker)
         _check_db(world, ctx)
@@ -474,9 +469,8 @@ def successors(canon, ctx: _Ctx, tracker: dict):
                 node.hellot -= 1
                 for nip in node.nbrs:
                     node.nbrs[nip] -= 1
-        for sender in list(world.flights):
-            msg, recipients, res = world.flights[sender]
-            world.flights[sender] = (msg, recipients, res - 1)
+        for sender, (_, msg, recipients, res) in world.flights.items():
+            world.flights[sender] = (sender, msg, recipients, res - 1)
 
         yield combo, _encode(world), []
 
@@ -518,13 +512,41 @@ def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
 
 
 def explore(config: ExploreConfig) -> ExploreVerdict:
-    """Breadth-first enumeration over boot offsets and interleavings."""
+    """Breadth-first enumeration over boot offsets and interleavings.
+
+    Each canonical state is held once, as the key of ``ids``, which
+    interns it to an int id in discovery order; identity stays exact.
+    Everything else is indexed by id: the parent id (-1 for a root), the
+    choice combo that first led to the state, and its unconverged
+    successors (None for a converged state), which is all that the
+    cycle check and the longest-path pass at the end read.  Roots keep
+    their boot offsets in ``root_boots``.
+    """
     config.validate()
     ctx = _Ctx(config)
     tracker = {"max_occ": 0}
     topo = config.topology
 
-    roots = []
+    ids: dict = {}
+    parent: list[int] = []
+    via: list = []
+    succ: list = []
+    root_boots: dict[int, dict[int, int]] = {}
+
+    def visit(canon, parent_id, combo, todo) -> int:
+        """The id of ``canon``; a new unconverged state joins ``todo``."""
+        sid = ids.setdefault(canon, len(parent))
+        if sid == len(parent):  # first visit
+            parent.append(parent_id)
+            via.append(combo)
+            if state_converged(canon, topo):
+                succ.append(None)
+            else:
+                succ.append(())  # filled in when the state is expanded
+                todo.append((sid, canon))
+        return sid
+
+    frontier: list = []
     for combo in itertools.product(
         range(config.start_interval + 1), repeat=topo.n
     ):
@@ -533,29 +555,15 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
         if combo and min(combo) != 0:
             continue
         boots = {ip: combo[ip - 1] for ip in topo.nodes()}
-        roots.append((initial_state(config, boots), boots))
-
-    parents: dict = {}
-    depth_of: dict = {}
-    succ_graph: dict = {}
-    converged_states = set()
-    frontier = []
-    for canon, boots in roots:
-        if canon in depth_of:
-            continue
-        depth_of[canon] = 0
-        parents[canon] = (None, None, boots)
-        if state_converged(canon, topo):
-            converged_states.add(canon)
-        else:
-            frontier.append(canon)
+        root_boots.setdefault(
+            visit(initial_state(config, boots), -1, None, frontier), boots)
 
     depth = 0
     while frontier:
         if depth >= config.depth_bound:
             return ExploreVerdict(
                 status="inconclusive",
-                states=len(depth_of),
+                states=len(parent),
                 max_queue_occupancy=tracker["max_occ"],
                 depth_reached=depth,
                 frontier_size=len(frontier),
@@ -564,35 +572,30 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                     f"{len(frontier)} unconverged states on the frontier"
                 ),
             )
-        next_frontier = []
-        for canon in frontier:
-            children = []
+        next_frontier: list = []
+        for sid, canon in frontier:
+            children: list[int] = []
             for combo, child, violations in successors(canon, ctx, tracker):
                 if violations:
                     ce = _build_counterexample(
-                        parents, canon, combo, violations[0], depth
+                        parent, via, root_boots, sid, combo, violations[0]
                     )
                     return ExploreVerdict(
                         status="violation",
-                        states=len(depth_of),
+                        states=len(parent),
                         max_queue_occupancy=tracker["max_occ"],
                         depth_reached=depth,
                         counterexample=ce,
                         message=violations[0].detail,
                     )
-                children.append(child)
-                if child not in depth_of:
-                    depth_of[child] = depth + 1
-                    parents[child] = (canon, combo, None)
-                    if state_converged(child, topo):
-                        converged_states.add(child)
-                    else:
-                        next_frontier.append(child)
-            succ_graph[canon] = children
-            if len(depth_of) > config.max_states:
+                cid = visit(child, sid, combo, next_frontier)
+                if succ[cid] is not None and cid not in children:
+                    children.append(cid)
+            succ[sid] = children
+            if len(parent) > config.max_states:
                 return ExploreVerdict(
                     status="inconclusive",
-                    states=len(depth_of),
+                    states=len(parent),
                     max_queue_occupancy=tracker["max_occ"],
                     depth_reached=depth,
                     frontier_size=len(next_frontier) + len(frontier),
@@ -601,26 +604,25 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
         frontier = next_frontier
         depth += 1
 
-    cycle = _find_unconverged_cycle(succ_graph, converged_states)
+    cycle = _find_unconverged_cycle(succ)
     if cycle is not None:
         ce = _build_counterexample(
-            parents, cycle, None,
+            parent, via, root_boots, cycle, None,
             Violation("convergence", "execution can avoid convergence forever"),
-            depth_of[cycle],
         )
         return ExploreVerdict(
             status="violation",
-            states=len(depth_of),
+            states=len(parent),
             max_queue_occupancy=tracker["max_occ"],
             depth_reached=depth,
             counterexample=ce,
             message="unconverged cycle: some execution never converges",
         )
 
-    longest = _longest_unconverged_path(succ_graph, converged_states)
+    longest = _longest_unconverged_path(succ)
     return ExploreVerdict(
         status="pass",
-        states=len(depth_of),
+        states=len(parent),
         max_queue_occupancy=tracker["max_occ"],
         depth_reached=depth,
         longest_path=longest,
@@ -628,79 +630,72 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
     )
 
 
-def _build_counterexample(parents, canon, last_combo, violation, depth):
+def _build_counterexample(parent, via, root_boots, sid, last_combo, violation):
+    """The path from a root to state ``sid``, then ``last_combo`` if
+    given; every choice is one tick, so the path length is the tick."""
     choices = []
-    cur = canon
-    boots = None
-    while True:
-        parent, combo, root_boots = parents[cur]
-        if parent is None:
-            boots = root_boots
-            break
-        choices.append(combo)
-        cur = parent
+    while parent[sid] >= 0:
+        choices.append(via[sid])
+        sid = parent[sid]
     choices.reverse()
     if last_combo is not None:
         choices.append(last_combo)
     return Counterexample(
-        boot_offsets=boots,
+        boot_offsets=root_boots[sid],
         choices=choices,
         violation=violation,
-        at_tick=depth if last_combo is None else depth + 1,
+        at_tick=len(choices),
     )
 
 
-def _find_unconverged_cycle(succ_graph, converged_states):
-    """Any node on a cycle of unconverged states, or None."""
+def _find_unconverged_cycle(succ):
+    """Any state on a cycle of unconverged states, or None.  ``succ[i]``
+    lists the unconverged successors of state i, or is None when i is
+    converged."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict = {}
-    for start in succ_graph:
-        if start in converged_states or color.get(start, WHITE) != WHITE:
+    color = bytearray(len(succ))
+    for start, children in enumerate(succ):
+        if children is None or color[start] != WHITE:
             continue
-        stack = [(start, iter(succ_graph.get(start, ())))]
+        stack = [(start, iter(children))]
         color[start] = GRAY
         while stack:
             node, it = stack[-1]
-            advanced = False
             for child in it:
-                if child in converged_states:
-                    continue
-                c = color.get(child, WHITE)
+                c = color[child]
                 if c == GRAY:
                     return child
                 if c == WHITE:
                     color[child] = GRAY
-                    stack.append((child, iter(succ_graph.get(child, ()))))
-                    advanced = True
+                    stack.append((child, iter(succ[child])))
                     break
-            if not advanced:
+            else:
                 color[node] = BLACK
                 stack.pop()
     return None
 
 
-def _longest_unconverged_path(succ_graph, converged_states):
+def _longest_unconverged_path(succ):
     """Longest walk through unconverged states, in ticks; this equals the
-    worst-case time to convergence.  The graph is acyclic here."""
-    memo: dict = {}
+    worst-case time to convergence.  The graph is acyclic here; ``succ``
+    is as for :func:`_find_unconverged_cycle`."""
+    memo = [0] * len(succ)  # 0 until computed, then at least 1
     # iterative post-order to avoid recursion limits on long chains
-    for start in succ_graph:
-        if start in converged_states:
+    for start, children in enumerate(succ):
+        if children is None:
             continue
         stack = [start]
         while stack:
             node = stack.pop()
-            if node in memo or node in converged_states:
+            if memo[node]:
                 continue
-            children = [c for c in succ_graph.get(node, ())
-                        if c not in converged_states]
-            pending = [c for c in children if c not in memo]
+            pending = [c for c in succ[node] if not memo[c]]
             if pending:
                 stack.append(node)
                 stack.extend(pending)
             else:
-                memo[node] = 1 + max((memo[c] for c in children), default=0)
-    return max((v for k, v in memo.items()), default=0)
+                memo[node] = 1 + max((memo[c] for c in succ[node]), default=0)
+    return max(memo, default=0)
 
 
 def counterexample_trace(config: ExploreConfig, counterexample: Counterexample):
@@ -732,11 +727,11 @@ def counterexample_trace(config: ExploreConfig, counterexample: Counterexample):
         for sender in sorted(after.flights):
             # a sender whose flight is still under way started nothing
             if sender not in world.flights:
-                msg, recipients, _ = after.flights[sender]
+                _, msg, recipients, _ = after.flights[sender]
                 events.append(TraceEvent(
                     tick, sender, "send",
                     {"type": msg[0], "method": "broadcast" if msg[0] == "hello"
-                     else "groupcast", "recipients": sorted(recipients)},
+                     else "groupcast", "recipients": list(recipients)},
                 ))
     return events
 

@@ -46,6 +46,29 @@ class Topology:
                 raise ValueError(f"edge ({a},{b}) outside nodes 1..{self.n}")
             norm.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(norm))
+        # derived once; not dataclass fields, so equality and hashing
+        # stay on (n, edges)
+        adj = {ip: set() for ip in self.nodes()}
+        for a, b in norm:
+            adj[a].add(b)
+            adj[b].add(a)
+        object.__setattr__(
+            self, "_adj", {ip: frozenset(out) for ip, out in adj.items()})
+        comp = {}
+        for ip in self.nodes():
+            if ip in comp:
+                continue
+            seen = {ip}
+            frontier = [ip]
+            while frontier:
+                for nxt in adj[frontier.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            members = frozenset(seen)
+            for member in members:
+                comp[member] = members
+        object.__setattr__(self, "_comp", comp)
 
     def nodes(self) -> range:
         return range(1, self.n + 1)
@@ -54,24 +77,10 @@ class Topology:
         return (min(a, b), max(a, b)) in self.edges
 
     def neighbors(self, ip: NodeId) -> frozenset[NodeId]:
-        out = set()
-        for a, b in self.edges:
-            if a == ip:
-                out.add(b)
-            elif b == ip:
-                out.add(a)
-        return frozenset(out)
+        return self._adj[ip]
 
     def component_of(self, ip: NodeId) -> frozenset[NodeId]:
-        seen = {ip}
-        frontier = [ip]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in self.neighbors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(seen)
+        return self._comp[ip]
 
     def diameter(self) -> int:
         """Longest shortest path over all connected pairs."""

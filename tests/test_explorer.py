@@ -10,7 +10,11 @@ from ospfsim.explorer import (
     Violation,
     _Ctx,
     _Node,
+    _decode,
+    _encode,
+    _find_unconverged_cycle,
     _install,
+    _longest_unconverged_path,
     counterexample_trace,
     deterministic_choice,
     explore,
@@ -122,10 +126,63 @@ def test_engine_and_explorer_agree_on_final_links(topo):
 def test_wrap_window_install_flags_p3():
     cfg = ExploreConfig(topology=line(2), age_bound=8)
     ctx = _Ctx(cfg)
-    node = _Node(-1, 0, 0, {}, {1: (1, frozenset())}, [], [])
+    node = _Node(-1, 0, 0, {}, {1: (1, 1, ())}, [], [])
     # an age jump of exactly half the bound is ambiguous both ways
     assert _install(node, 1, 1, 5, frozenset(), ctx)
     assert ctx.violations and ctx.violations[0].prop == "P3"
+
+
+def test_storage_round_trips_and_keeps_the_lsdb_layout():
+    # every state reachable on line(3) with start interval 2
+    cfg = ExploreConfig(topology=line(3), start_interval=2)
+    ctx = _Ctx(cfg)
+    tracker = {"max_occ": 0}
+    roots = {
+        initial_state(cfg, {1: a, 2: b, 3: c})
+        for a in range(3) for b in range(3) for c in range(3)
+        if min(a, b, c) == 0
+    }
+    seen, todo = set(roots), list(roots)
+    while todo:
+        for _, child, violations in successors(todo.pop(), ctx, tracker):
+            assert not violations
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
+    assert len(seen) > 1000
+    for canon in seen:
+        assert _encode(_decode(canon)) == canon
+        for node in canon[0]:
+            lsdb = node[4]
+            assert isinstance(lsdb, tuple)
+            assert [e[0] for e in lsdb] == sorted({e[0] for e in lsdb})
+            for origin, age, links in lsdb:
+                assert isinstance(origin, int) and isinstance(age, int)
+                assert isinstance(links, tuple) and list(links) == sorted(links)
+
+
+# hand-built successor lists for the final pass: succ[i] lists the
+# unconverged successors of state i, None marks a converged state
+def test_final_pass_finds_a_state_on_a_cycle():
+    succ = [[1], [2, 4], [3], [1], None]
+    assert _find_unconverged_cycle(succ) in {1, 2, 3}
+    assert _find_unconverged_cycle([[1], [2], []]) is None
+
+
+def test_final_pass_longest_path_through_a_diamond():
+    # 0 -> {1, 2} -> 3 -> 4, with a shortcut 0 -> 4 listed first and a
+    # converged 5
+    succ = [[4, 1, 2], [3], [3], [4], [], None]
+    assert _find_unconverged_cycle(succ) is None
+    assert _longest_unconverged_path(succ) == 4
+    assert _longest_unconverged_path([None, None]) == 0
+
+
+def test_final_pass_handles_a_long_chain_without_recursion():
+    n = 10_000
+    succ = [[i + 1] for i in range(n - 1)] + [[]]
+    assert _find_unconverged_cycle(succ) is None
+    assert _longest_unconverged_path(succ) == n
 
 
 def test_state_converged_checks():
