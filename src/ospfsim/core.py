@@ -83,6 +83,13 @@ class Lsdb:
     Entries are kept sorted by origin so equal databases compare and
     hash equal.  The constructor rejects inputs with two distinct
     entries for the same origin.
+
+    An origin -> entry index, built once by the constructor, answers
+    :meth:`get` and :meth:`origins` without a scan.  It is not a
+    dataclass field, so equality, hashing and ``repr`` stay on
+    ``entries``.  :func:`ospfsim.lsdb.install` returns the database it
+    was given when nothing incoming is fresher; the engine's trace diff
+    relies on that identity to skip unchanged databases.
     """
 
     entries: tuple[Lsa, ...] = ()
@@ -96,22 +103,20 @@ class Lsdb:
             by_origin[lsa.origin] = lsa
         ordered = tuple(by_origin[o] for o in sorted(by_origin))
         object.__setattr__(self, "entries", ordered)
+        object.__setattr__(self, "_by_origin", by_origin)
 
     @classmethod
     def of(cls, lsas: Iterable[Lsa]) -> "Lsdb":
         return cls(tuple(lsas))
 
     def get(self, origin: NodeId) -> Optional[Lsa]:
-        for lsa in self.entries:
-            if lsa.origin == origin:
-                return lsa
-        return None
+        return self._by_origin.get(origin)
 
     def headers(self) -> frozenset[LsaHeader]:
         return frozenset(hdr(lsa) for lsa in self.entries)
 
     def origins(self) -> frozenset[NodeId]:
-        return frozenset(lsa.origin for lsa in self.entries)
+        return frozenset(self._by_origin)
 
     def __iter__(self):
         return iter(self.entries)

@@ -215,8 +215,13 @@ class SimState:
             raise QueueOverflowError(ip, self.now, "output")
 
     def _diff_events(self, ip: NodeId, before, after, events: list[TraceEvent]):
-        """State-change and install events derived from a transition."""
-        if self.config.model == "detailed":
+        """State-change and install events derived from a transition.
+
+        A neighbour table or database that the transition left as the
+        same object has not changed, so it is not scanned; ``install``
+        keeps the object when nothing incoming is fresher.
+        """
+        if self.config.model == "detailed" and after.nbrs is not before.nbrs:
             prev = {n.nip: n.ns for n in before.nbrs}
             for n in after.nbrs:
                 old = prev.get(n.nip)
@@ -226,6 +231,8 @@ class SimState:
                         {"nbr": n.nip, "ns": n.ns.label(),
                          "prev": old.label() if old is not None else None},
                     ))
+        if after.lsdb is before.lsdb:
+            return
         for lsa in after.lsdb:
             old = before.lsdb.get(lsa.origin)
             if old != lsa:

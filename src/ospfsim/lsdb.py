@@ -1,8 +1,14 @@
 """LSA creation, database installation and freshness comparisons.
 
 Two freshness regimes coexist: the protocol state machines compare
-unbounded timestamps through the header order, while the explorer uses
-bounded wrap-around ages compared by :func:`newer_age`.
+unbounded timestamps of entries with the same origin, while the
+explorer uses bounded wrap-around ages compared by :func:`newer_age`.
+
+Databases hold one entry per origin (RFC 2328 §12.2), so
+:func:`install` and :func:`lsa_exist` do one origin lookup per header
+instead of comparing against every stored entry.  :func:`install`
+returns its input database unchanged, as the same object, when nothing
+incoming is fresher.
 """
 
 from __future__ import annotations
@@ -18,9 +24,6 @@ from .core import (
     NodeId,
     SimpleNeighbor,
     TimeStamp,
-    hdr,
-    header_leq,
-    header_lt,
 )
 
 
@@ -39,22 +42,25 @@ def new_lsa_detailed(ip: NodeId, t: TimeStamp, nbrs: Iterable[DetailedNeighbor])
 def install(lsdb: Lsdb, lsas: Lsdb) -> Lsdb:
     """Merge ``lsas`` into ``lsdb``, keeping the freshest entry per origin.
 
-    An existing entry survives unless strictly dominated by an incoming
-    one; an incoming entry is added unless dominated-or-equalled by an
-    existing one, so on a stamp tie the stored entry wins.
+    An incoming entry replaces the stored one only when its stamp is
+    strictly greater, so on a stamp tie the stored entry wins.  When no
+    incoming entry is fresher, ``lsdb`` itself is returned.
     """
-    kept = [
-        a for a in lsdb if not any(header_lt(hdr(a), hdr(b)) for b in lsas)
-    ]
-    added = [
-        b for b in lsas if not any(header_leq(hdr(b), hdr(a)) for a in lsdb)
-    ]
-    return Lsdb.of(kept + added)
+    fresher = []
+    for lsa in lsas:
+        old = lsdb.get(lsa.origin)
+        if old is None or old.stamp < lsa.stamp:
+            fresher.append(lsa)
+    if not fresher:
+        return lsdb
+    replaced = {lsa.origin for lsa in fresher}
+    return Lsdb.of([a for a in lsdb if a.origin not in replaced] + fresher)
 
 
 def lsa_exist(lsdb: Lsdb, h: LsaHeader) -> bool:
     """True when the database already holds information at least as fresh as ``h``."""
-    return any(header_leq(h, hdr(lsa)) for lsa in lsdb)
+    lsa = lsdb.get(h.origin)
+    return lsa is not None and h.stamp <= lsa.stamp
 
 
 def get_lsa(lsdb: Lsdb, h: LsaHeader) -> Optional[Lsa]:

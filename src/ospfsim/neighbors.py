@@ -22,10 +22,8 @@ from .core import (
     NodeId,
     SimpleNeighbor,
     TimeStamp,
-    hdr,
-    header_leq,
 )
-from .lsdb import install
+from .lsdb import install, lsa_exist
 
 Neighbor = Union[SimpleNeighbor, DetailedNeighbor]
 
@@ -120,9 +118,7 @@ def clean_reqs(
     entry = nbrs.get(nip)
     if entry is None:
         return None
-    reqs = frozenset(
-        h for h in entry.req_list if not any(header_leq(h, hdr(l)) for l in lsdb)
-    )
+    reqs = frozenset(h for h in entry.req_list if not lsa_exist(lsdb, h))
     return nbr_field_set(nbrs, nip, "req_list", reqs)
 
 
@@ -144,12 +140,17 @@ def clean_rxmts(
     entry = nbrs.get(nip)
     if entry is None:
         return None
-    rxmts = Lsdb.of(
-        l
-        for l in entry.rxmt_list
-        if not any(header_leq(hdr(l), h) for h in hdrs)
-    )
-    return nbr_field_set(nbrs, nip, "rxmt_list", rxmts)
+    # an entry is acknowledged by any header of its origin at least as fresh
+    acked = {}
+    for h in hdrs:
+        acked[h.origin] = max(h.stamp, acked.get(h.origin, h.stamp))
+    kept = [
+        l for l in entry.rxmt_list
+        if l.origin not in acked or acked[l.origin] < l.stamp
+    ]
+    if len(kept) == len(entry.rxmt_list):
+        return nbrs
+    return nbr_field_set(nbrs, nip, "rxmt_list", Lsdb.of(kept))
 
 
 def upd_rxmts(nbrs: NbrTable, lsas: Lsdb) -> NbrTable:

@@ -170,6 +170,30 @@ def test_boot_offsets_delay_boot():
     assert verdict.kind == "converged"
 
 
+def test_stale_request_list_entry_holds_detailed_model_in_loading():
+    # Known bad behaviour, pinned as it is today; see docs/loading_stall.md.
+    # Node 4 learns (2,30) from node 2 but keeps (2,16) on its request
+    # list towards node 1 until node 1's refresh near tick 1026.
+    topo = Topology(4, frozenset({(1, 2), (1, 4), (2, 3), (2, 4)}))
+    boots = {1: 0, 2: 6, 3: 6, 4: 9}
+    verdicts = {
+        model: run(EngineConfig(model=model, boot_offsets=boots), topo)[2]
+        for model in ("simple", "detailed")
+    }
+    assert verdicts["simple"].kind == verdicts["detailed"].kind == "converged"
+    assert verdicts["simple"].at_tick == 35
+    assert verdicts["detailed"].at_tick == 1058
+
+    sim = SimState(EngineConfig(model="detailed", boot_offsets=boots), topo)
+    while sim.now <= 40:
+        sim.tick()
+    node4 = sim.nodes[4].state
+    towards_1 = node4.nbrs.get(1)
+    assert node4.lsdb.get(2).stamp == 30
+    assert towards_1.ns == NeighborState.LOADING
+    assert {(h.origin, h.stamp) for h in towards_1.req_list} == {(2, 16)}
+
+
 # --- topology files --------------------------------------------------------
 
 
