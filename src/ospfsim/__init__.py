@@ -12,6 +12,7 @@ from .core import (
     Lsdb,
     Message,
     NeighborState,
+    NodeState,
     ProtocolConfig,
     ReqDetailed,
     ReqSimple,
@@ -24,11 +25,10 @@ from .core import (
     header_leq,
     header_lt,
 )
-from .detailed import AdjPolicy, DetailedNodeState
+from .detailed import AdjPolicy
 from .engine import EngineConfig, SimState, Verdict, converged, run
 from .explorer import ExploreConfig, ExploreVerdict, explore
 from .lsdb import get_lsa, install, lsa_exist, new_lsa_detailed, new_lsa_simple, newer_age
-from .simple import SimpleNodeState
 from .topology import Topology, line, load_topology, parse_topology, ring, star
 
 __version__ = "0.1.0"

@@ -160,6 +160,53 @@ class DetailedNeighbor:
             )
 
 
+Neighbor = Union[SimpleNeighbor, DetailedNeighbor]
+
+
+@dataclass(frozen=True)
+class NbrTable:
+    """Neighbour entries of either model, kept sorted by neighbour id."""
+
+    entries: tuple[Neighbor, ...] = ()
+
+    def __post_init__(self):
+        nips = [n.nip for n in self.entries]
+        if len(nips) != len(set(nips)):
+            raise ValueError("duplicate neighbour entries")
+        object.__setattr__(
+            self, "entries", tuple(sorted(self.entries, key=lambda n: n.nip))
+        )
+
+    @classmethod
+    def of(cls, entries: Iterable[Neighbor]) -> "NbrTable":
+        return cls(tuple(entries))
+
+    def get(self, nip: NodeId) -> Optional[Neighbor]:
+        for n in self.entries:
+            if n.nip == nip:
+                return n
+        return None
+
+    def nips(self) -> frozenset[NodeId]:
+        return frozenset(n.nip for n in self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+
+@dataclass(frozen=True)
+class NodeState:
+    """One router's protocol state, the same in both models."""
+
+    ip: NodeId
+    nbrs: NbrTable = NbrTable()
+    lsdb: Lsdb = EMPTY_LSDB
+    hellot: TimeStamp = 0
+
+
 # --- control messages ---------------------------------------------------
 
 

@@ -19,12 +19,12 @@ from .core import (
     DetailedNeighbor,
     EMPTY_LSDB,
     Hello,
-    Lsa,
     LsaHeader,
     Lsdb,
     Message,
     NeighborState,
     NodeId,
+    NodeState,
     ProtocolConfig,
     ReqDetailed,
     SendInstruction,
@@ -36,18 +36,15 @@ from .core import (
 )
 from .lsdb import get_lsa, install, lsa_exist, new_lsa_detailed
 from .neighbors import (
-    NbrTable,
     add_reqs,
     clean_reqs,
     clean_rxmts,
-    dead_nbrs,
+    drop_dead,
     flood_nips,
     gen_dbd,
-    inc_ddsqn,
-    init_nbr,
     min_header,
     nbr_exist,
-    nbr_field_set,
+    nbr_set,
     new_nbr,
     select_fired,
     upd_rxmts,
@@ -80,21 +77,9 @@ class AdjPolicy:
         return (min(a, b), max(a, b)) in self.allowed
 
 
-@dataclass(frozen=True)
-class DetailedNodeState:
-    ip: NodeId
-    nbrs: NbrTable = NbrTable()
-    lsdb: Lsdb = EMPTY_LSDB
-    hellot: TimeStamp = 0
-
-    @classmethod
-    def initial(cls, ip: NodeId) -> "DetailedNodeState":
-        return cls(ip=ip)
-
-
 def _flood(
-    state: DetailedNodeState, lsas: Lsdb, now: TimeStamp, cfg: ProtocolConfig
-) -> tuple[DetailedNodeState, Emissions]:
+    state: NodeState, lsas: Lsdb, now: TimeStamp, cfg: ProtocolConfig
+) -> tuple[NodeState, Emissions]:
     """Send ``lsas`` to every exchange-level neighbour and queue them for
     retransmission.
 
@@ -102,31 +87,24 @@ def _flood(
     here: flooding is itself a transmission, so the retransmit clock
     starts now rather than firing on a stale deadline.
     """
-    nbrs = upd_rxmts(state.nbrs, lsas)
-    armed = []
-    for n in nbrs:
-        if n.ns >= NeighborState.EXCHANGE:
-            armed.append(replace(n, rxmt_deadline=now + cfg.rxmtintvl))
-        else:
-            armed.append(n)
-    nbrs = NbrTable.of(armed)
+    nbrs = upd_rxmts(state.nbrs, lsas, now + cfg.rxmtintvl)
     st = replace(state, nbrs=nbrs)
     return st, [groupcast(Upd(lsas, st.ip), flood_nips(nbrs))]
 
 
 def _refresh_own_lsa(
-    state: DetailedNodeState, now: TimeStamp, cfg: ProtocolConfig
-) -> tuple[DetailedNodeState, Emissions]:
+    state: NodeState, now: TimeStamp, cfg: ProtocolConfig
+) -> tuple[NodeState, Emissions]:
     lsa = new_lsa_detailed(state.ip, now, state.nbrs)
     st = replace(state, lsdb=install(state.lsdb, Lsdb.of([lsa])))
     return _flood(st, Lsdb.of([lsa]), now, cfg)
 
 
 def detailed_timers(
-    state: DetailedNodeState,
+    state: NodeState,
     now: TimeStamp,
     cfg: ProtocolConfig,
-) -> tuple[DetailedNodeState, Emissions]:
+) -> tuple[NodeState, Emissions]:
     """Periodic work, each due action at most once per call, in order:
     hello, dead-neighbour removal, dbd/request/update retransmission,
     own-advertisement refresh."""
@@ -136,38 +114,26 @@ def detailed_timers(
         st = replace(st, hellot=now + cfg.hellointvl)
         ems.append(broadcast(Hello(st.nbrs.nips(), st.ip)))
 
-    dead = dead_nbrs(st.nbrs, now)
-    if dead:
-        gone = {n.nip for n in dead}
-        live = NbrTable.of(n for n in st.nbrs if n.nip not in gone)
-        st = replace(st, nbrs=live)
-        st, more = _refresh_own_lsa(st, now, cfg)
+    live = drop_dead(st.nbrs, now)
+    if live is not st.nbrs:
+        st, more = _refresh_own_lsa(replace(st, nbrs=live), now, cfg)
         ems.extend(more)
 
-    nip = select_fired(st.nbrs, now, st.ip, "dd")
-    if nip is not None:
-        st = replace(
-            st, nbrs=nbr_field_set(st.nbrs, nip, "dd_deadline", now + cfg.rxmtintvl)
-        )
-        msg = gen_dbd(st.nbrs, st.lsdb, nip, st.ip)
-        assert msg is not None
+    for kind in ("dd", "req", "rxmt"):
+        nip = select_fired(st.nbrs, now, st.ip, kind)
+        if nip is None:
+            continue
+        deadline = {kind + "_deadline": now + cfg.rxmtintvl}
+        st = replace(st, nbrs=nbr_set(st.nbrs, nip, **deadline))
+        entry = st.nbrs.get(nip)
+        if kind == "dd":
+            msg = gen_dbd(st.nbrs, st.lsdb, nip, st.ip)
+            assert msg is not None
+        elif kind == "req":
+            msg = ReqDetailed(min_header(entry.req_list), st.ip)
+        else:
+            msg = Upd(entry.rxmt_list, st.ip)
         ems.append(groupcast(msg, {nip}))
-
-    nip = select_fired(st.nbrs, now, st.ip, "req")
-    if nip is not None:
-        entry = st.nbrs.get(nip)
-        st = replace(
-            st, nbrs=nbr_field_set(st.nbrs, nip, "req_deadline", now + cfg.rxmtintvl)
-        )
-        ems.append(groupcast(ReqDetailed(min_header(entry.req_list), st.ip), {nip}))
-
-    nip = select_fired(st.nbrs, now, st.ip, "rxmt")
-    if nip is not None:
-        entry = st.nbrs.get(nip)
-        st = replace(
-            st, nbrs=nbr_field_set(st.nbrs, nip, "rxmt_deadline", now + cfg.rxmtintvl)
-        )
-        ems.append(groupcast(Upd(entry.rxmt_list, st.ip), {nip}))
 
     own = st.lsdb.get(st.ip)
     if own is not None and own.stamp + cfg.refreshintvl <= now:
@@ -178,40 +144,34 @@ def detailed_timers(
 
 
 def handle_hello_detailed(
-    state: DetailedNodeState,
+    state: NodeState,
     ips: frozenset[NodeId],
     sip: NodeId,
     now: TimeStamp,
     adj: AdjPolicy,
     cfg: ProtocolConfig,
-) -> tuple[DetailedNodeState, Emissions]:
-    if not nbr_exist(state.nbrs, sip):
+) -> tuple[NodeState, Emissions]:
+    entry = state.nbrs.get(sip)
+    nbrs = state.nbrs
+    if entry is None:
         entry = DetailedNeighbor(nip=sip, ns=NeighborState.INIT)
-        st = replace(state, nbrs=new_nbr(state.nbrs, entry))
-        return handle_hello_detailed(st, ips, sip, now, adj, cfg)
-
-    nbrs = nbr_field_set(state.nbrs, sip, "inact_deadline", now + cfg.rtdeadintvl)
-    st = replace(state, nbrs=nbrs)
-    ns = st.nbrs.get(sip).ns
-
-    if st.ip in ips:
-        if ns == NeighborState.INIT and adj.allows(st.ip, sip):
-            nbrs = nbr_field_set(st.nbrs, sip, "ns", NeighborState.EX_START)
-            nbrs = inc_ddsqn(nbrs, sip)
-            nbrs = nbr_field_set(nbrs, sip, "dd_deadline", now + cfg.rxmtintvl)
-            st = replace(st, nbrs=nbrs)
-            msg = gen_dbd(st.nbrs, st.lsdb, sip, st.ip)
-            return st, [groupcast(msg, {sip})]
-        if ns >= NeighborState.EX_START:
-            return st, []
-        if not adj.allows(st.ip, sip):
-            return (
-                replace(st, nbrs=nbr_field_set(st.nbrs, sip, "ns", NeighborState.TWO_WAY)),
-                [],
-            )
+        nbrs = new_nbr(nbrs, entry)
+    fields = {"inact_deadline": now + cfg.rtdeadintvl}
+    start = False
+    if state.ip not in ips:
+        # sender no longer lists us: wipe any adjacency progress
+        fields.update(ns=NeighborState.INIT, req_list=frozenset(),
+                      rxmt_list=EMPTY_LSDB)
+    elif entry.ns == NeighborState.INIT and adj.allows(state.ip, sip):
+        fields.update(ns=NeighborState.EX_START, ddsqn=entry.ddsqn + 1,
+                      dd_deadline=now + cfg.rxmtintvl)
+        start = True
+    elif entry.ns < NeighborState.EX_START and not adj.allows(state.ip, sip):
+        fields.update(ns=NeighborState.TWO_WAY)
+    st = replace(state, nbrs=nbr_set(nbrs, sip, **fields))
+    if not start:
         return st, []
-    # sender no longer lists us: wipe any adjacency progress
-    return replace(st, nbrs=init_nbr(st.nbrs, sip, NeighborState.INIT)), []
+    return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
 
 
 # --- database description handling ---------------------------------------
@@ -320,35 +280,34 @@ def dbd_branch(
 
 
 def _finish_exchange(
-    state: DetailedNodeState, sip: NodeId, now: TimeStamp, cfg: ProtocolConfig
-) -> tuple[DetailedNodeState, Emissions]:
+    state: NodeState, sip: NodeId, now: TimeStamp, cfg: ProtocolConfig
+) -> tuple[NodeState, Emissions]:
     """After a summary round: wait in Loading while requests are pending,
     otherwise declare the adjacency full and flood a fresh own LSA."""
-    entry = state.nbrs.get(sip)
-    if entry.req_list:
-        nbrs = nbr_field_set(state.nbrs, sip, "ns", NeighborState.LOADING)
-        return replace(state, nbrs=nbrs), []
-    nbrs = nbr_field_set(state.nbrs, sip, "ns", NeighborState.FULL)
-    st = replace(state, nbrs=nbrs)
+    if state.nbrs.get(sip).req_list:
+        return replace(state, nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.LOADING)), []
+    st = replace(state, nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.FULL))
     return _refresh_own_lsa(st, now, cfg)
 
 
 def snmis(
-    state: DetailedNodeState, sip: NodeId, now: TimeStamp, cfg: ProtocolConfig
-) -> tuple[DetailedNodeState, Emissions]:
+    state: NodeState, sip: NodeId, now: TimeStamp, cfg: ProtocolConfig
+) -> tuple[NodeState, Emissions]:
     """Sequence-number mismatch: restart the exchange from scratch."""
-    if not nbr_exist(state.nbrs, sip):
+    entry = state.nbrs.get(sip)
+    if entry is None:
         return state, []
-    nbrs = init_nbr(state.nbrs, sip, NeighborState.EX_START)
-    nbrs = inc_ddsqn(nbrs, sip)
-    nbrs = nbr_field_set(nbrs, sip, "dd_deadline", now + cfg.rxmtintvl)
+    nbrs = nbr_set(
+        state.nbrs, sip, ns=NeighborState.EX_START, req_list=frozenset(),
+        rxmt_list=EMPTY_LSDB, ddsqn=entry.ddsqn + 1,
+        dd_deadline=now + cfg.rxmtintvl,
+    )
     st = replace(state, nbrs=nbrs)
-    msg = gen_dbd(st.nbrs, st.lsdb, sip, st.ip)
-    return st, [groupcast(msg, {sip})]
+    return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
 
 
 def handle_dbd_detailed(
-    state: DetailedNodeState,
+    state: NodeState,
     hdrs: frozenset[LsaHeader],
     sqn: int,
     ibit: bool,
@@ -357,7 +316,7 @@ def handle_dbd_detailed(
     adj: AdjPolicy,
     cfg: ProtocolConfig,
     _redispatched: bool = False,
-) -> tuple[DetailedNodeState, Emissions]:
+) -> tuple[NodeState, Emissions]:
     entry = state.nbrs.get(sip)
     known = entry is not None
     pair_adj = adj.allows(state.ip, sip)
@@ -382,13 +341,11 @@ def handle_dbd_detailed(
         return state, []
 
     if branch == "init_non_adjacent":
-        nbrs = nbr_field_set(state.nbrs, sip, "ns", NeighborState.TWO_WAY)
-        return replace(state, nbrs=nbrs), []
+        return replace(state, nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.TWO_WAY)), []
 
     if branch == "init_adjacent":
-        nbrs = nbr_field_set(state.nbrs, sip, "ns", NeighborState.EX_START)
-        nbrs = inc_ddsqn(nbrs, sip)
-        nbrs = nbr_field_set(nbrs, sip, "dd_deadline", now + cfg.rxmtintvl)
+        nbrs = nbr_set(state.nbrs, sip, ns=NeighborState.EX_START,
+                       ddsqn=entry.ddsqn + 1, dd_deadline=now + cfg.rxmtintvl)
         st = replace(state, nbrs=nbrs)
         ems = [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
         if not _redispatched:
@@ -402,45 +359,40 @@ def handle_dbd_detailed(
     if branch == "negotiate_slave":
         # adopt the master's sequence number; the master, not the slave,
         # re-sends when replies go missing, so the dd timer stays put
-        nbrs = nbr_field_set(state.nbrs, sip, "ns", NeighborState.EXCHANGE)
-        nbrs = nbr_field_set(nbrs, sip, "ddsqn", sqn)
+        nbrs = nbr_set(state.nbrs, sip, ns=NeighborState.EXCHANGE, ddsqn=sqn)
         st = replace(state, nbrs=nbrs)
-        return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
-
-    if branch == "negotiate_master":
-        nbrs = nbr_field_set(state.nbrs, sip, "ns", NeighborState.EXCHANGE)
-        nbrs = inc_ddsqn(nbrs, sip)
-        nbrs = nbr_field_set(nbrs, sip, "dd_deadline", now + cfg.rxmtintvl)
-        st = replace(state, nbrs=nbrs)
-        st = replace(st, nbrs=add_reqs(st.nbrs, sip, st.lsdb, hdrs))
         return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
 
     if branch in ("exchange_duplicate_slave", "load_duplicate_slave"):
         # the earlier reply is assumed lost; regenerate it
         return state, [groupcast(gen_dbd(state.nbrs, state.lsdb, sip, state.ip), {sip})]
 
-    if branch == "exchange_slave":
-        nbrs = inc_ddsqn(state.nbrs, sip)
-        nbrs = nbr_field_set(nbrs, sip, "dd_deadline", now + cfg.rxmtintvl)
+    reqs = add_reqs(entry.req_list, state.lsdb, hdrs)
+    if branch == "negotiate_master":
+        nbrs = nbr_set(state.nbrs, sip, ns=NeighborState.EXCHANGE, req_list=reqs,
+                       ddsqn=entry.ddsqn + 1, dd_deadline=now + cfg.rxmtintvl)
         st = replace(state, nbrs=nbrs)
-        st = replace(st, nbrs=add_reqs(st.nbrs, sip, st.lsdb, hdrs))
+        return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
+
+    if branch == "exchange_slave":
+        nbrs = nbr_set(state.nbrs, sip, req_list=reqs, ddsqn=entry.ddsqn + 1,
+                       dd_deadline=now + cfg.rxmtintvl)
+        st = replace(state, nbrs=nbrs)
         ems = [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
         st, more = _finish_exchange(st, sip, now, cfg)
         return st, ems + more
 
     if branch == "exchange_master":
-        nbrs = inc_ddsqn(state.nbrs, sip)
-        st = replace(state, nbrs=nbrs)
-        st = replace(st, nbrs=add_reqs(st.nbrs, sip, st.lsdb, hdrs))
-        return _finish_exchange(st, sip, now, cfg)
+        nbrs = nbr_set(state.nbrs, sip, req_list=reqs, ddsqn=entry.ddsqn + 1)
+        return _finish_exchange(replace(state, nbrs=nbrs), sip, now, cfg)
 
     assert branch in ("exchange_others", "load_others")
     return snmis(state, sip, now, cfg)
 
 
 def handle_req_detailed(
-    state: DetailedNodeState, h: LsaHeader, sip: NodeId
-) -> tuple[DetailedNodeState, Emissions]:
+    state: NodeState, h: LsaHeader, sip: NodeId
+) -> tuple[NodeState, Emissions]:
     """Serve a request when the sender is far enough along and we hold a
     copy at least as fresh as the one asked for; drop otherwise."""
     entry = state.nbrs.get(sip)
@@ -455,12 +407,12 @@ def handle_req_detailed(
 
 
 def handle_upd_detailed(
-    state: DetailedNodeState,
+    state: NodeState,
     lsas: Lsdb,
     sip: NodeId,
     now: TimeStamp,
     cfg: ProtocolConfig,
-) -> tuple[DetailedNodeState, Emissions]:
+) -> tuple[NodeState, Emissions]:
     if not nbr_exist(state.nbrs, sip):
         return state, []
     ems: Emissions = [
@@ -471,36 +423,32 @@ def handle_upd_detailed(
         return state, ems
     freshdb = Lsdb.of(fresh)
     st = replace(state, lsdb=install(state.lsdb, freshdb))
-    st = replace(st, nbrs=clean_reqs(st.nbrs, sip, st.lsdb))
-    st, more = _flood(st, freshdb, now, cfg)
+    nbrs = clean_reqs(st.nbrs, sip, st.lsdb)
+    entry = nbrs.get(sip)
+    loaded = entry.ns == NeighborState.LOADING and not entry.req_list
+    if loaded:
+        nbrs = nbr_set(nbrs, sip, ns=NeighborState.FULL)
+    st, more = _flood(replace(st, nbrs=nbrs), freshdb, now, cfg)
     ems.extend(more)
-
-    entry = st.nbrs.get(sip)
-    if entry.req_list:
-        return st, ems
-    if entry.ns == NeighborState.LOADING:
-        nbrs = nbr_field_set(st.nbrs, sip, "ns", NeighborState.FULL)
-        st = replace(st, nbrs=nbrs)
+    if loaded:
         st, more = _refresh_own_lsa(st, now, cfg)
         ems.extend(more)
     return st, ems
 
 
 def handle_ack(
-    state: DetailedNodeState, hdrs: frozenset[LsaHeader], sip: NodeId
-) -> tuple[DetailedNodeState, Emissions]:
-    if not nbr_exist(state.nbrs, sip):
-        return state, []
+    state: NodeState, hdrs: frozenset[LsaHeader], sip: NodeId
+) -> tuple[NodeState, Emissions]:
     return replace(state, nbrs=clean_rxmts(state.nbrs, sip, hdrs)), []
 
 
 def handle_message_detailed(
-    state: DetailedNodeState,
+    state: NodeState,
     msg: Message,
     now: TimeStamp,
     adj: AdjPolicy,
     cfg: ProtocolConfig,
-) -> tuple[DetailedNodeState, Emissions]:
+) -> tuple[NodeState, Emissions]:
     if isinstance(msg, Hello):
         return handle_hello_detailed(state, msg.ips, msg.sip, now, adj, cfg)
     if isinstance(msg, DbdDetailed):

@@ -24,18 +24,14 @@ from .core import (
     Message,
     NeighborState,
     NodeId,
+    NodeState,
     ProtocolConfig,
     SendInstruction,
     TimeStamp,
     message_kind,
 )
-from .detailed import (
-    AdjPolicy,
-    DetailedNodeState,
-    detailed_timers,
-    handle_message_detailed,
-)
-from .simple import SimpleNodeState, handle_message_simple, simple_timers
+from .detailed import AdjPolicy, detailed_timers, handle_message_detailed
+from .simple import handle_message_simple, simple_timers
 from .topology import Topology
 
 MESSAGE_KINDS = ("hello", "dbd", "req", "upd", "ack")
@@ -180,12 +176,7 @@ class SimState:
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         self._proto = config.protocol()
         for ip in topology.nodes():
-            state = (
-                SimpleNodeState.initial(ip)
-                if config.model == "simple"
-                else DetailedNodeState.initial(ip)
-            )
-            self.nodes[ip] = _NodeRuntime(state=state)
+            self.nodes[ip] = _NodeRuntime(state=NodeState(ip))
         self.in_flights: list[InFlight] = []
 
     # -- helpers -----------------------------------------------------

@@ -1,66 +1,27 @@
 """Neighbour tables and their query/update operations.
 
-Tables are immutable; every update returns a new table.  Updates that
-target an absent neighbour leave the table unchanged, except where a
-function is documented as partial (returning None) or as a programming
-error (raising).
+Tables are immutable; an update returns a new table, or the table it
+was given, as the same object, when it targets an absent neighbour or
+changes nothing.  The engine's trace diff relies on that identity to
+skip unchanged tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from dataclasses import replace
+from typing import Iterable, Optional
 
 from .core import (
     DbdDetailed,
-    DetailedNeighbor,
-    EMPTY_LSDB,
-    Lsa,
     LsaHeader,
     Lsdb,
+    NbrTable,
+    Neighbor,
     NeighborState,
     NodeId,
-    SimpleNeighbor,
     TimeStamp,
 )
 from .lsdb import install, lsa_exist
-
-Neighbor = Union[SimpleNeighbor, DetailedNeighbor]
-
-
-@dataclass(frozen=True)
-class NbrTable:
-    """Neighbour entries of either model, kept sorted by neighbour id."""
-
-    entries: tuple[Neighbor, ...] = ()
-
-    def __post_init__(self):
-        nips = [n.nip for n in self.entries]
-        if len(nips) != len(set(nips)):
-            raise ValueError("duplicate neighbour entries")
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda n: n.nip))
-        )
-
-    @classmethod
-    def of(cls, entries: Iterable[Neighbor]) -> "NbrTable":
-        return cls(tuple(entries))
-
-    def get(self, nip: NodeId) -> Optional[Neighbor]:
-        for n in self.entries:
-            if n.nip == nip:
-                return n
-        return None
-
-    def nips(self) -> frozenset[NodeId]:
-        return frozenset(n.nip for n in self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
 
 # bench/layertrace.py imports both names and wraps get/nips/of on each,
 # so both stay bound to the one class
@@ -77,69 +38,47 @@ def new_nbr(nbrs: NbrTable, entry: Neighbor) -> NbrTable:
     return NbrTable.of(nbrs.entries + (entry,))
 
 
-def dead_nbrs(nbrs, t: TimeStamp):
-    """Entries whose inactivity deadline has strictly passed."""
-    return tuple(n for n in nbrs.entries if n.inact_deadline < t)
-
-
-def nbr_field_set(
-    nbrs: NbrTable, nip: NodeId, fieldname: str, value
-) -> NbrTable:
+def nbr_set(nbrs: NbrTable, nip: NodeId, **fields) -> NbrTable:
+    """Apply every field change of one transition to neighbour ``nip``
+    in a single rebuild."""
     entry = nbrs.get(nip)
-    if entry is None:
+    if entry is None or all(getattr(entry, k) == v for k, v in fields.items()):
         return nbrs
-    rest = tuple(n for n in nbrs.entries if n.nip != nip)
-    return NbrTable.of(rest + (replace(entry, **{fieldname: value}),))
+    changed = replace(entry, **fields)
+    return NbrTable.of(changed if n.nip == nip else n for n in nbrs.entries)
 
 
-def inc_ddsqn(nbrs: NbrTable, nip: NodeId) -> NbrTable:
-    entry = nbrs.get(nip)
-    if entry is None:
+def drop_dead(nbrs: NbrTable, t: TimeStamp) -> NbrTable:
+    """The table without entries whose inactivity deadline has strictly
+    passed."""
+    if all(n.inact_deadline >= t for n in nbrs.entries):
         return nbrs
-    return nbr_field_set(nbrs, nip, "ddsqn", entry.ddsqn + 1)
-
-
-def init_nbr(
-    nbrs: NbrTable, nip: NodeId, ns: NeighborState
-) -> NbrTable:
-    """Reset a neighbour to state ``ns``, wiping request and retransmission lists."""
-    entry = nbrs.get(nip)
-    if entry is None:
-        return nbrs
-    reset = replace(entry, ns=ns, req_list=frozenset(), rxmt_list=EMPTY_LSDB)
-    rest = tuple(n for n in nbrs.entries if n.nip != nip)
-    return NbrTable.of(rest + (reset,))
-
-
-def clean_reqs(
-    nbrs: NbrTable, nip: NodeId, lsdb: Lsdb
-) -> Optional[NbrTable]:
-    """Drop request-list headers dominated by the database; None when nip is absent."""
-    entry = nbrs.get(nip)
-    if entry is None:
-        return None
-    reqs = frozenset(h for h in entry.req_list if not lsa_exist(lsdb, h))
-    return nbr_field_set(nbrs, nip, "req_list", reqs)
+    return NbrTable.of(n for n in nbrs.entries if n.inact_deadline >= t)
 
 
 def add_reqs(
-    nbrs: NbrTable, nip: NodeId, lsdb: Lsdb, hdrs: frozenset[LsaHeader]
-) -> Optional[NbrTable]:
-    """Extend the request list with ``hdrs``, then clean it against ``lsdb``."""
+    reqs: frozenset[LsaHeader], lsdb: Lsdb, hdrs: frozenset[LsaHeader]
+) -> frozenset[LsaHeader]:
+    """The request list ``reqs`` widened by ``hdrs``, less every header
+    the database holds at least as fresh."""
+    return frozenset(h for h in reqs | hdrs if not lsa_exist(lsdb, h))
+
+
+def clean_reqs(nbrs: NbrTable, nip: NodeId, lsdb: Lsdb) -> NbrTable:
+    """Drop request-list headers dominated by the database."""
     entry = nbrs.get(nip)
     if entry is None:
-        return None
-    widened = nbr_field_set(nbrs, nip, "req_list", entry.req_list | hdrs)
-    return clean_reqs(widened, nip, lsdb)
+        return nbrs
+    return nbr_set(nbrs, nip, req_list=add_reqs(entry.req_list, lsdb, frozenset()))
 
 
 def clean_rxmts(
     nbrs: NbrTable, nip: NodeId, hdrs: frozenset[LsaHeader]
-) -> Optional[NbrTable]:
-    """Drop retransmission entries acknowledged by ``hdrs``; None when nip is absent."""
+) -> NbrTable:
+    """Drop retransmission entries acknowledged by ``hdrs``."""
     entry = nbrs.get(nip)
     if entry is None:
-        return None
+        return nbrs
     # an entry is acknowledged by any header of its origin at least as fresh
     acked = {}
     for h in hdrs:
@@ -150,19 +89,19 @@ def clean_rxmts(
     ]
     if len(kept) == len(entry.rxmt_list):
         return nbrs
-    return nbr_field_set(nbrs, nip, "rxmt_list", Lsdb.of(kept))
+    return nbr_set(nbrs, nip, rxmt_list=Lsdb.of(kept))
 
 
-def upd_rxmts(nbrs: NbrTable, lsas: Lsdb) -> NbrTable:
+def upd_rxmts(nbrs: NbrTable, lsas: Lsdb, deadline: TimeStamp) -> NbrTable:
     """Install ``lsas`` into the retransmission list of every neighbour at
-    Exchange or beyond; earlier neighbours are untouched."""
-    out = []
-    for n in nbrs.entries:
-        if n.ns >= NeighborState.EXCHANGE:
-            out.append(replace(n, rxmt_list=install(n.rxmt_list, lsas)))
-        else:
-            out.append(n)
-    return NbrTable.of(out)
+    Exchange or beyond and arm its retransmission timer for ``deadline``;
+    earlier neighbours are untouched."""
+    return NbrTable.of(
+        replace(n, rxmt_list=install(n.rxmt_list, lsas), rxmt_deadline=deadline)
+        if n.ns >= NeighborState.EXCHANGE
+        else n
+        for n in nbrs.entries
+    )
 
 
 def select_fired(

@@ -8,16 +8,16 @@ instructions for its output queue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .core import (
     DbdSimple,
-    EMPTY_LSDB,
     Hello,
     LsaHeader,
     Lsdb,
     Message,
     NodeId,
+    NodeState,
     ProtocolConfig,
     ReqSimple,
     SendInstruction,
@@ -29,42 +29,22 @@ from .core import (
     hdr,
 )
 from .lsdb import install, lsa_exist, new_lsa_simple
-from .neighbors import (
-    NbrTable,
-    dead_nbrs,
-    nbr_exist,
-    nbr_field_set,
-    new_nbr,
-)
+from .neighbors import drop_dead, nbr_exist, nbr_set, new_nbr
 
 Emissions = list[SendInstruction]
 
 
-@dataclass(frozen=True)
-class SimpleNodeState:
-    ip: NodeId
-    nbrs: NbrTable = NbrTable()
-    lsdb: Lsdb = EMPTY_LSDB
-    hellot: TimeStamp = 0
-
-    @classmethod
-    def initial(cls, ip: NodeId) -> "SimpleNodeState":
-        return cls(ip=ip)
-
-
 def simple_timers(
-    state: SimpleNodeState, now: TimeStamp, cfg: ProtocolConfig
-) -> tuple[SimpleNodeState, Emissions]:
+    state: NodeState, now: TimeStamp, cfg: ProtocolConfig
+) -> tuple[NodeState, Emissions]:
     """Periodic work: send a hello when due, then drop dead neighbours
     and advertise the shrunken link set."""
     st, ems = state, []
     if st.hellot <= now:
         st = replace(st, hellot=now + cfg.hellointvl)
         ems.append(broadcast(Hello(st.nbrs.nips(), st.ip)))
-    dead = dead_nbrs(st.nbrs, now)
-    if dead:
-        gone = {n.nip for n in dead}
-        live = NbrTable.of(n for n in st.nbrs if n.nip not in gone)
+    live = drop_dead(st.nbrs, now)
+    if live is not st.nbrs:
         lsa = new_lsa_simple(st.ip, now, live)
         st = replace(st, nbrs=live, lsdb=install(st.lsdb, Lsdb.of([lsa])))
         ems.append(groupcast(Upd(Lsdb.of([lsa]), st.ip), live.nips()))
@@ -72,8 +52,8 @@ def simple_timers(
 
 
 def _discover(
-    state: SimpleNodeState, sip: NodeId, now: TimeStamp, cfg: ProtocolConfig
-) -> tuple[SimpleNodeState, Emissions]:
+    state: NodeState, sip: NodeId, now: TimeStamp, cfg: ProtocolConfig
+) -> tuple[NodeState, Emissions]:
     """Shared new-neighbour block: record the sender, advertise the new
     link to everyone known, and offer the sender a database summary."""
     nbrs = new_nbr(state.nbrs, SimpleNeighbor(sip, now + cfg.rtdeadintvl))
@@ -87,27 +67,27 @@ def _discover(
 
 
 def handle_hello_simple(
-    state: SimpleNodeState,
+    state: NodeState,
     ips: frozenset[NodeId],
     sip: NodeId,
     now: TimeStamp,
     cfg: ProtocolConfig,
-) -> tuple[SimpleNodeState, Emissions]:
+) -> tuple[NodeState, Emissions]:
     # ips is carried on the wire but never read in this model
     del ips
     if not nbr_exist(state.nbrs, sip):
         return _discover(state, sip, now, cfg)
-    nbrs = nbr_field_set(state.nbrs, sip, "inact_deadline", now + cfg.rtdeadintvl)
+    nbrs = nbr_set(state.nbrs, sip, inact_deadline=now + cfg.rtdeadintvl)
     return replace(state, nbrs=nbrs), []
 
 
 def handle_dbd_simple(
-    state: SimpleNodeState,
+    state: NodeState,
     hdrs: frozenset[LsaHeader],
     sip: NodeId,
     now: TimeStamp,
     cfg: ProtocolConfig,
-) -> tuple[SimpleNodeState, Emissions]:
+) -> tuple[NodeState, Emissions]:
     st, ems = state, []
     if not nbr_exist(st.nbrs, sip):
         st, ems = _discover(st, sip, now, cfg)
@@ -118,8 +98,8 @@ def handle_dbd_simple(
 
 
 def handle_req_simple(
-    state: SimpleNodeState, hdrs: frozenset[LsaHeader], sip: NodeId
-) -> tuple[SimpleNodeState, Emissions]:
+    state: NodeState, hdrs: frozenset[LsaHeader], sip: NodeId
+) -> tuple[NodeState, Emissions]:
     if not nbr_exist(state.nbrs, sip):
         return state, []
     origins = {h.origin for h in hdrs}
@@ -129,8 +109,8 @@ def handle_req_simple(
 
 
 def handle_upd_simple(
-    state: SimpleNodeState, lsas: Lsdb, sip: NodeId
-) -> tuple[SimpleNodeState, Emissions]:
+    state: NodeState, lsas: Lsdb, sip: NodeId
+) -> tuple[NodeState, Emissions]:
     del sip
     fresh = [l for l in lsas if not lsa_exist(state.lsdb, hdr(l))]
     if not fresh:
@@ -141,8 +121,8 @@ def handle_upd_simple(
 
 
 def handle_message_simple(
-    state: SimpleNodeState, msg: Message, now: TimeStamp, cfg: ProtocolConfig
-) -> tuple[SimpleNodeState, Emissions]:
+    state: NodeState, msg: Message, now: TimeStamp, cfg: ProtocolConfig
+) -> tuple[NodeState, Emissions]:
     if isinstance(msg, Hello):
         return handle_hello_simple(state, msg.ips, msg.sip, now, cfg)
     if isinstance(msg, DbdSimple):

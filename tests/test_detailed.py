@@ -10,6 +10,7 @@ from ospfsim.core import (
     LsaHeader,
     Lsdb,
     NeighborState,
+    NodeState,
     ProtocolConfig,
     ReqDetailed,
     Upd,
@@ -17,7 +18,6 @@ from ospfsim.core import (
 from ospfsim.detailed import (
     AdjPolicy,
     DBD_BRANCHES,
-    DetailedNodeState,
     dbd_branch,
     detailed_timers,
     handle_ack,
@@ -40,7 +40,7 @@ def db(*entries):
 
 
 def node(ip=A, nbrs=(), lsdb=None, hellot=0):
-    return DetailedNodeState(
+    return NodeState(
         ip=ip,
         nbrs=NbrTable.of(nbrs),
         lsdb=lsdb if lsdb is not None else Lsdb(),

@@ -11,20 +11,19 @@ from ospfsim.core import (
     ProtocolConfig,
     SimpleNeighbor,
 )
-from ospfsim.detailed import AdjPolicy, DetailedNodeState, handle_hello_detailed
+from ospfsim.core import NodeState
+from ospfsim.detailed import AdjPolicy, handle_hello_detailed
 from ospfsim.neighbors import (
     NbrTable,
     add_reqs,
     clean_reqs,
     clean_rxmts,
-    dead_nbrs,
+    drop_dead,
     flood_nips,
     gen_dbd,
-    inc_ddsqn,
-    init_nbr,
     min_header,
     nbr_exist,
-    nbr_field_set,
+    nbr_set,
     new_nbr,
     select_fired,
     upd_rxmts,
@@ -69,7 +68,7 @@ def test_new_nbr_detailed_initial_fields():
     # new entry at Init with only its inactivity deadline armed
     cfg = ProtocolConfig()
     st, ems = handle_hello_detailed(
-        DetailedNodeState(ip=A), frozenset(), B, 11, AdjPolicy.total(), cfg
+        NodeState(ip=A), frozenset(), B, 11, AdjPolicy.total(), cfg
     )
     assert st.nbrs.get(B) == DetailedNeighbor(
         nip=B, ns=NS.INIT, inact_deadline=11 + cfg.rtdeadintvl, ddsqn=0,
@@ -84,17 +83,41 @@ def test_new_nbr_detailed_initial_fields():
 
 
 def test_detailed_set_on_absent_is_noop():
-    t = dtable(dn(B))
-    assert nbr_field_set(t, C, "ns", NS.FULL) == t
-    assert inc_ddsqn(t, C) == t
-    assert init_nbr(t, C, NS.EX_START) == t
+    # one rule for an absent neighbour: the table itself comes back
+    t = dtable(dn(B, NS.LOADING, req_list=frozenset({LsaHeader(A, 3)})))
+    assert nbr_set(t, C, ns=NS.FULL, ddsqn=1) is t
+    assert clean_reqs(t, C, db((A, 5, ()))) is t
+    assert clean_rxmts(t, C, frozenset({LsaHeader(A, 3)})) is t
 
 
-def test_dead_nbrs_strict():
-    t = NbrTable.of([SimpleNeighbor(B, 5)])
-    assert [n.nip for n in dead_nbrs(t, 6)] == [B]
-    assert dead_nbrs(t, 5) == ()
-    assert dead_nbrs(NbrTable(), 9) == ()
+def test_nbr_set_without_a_change_keeps_the_table():
+    t = dtable(dn(B, NS.EXCHANGE, ddsqn=2), dn(C))
+    assert nbr_set(t, B) is t
+    assert nbr_set(t, B, ns=NS.EXCHANGE, ddsqn=2) is t
+    out = nbr_set(t, B, ns=NS.EXCHANGE, ddsqn=3)
+    assert out is not t and out.get(B).ddsqn == 3
+    with pytest.raises(AttributeError):
+        nbr_set(t, B, no_such_field=1)
+
+
+def test_nbr_set_applies_every_field_at_once():
+    # a wipe below ExStart must clear the lists in the same update,
+    # since no intermediate record may hold lists below ExStart
+    entry = dn(B, NS.FULL, inact_deadline=90, ddsqn=5,
+               req_list=frozenset({LsaHeader(C, 2)}), rxmt_list=db((A, 1, ())))
+    out = nbr_set(dtable(entry), B, ns=NS.INIT, req_list=frozenset(),
+                  rxmt_list=Lsdb()).get(B)
+    assert out == dn(B, NS.INIT, inact_deadline=90, ddsqn=5)
+    with pytest.raises(ValueError):
+        nbr_set(dtable(entry), B, ns=NS.INIT)
+
+
+def test_drop_dead_strict():
+    t = NbrTable.of([SimpleNeighbor(B, 5), SimpleNeighbor(C, 9)])
+    assert drop_dead(t, 6).nips() == {C}
+    assert drop_dead(t, 5) is t
+    empty = NbrTable()
+    assert drop_dead(empty, 9) is empty
 
 
 @pytest.mark.parametrize("fieldname,value", [
@@ -107,7 +130,7 @@ def test_dead_nbrs_strict():
 ])
 def test_set_then_get_laws(fieldname, value):
     t = dtable(dn(B, NS.EXCHANGE), dn(C, NS.INIT))
-    out = nbr_field_set(t, B, fieldname, value)
+    out = nbr_set(t, B, **{fieldname: value})
     assert getattr(out.get(B), fieldname) == value
     assert out.get(C) == t.get(C)
 
@@ -118,62 +141,39 @@ def test_field_get_on_absent():
     assert t.get(B).ddsqn == 0
 
 
-def test_inc_ddsqn():
-    t = dtable(dn(B))
-    assert inc_ddsqn(t, B).get(B).ddsqn == 1
-    seven = nbr_field_set(t, B, "ddsqn", 7)
-    assert inc_ddsqn(seven, B).get(B).ddsqn == 8
-
-
-def test_init_nbr_wipes_lists_keeps_rest():
-    entry = DetailedNeighbor(
-        nip=B, ns=NS.FULL, inact_deadline=90, ddsqn=5, dd_deadline=8,
-        req_list=frozenset({LsaHeader(C, 2)}), req_deadline=3,
-        rxmt_list=db((A, 1, ())), rxmt_deadline=6,
-    )
-    out = init_nbr(dtable(entry), B, NS.INIT).get(B)
-    assert out.ns == NS.INIT
-    assert out.req_list == frozenset() and len(out.rxmt_list) == 0
-    assert out.ddsqn == 5 and out.inact_deadline == 90
-    ex = init_nbr(dtable(entry), B, NS.EX_START).get(B)
-    assert ex.inact_deadline == 90
-
-
 def test_clean_reqs():
     t = dtable(dn(B, NS.LOADING, req_list=frozenset({LsaHeader(A, 3)})))
     assert clean_reqs(t, B, db((A, 5, ()))).get(B).req_list == frozenset()
     keep = dtable(dn(B, NS.LOADING, req_list=frozenset({LsaHeader(A, 6)})))
-    assert clean_reqs(keep, B, db((A, 5, ()))).get(B).req_list == {LsaHeader(A, 6)}
-    assert clean_reqs(dtable(dn(B, NS.LOADING)), B, db()).get(B).req_list == frozenset()
-    assert clean_reqs(t, C, db()) is None
+    assert clean_reqs(keep, B, db((A, 5, ()))) is keep
+    empty = dtable(dn(B, NS.LOADING))
+    assert clean_reqs(empty, B, db()) is empty
 
 
 def test_add_reqs_union_then_clean():
-    t = dtable(dn(B, NS.EXCHANGE))
     hdrs = frozenset({LsaHeader(A, 6), LsaHeader(B, 2)})
-    out = add_reqs(t, B, db((A, 5, ()), (B, 3, ())), hdrs)
-    assert out.get(B).req_list == {LsaHeader(A, 6)}
-    assert add_reqs(t, B, db((A, 5, ())), frozenset()).get(B).req_list == frozenset()
-    assert add_reqs(t, C, db(), hdrs) is None
+    assert add_reqs(frozenset(), db((A, 5, ()), (B, 3, ())), hdrs) == {LsaHeader(A, 6)}
+    assert add_reqs(frozenset({LsaHeader(A, 4)}), db((A, 5, ())), frozenset()) == frozenset()
+    assert add_reqs(frozenset({LsaHeader(C, 1)}), db(), hdrs) == hdrs | {LsaHeader(C, 1)}
 
 
 def test_clean_rxmts():
     t = dtable(dn(B, NS.FULL, rxmt_list=db((A, 3, ()))))
     assert len(clean_rxmts(t, B, frozenset({LsaHeader(A, 3)})).get(B).rxmt_list) == 0
     newer = dtable(dn(B, NS.FULL, rxmt_list=db((A, 4, ()))))
-    assert clean_rxmts(newer, B, frozenset({LsaHeader(A, 3)})) == newer
-    assert clean_rxmts(newer, B, frozenset()) == newer
-    assert clean_rxmts(t, C, frozenset()) is None
+    assert clean_rxmts(newer, B, frozenset({LsaHeader(A, 3)})) is newer
+    assert clean_rxmts(newer, B, frozenset()) is newer
 
 
 def test_upd_rxmts_only_exchange_and_up():
-    t = dtable(dn(B, NS.FULL), dn(C, NS.INIT))
-    out = upd_rxmts(t, db((A, 9, ())))
+    t = dtable(dn(B, NS.FULL, rxmt_deadline=3), dn(C, NS.INIT, rxmt_deadline=4))
+    out = upd_rxmts(t, db((A, 9, ())), 30)
     assert [l.stamp for l in out.get(B).rxmt_list] == [9]
-    assert len(out.get(C).rxmt_list) == 0
-    assert upd_rxmts(t, db()) == t
-    fresher = upd_rxmts(out, db((A, 12, ())))
+    assert out.get(B).rxmt_deadline == 30
+    assert out.get(C) == t.get(C)
+    fresher = upd_rxmts(out, db((A, 12, ())), 40)
     assert [l.stamp for l in fresher.get(B).rxmt_list] == [12]
+    assert fresher.get(B).rxmt_deadline == 40
 
 
 def test_select_fired_dd():
@@ -232,20 +232,24 @@ def test_uniqueness_preserved_by_random_operations():
         if op == 0 and not nbr_exist(table, nip):
             table = new_nbr(table, dn(nip))
         elif op == 1:
-            # downgrades below ExStart go through init_nbr, as in the
-            # protocol itself, so the empty-lists invariant holds
+            # downgrades below ExStart wipe the lists in the same update,
+            # as in the protocol itself, so the empty-lists invariant holds
             ns = rng.choice(list(NS))
             if ns < NS.EX_START:
-                table = init_nbr(table, nip, ns)
+                table = nbr_set(table, nip, ns=ns, req_list=frozenset(),
+                                rxmt_list=Lsdb())
             else:
-                table = nbr_field_set(table, nip, "ns", ns)
+                table = nbr_set(table, nip, ns=ns)
         elif op == 2:
-            table = inc_ddsqn(table, nip)
+            entry = table.get(nip)
+            if entry is not None:
+                table = nbr_set(table, nip, ddsqn=entry.ddsqn + 1)
         elif op == 3:
-            table = init_nbr(table, nip, rng.choice(list(NS)))
+            table = nbr_set(table, nip, ns=rng.choice(list(NS)),
+                            req_list=frozenset(), rxmt_list=Lsdb())
         elif op == 4:
-            table = upd_rxmts(table, db((A, rng.randint(0, 9), ())))
+            table = upd_rxmts(table, db((A, rng.randint(0, 9), ())), rng.randint(0, 99))
         else:
-            table = nbr_field_set(table, nip, "inact_deadline", rng.randint(0, 99))
+            table = nbr_set(table, nip, inact_deadline=rng.randint(0, 99))
         nips = [n.nip for n in table]
         assert len(nips) == len(set(nips))

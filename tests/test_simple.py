@@ -6,6 +6,7 @@ from ospfsim.core import (
     Lsa,
     LsaHeader,
     Lsdb,
+    NodeState,
     ProtocolConfig,
     ReqSimple,
     SimpleNeighbor,
@@ -13,7 +14,6 @@ from ospfsim.core import (
 )
 from ospfsim.neighbors import NbrTable
 from ospfsim.simple import (
-    SimpleNodeState,
     handle_dbd_simple,
     handle_hello_simple,
     handle_message_simple,
@@ -31,7 +31,7 @@ def db(*entries):
 
 
 def node(ip=A, nbrs=(), lsdb=None, hellot=0):
-    return SimpleNodeState(
+    return NodeState(
         ip=ip,
         nbrs=NbrTable.of(SimpleNeighbor(n, t) for n, t in nbrs),
         lsdb=lsdb if lsdb is not None else Lsdb(),
