@@ -418,18 +418,20 @@ def handle_upd_detailed(
     ems: Emissions = [
         groupcast(Ack(frozenset(hdr(l) for l in lsas), state.ip), {sip})
     ]
-    fresh = [l for l in lsas if not lsa_exist(state.lsdb, hdr(l))]
-    if not fresh:
-        return state, ems
-    freshdb = Lsdb.of(fresh)
-    st = replace(state, lsdb=install(state.lsdb, freshdb))
+    fresh = Lsdb.of(l for l in lsas if not lsa_exist(state.lsdb, hdr(l)))
+    st = replace(state, lsdb=install(state.lsdb, fresh))
+    # clean the sender's request list on every update, fresh or not: an
+    # entry may be outdated by an instance learnt from another neighbour
+    # (RFC 2328 §13.3), and nothing this neighbour sends is then fresh
     nbrs = clean_reqs(st.nbrs, sip, st.lsdb)
     entry = nbrs.get(sip)
     loaded = entry.ns == NeighborState.LOADING and not entry.req_list
     if loaded:
         nbrs = nbr_set(nbrs, sip, ns=NeighborState.FULL)
-    st, more = _flood(replace(st, nbrs=nbrs), freshdb, now, cfg)
-    ems.extend(more)
+    st = replace(st, nbrs=nbrs)
+    if fresh:
+        st, more = _flood(st, fresh, now, cfg)
+        ems.extend(more)
     if loaded:
         st, more = _refresh_own_lsa(st, now, cfg)
         ems.extend(more)

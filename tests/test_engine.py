@@ -171,9 +171,11 @@ def test_boot_offsets_delay_boot():
 
 
 def test_stale_request_list_entry_holds_detailed_model_in_loading():
-    # Known bad behaviour, pinned as it is today; see docs/loading_stall.md.
-    # Node 4 learns (2,30) from node 2 but keeps (2,16) on its request
-    # list towards node 1 until node 1's refresh near tick 1026.
+    # Such an entry used to hold the detailed model in Loading until the
+    # first own-LSA refresh (verdict 1058); see docs/loading_stall.md.
+    # Node 4 learns node 2's LSA from node 2 while (2,16) is still on its
+    # request list towards node 1; the next update from node 1, fresh or
+    # not, now cleans that list, and the adjacency goes Full.
     topo = Topology(4, frozenset({(1, 2), (1, 4), (2, 3), (2, 4)}))
     boots = {1: 0, 2: 6, 3: 6, 4: 9}
     verdicts = {
@@ -182,7 +184,7 @@ def test_stale_request_list_entry_holds_detailed_model_in_loading():
     }
     assert verdicts["simple"].kind == verdicts["detailed"].kind == "converged"
     assert verdicts["simple"].at_tick == 35
-    assert verdicts["detailed"].at_tick == 1058
+    assert verdicts["detailed"].at_tick == 78
 
     sim = SimState(EngineConfig(model="detailed", boot_offsets=boots), topo)
     while sim.now <= 40:
@@ -190,8 +192,15 @@ def test_stale_request_list_entry_holds_detailed_model_in_loading():
     node4 = sim.nodes[4].state
     towards_1 = node4.nbrs.get(1)
     assert node4.lsdb.get(2).stamp == 30
-    assert towards_1.ns == NeighborState.LOADING
-    assert {(h.origin, h.stamp) for h in towards_1.req_list} == {(2, 16)}
+    assert towards_1.ns == NeighborState.FULL
+    assert towards_1.req_list == frozenset()
+
+    # the verdict does not wait for the refresh: it is the same with a
+    # refresh interval five times longer (1049 before the fix)
+    for refresh in (1000, 5000):
+        cfg = EngineConfig(model="detailed", boot_offsets={1: 0, 2: 9, 3: 0, 4: 7},
+                           refreshintvl=refresh)
+        assert run(cfg, ring(4))[2].at_tick == 74
 
 
 # --- topology files --------------------------------------------------------

@@ -6,10 +6,21 @@ each extra edge as two distinct nodes, and a boot offset in [0, 10) per
 node.  It takes any ``random.Random``, so a failing case can be rebuilt
 from a plain seed as well as from hypothesis.
 
+On graphs of max degree 4 or less the detailed model must reach its
+verdict before ``refreshintvl``, the first periodic own-LSA refresh: a
+verdict that comes only after it means some adjacency waited for the
+refresh to move on.  Higher degrees are left out, because hub
+saturation makes the detailed model late or time out there (see
+docs/criterion2_star_tail.md).  Twelve seeds that used to hit the
+Loading stall of docs/loading_stall.md are checked explicitly.
+
 The detailed model's LSDB-convergence bound is not asserted: it is
 known to miss on some of these graphs (CHANGES.md lists the seeds).
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospfsim.engine import EngineConfig, run
@@ -59,3 +70,30 @@ def test_replayed_installs_equal_the_final_lsdbs(rng, model):
     sim, trace, verdict = run(cfg, topo)
     dbs, _, _ = replay_lsdbs(topo, trace, sim.now)
     assert dbs == final_lsdbs(sim, topo), (topo, boots, model)
+
+
+# seeds of random_case whose max-degree-4 graph got its detailed verdict
+# only after the first own-LSA refresh while a stale request-list entry
+# held an adjacency in Loading (docs/loading_stall.md); the hypothesis
+# examples below do not happen to draw any of them
+LOADING_STALL_SEEDS = (1, 23, 34, 59, 112, 129, 145, 154, 191, 195, 276, 293)
+
+
+def check_detailed_verdict_before_refresh(topo, boots):
+    if max(len(topo.neighbors(ip)) for ip in topo.nodes()) > 4:
+        return
+    cfg = EngineConfig(model="detailed", boot_offsets=boots)
+    cfg.max_ticks = cfg.refreshintvl
+    sim, trace, verdict = run(cfg, topo)
+    assert verdict.kind == "converged", (topo, boots, verdict.line())
+
+
+@CASES
+@given(RNGS)
+def test_detailed_model_verdict_before_refresh_on_max_degree_4(rng):
+    check_detailed_verdict_before_refresh(*random_case(rng))
+
+
+@pytest.mark.parametrize("seed", LOADING_STALL_SEEDS)
+def test_detailed_model_verdict_before_refresh_on_loading_stall_seeds(seed):
+    check_detailed_verdict_before_refresh(*random_case(random.Random(seed)))
