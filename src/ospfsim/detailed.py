@@ -43,7 +43,6 @@ from .neighbors import (
     flood_nips,
     gen_dbd,
     min_header,
-    nbr_exist,
     nbr_set,
     new_nbr,
     select_fired,
@@ -367,6 +366,9 @@ def handle_dbd_detailed(
         # the earlier reply is assumed lost; regenerate it
         return state, [groupcast(gen_dbd(state.nbrs, state.lsdb, sip, state.ip), {sip})]
 
+    if branch in ("exchange_others", "load_others"):
+        return snmis(state, sip, now, cfg)
+
     reqs = add_reqs(entry.req_list, state.lsdb, hdrs)
     if branch == "negotiate_master":
         nbrs = nbr_set(state.nbrs, sip, ns=NeighborState.EXCHANGE, req_list=reqs,
@@ -382,12 +384,9 @@ def handle_dbd_detailed(
         st, more = _finish_exchange(st, sip, now, cfg)
         return st, ems + more
 
-    if branch == "exchange_master":
-        nbrs = nbr_set(state.nbrs, sip, req_list=reqs, ddsqn=entry.ddsqn + 1)
-        return _finish_exchange(replace(state, nbrs=nbrs), sip, now, cfg)
-
-    assert branch in ("exchange_others", "load_others")
-    return snmis(state, sip, now, cfg)
+    assert branch == "exchange_master"
+    nbrs = nbr_set(state.nbrs, sip, req_list=reqs, ddsqn=entry.ddsqn + 1)
+    return _finish_exchange(replace(state, nbrs=nbrs), sip, now, cfg)
 
 
 def handle_req_detailed(
@@ -413,12 +412,15 @@ def handle_upd_detailed(
     now: TimeStamp,
     cfg: ProtocolConfig,
 ) -> tuple[NodeState, Emissions]:
-    if not nbr_exist(state.nbrs, sip):
+    entry = state.nbrs.get(sip)
+    if entry is None:
         return state, []
     ems: Emissions = [
         groupcast(Ack(frozenset(hdr(l) for l in lsas), state.ip), {sip})
     ]
     fresh = Lsdb.of(l for l in lsas if not lsa_exist(state.lsdb, hdr(l)))
+    if not fresh and not entry.req_list:
+        return state, ems
     st = replace(state, lsdb=install(state.lsdb, fresh))
     # clean the sender's request list on every update, fresh or not: an
     # entry may be outdated by an instance learnt from another neighbour

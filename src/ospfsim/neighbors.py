@@ -51,9 +51,10 @@ def nbr_set(nbrs: NbrTable, nip: NodeId, **fields) -> NbrTable:
 def drop_dead(nbrs: NbrTable, t: TimeStamp) -> NbrTable:
     """The table without entries whose inactivity deadline has strictly
     passed."""
-    if all(n.inact_deadline >= t for n in nbrs.entries):
-        return nbrs
-    return NbrTable.of(n for n in nbrs.entries if n.inact_deadline >= t)
+    for n in nbrs.entries:
+        if n.inact_deadline < t:
+            return NbrTable.of(m for m in nbrs.entries if m.inact_deadline >= t)
+    return nbrs
 
 
 def add_reqs(
@@ -69,7 +70,8 @@ def clean_reqs(nbrs: NbrTable, nip: NodeId, lsdb: Lsdb) -> NbrTable:
     entry = nbrs.get(nip)
     if entry is None:
         return nbrs
-    return nbr_set(nbrs, nip, req_list=add_reqs(entry.req_list, lsdb, frozenset()))
+    reqs = frozenset(h for h in entry.req_list if not lsa_exist(lsdb, h))
+    return nbr_set(nbrs, nip, req_list=reqs)
 
 
 def clean_rxmts(
@@ -87,8 +89,6 @@ def clean_rxmts(
         l for l in entry.rxmt_list
         if l.origin not in acked or acked[l.origin] < l.stamp
     ]
-    if len(kept) == len(entry.rxmt_list):
-        return nbrs
     return nbr_set(nbrs, nip, rxmt_list=Lsdb.of(kept))
 
 
