@@ -122,8 +122,8 @@ def detailed_timers(
         nip = select_fired(st.nbrs, now, st.ip, kind)
         if nip is None:
             continue
-        deadline = {kind + "_deadline": now + cfg.rxmtintvl}
-        st = replace(st, nbrs=nbr_set(st.nbrs, nip, **deadline))
+        rearm = {kind + "_deadline": now + cfg.rxmtintvl}
+        st = replace(st, nbrs=nbr_set(st.nbrs, nip, **rearm))
         entry = st.nbrs.get(nip)
         if kind == "dd":
             msg = gen_dbd(st.nbrs, st.lsdb, nip, st.ip)

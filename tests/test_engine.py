@@ -171,11 +171,10 @@ def test_boot_offsets_delay_boot():
 
 
 def test_stale_request_list_entry_holds_detailed_model_in_loading():
-    # Such an entry used to hold the detailed model in Loading until the
-    # first own-LSA refresh (verdict 1058); see docs/loading_stall.md.
-    # Node 4 learns node 2's LSA from node 2 while (2,16) is still on its
-    # request list towards node 1; the next update from node 1, fresh or
-    # not, now cleans that list, and the adjacency goes Full.
+    # See docs/loading_stall.md.  Node 4 learns node 2's LSA from node 2
+    # while (2,16) is still on its request list towards node 1; the next
+    # update from node 1, fresh or not, must clean that list, or the
+    # adjacency waits in Loading for the first own-LSA refresh.
     topo = Topology(4, frozenset({(1, 2), (1, 4), (2, 3), (2, 4)}))
     boots = {1: 0, 2: 6, 3: 6, 4: 9}
     verdicts = {
@@ -196,7 +195,7 @@ def test_stale_request_list_entry_holds_detailed_model_in_loading():
     assert towards_1.req_list == frozenset()
 
     # the verdict does not wait for the refresh: it is the same with a
-    # refresh interval five times longer (1049 before the fix)
+    # refresh interval five times longer
     for refresh in (1000, 5000):
         cfg = EngineConfig(model="detailed", boot_offsets={1: 0, 2: 9, 3: 0, 4: 7},
                            refreshintvl=refresh)
