@@ -42,10 +42,8 @@ from .neighbors import (
     drop_dead,
     flood_nips,
     gen_dbd,
-    min_header,
     nbr_set,
     new_nbr,
-    select_fired,
     upd_rxmts,
 )
 
@@ -118,21 +116,31 @@ def detailed_timers(
         st, more = _refresh_own_lsa(replace(st, nbrs=live), now, cfg)
         ems.extend(more)
 
-    for kind in ("dd", "req", "rxmt"):
-        nip = select_fired(st.nbrs, now, st.ip, kind)
-        if nip is None:
-            continue
-        rearm = {kind + "_deadline": now + cfg.rxmtintvl}
-        st = replace(st, nbrs=nbr_set(st.nbrs, nip, **rearm))
-        entry = st.nbrs.get(nip)
-        if kind == "dd":
-            msg = gen_dbd(st.nbrs, st.lsdb, nip, st.ip)
-            assert msg is not None
-        elif kind == "req":
-            msg = ReqDetailed(min_header(entry.req_list), st.ip)
-        else:
-            msg = Upd(entry.rxmt_list, st.ip)
-        ems.append(groupcast(msg, {nip}))
+    # the lowest-id neighbour whose timer fired, per timer; at Exchange
+    # only the side driving the exchange (neighbour id <= own id)
+    # re-sends its database description
+    dd = req = rxmt = None
+    for n in st.nbrs.entries:
+        if dd is None and n.dd_deadline < now and (
+            n.ns == NeighborState.EX_START
+            or (n.ns == NeighborState.EXCHANGE and n.nip <= st.ip)
+        ):
+            dd = n.nip
+        if req is None and n.req_deadline < now and n.req_list:
+            req = n.nip
+        if rxmt is None and n.rxmt_deadline < now and n.rxmt_list:
+            rxmt = n.nip
+    rearm = now + cfg.rxmtintvl
+    if dd is not None:
+        st = replace(st, nbrs=nbr_set(st.nbrs, dd, dd_deadline=rearm))
+        ems.append(groupcast(gen_dbd(st.nbrs, st.lsdb, dd, st.ip), {dd}))
+    if req is not None:
+        st = replace(st, nbrs=nbr_set(st.nbrs, req, req_deadline=rearm))
+        first = min(st.nbrs.get(req).req_list)
+        ems.append(groupcast(ReqDetailed(first, st.ip), {req}))
+    if rxmt is not None:
+        st = replace(st, nbrs=nbr_set(st.nbrs, rxmt, rxmt_deadline=rearm))
+        ems.append(groupcast(Upd(st.nbrs.get(rxmt).rxmt_list, st.ip), {rxmt}))
 
     own = st.lsdb.get(st.ip)
     if own is not None and own.stamp + cfg.refreshintvl <= now:
@@ -314,7 +322,6 @@ def handle_dbd_detailed(
     now: TimeStamp,
     adj: AdjPolicy,
     cfg: ProtocolConfig,
-    _redispatched: bool = False,
 ) -> tuple[NodeState, Emissions]:
     entry = state.nbrs.get(sip)
     known = entry is not None
@@ -347,13 +354,10 @@ def handle_dbd_detailed(
                        ddsqn=entry.ddsqn + 1, dd_deadline=now + cfg.rxmtintvl)
         st = replace(state, nbrs=nbrs)
         ems = [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
-        if not _redispatched:
-            # the same message is examined once more, now at ExStart
-            st, more = handle_dbd_detailed(
-                st, hdrs, sqn, ibit, sip, now, adj, cfg, _redispatched=True
-            )
-            ems.extend(more)
-        return st, ems
+        # the same message is examined once more, now at ExStart, where
+        # only a negotiate_* branch applies and none of those recurses
+        st, more = handle_dbd_detailed(st, hdrs, sqn, ibit, sip, now, adj, cfg)
+        return st, ems + more
 
     if branch == "negotiate_slave":
         # adopt the master's sequence number; the master, not the slave,

@@ -125,7 +125,6 @@ class InFlight:
     payload: Message
     recipients: frozenset[NodeId]
     deliver_at: TimeStamp
-    sender: NodeId
 
 
 @dataclass
@@ -177,7 +176,6 @@ class SimState:
         self._proto = config.protocol()
         for ip in topology.nodes():
             self.nodes[ip] = _NodeRuntime(state=NodeState(ip))
-        self.in_flights: list[InFlight] = []
 
     # -- helpers -----------------------------------------------------
 
@@ -239,33 +237,33 @@ class SimState:
         events: list[TraceEvent] = []
         now = self.now
 
-        # 1. complete due transmissions
-        due = [f for f in self.in_flights if f.deliver_at <= now]
-        self.in_flights = [f for f in self.in_flights if f.deliver_at > now]
-        for flight in sorted(due, key=lambda f: f.sender):
+        # 1. complete due transmissions, in ascending sender id
+        for sender, srt in self.nodes.items():
+            flight = srt.sending
+            if flight is None or flight.deliver_at > now:
+                continue
             kind = message_kind(flight.payload)
             for rcpt in sorted(flight.recipients):
                 rt = self.nodes[rcpt]
                 if not rt.booted:
                     events.append(TraceEvent(
                         now, rcpt, "drop",
-                        {"from": flight.sender, "type": kind,
-                         "reason": "not_booted"},
+                        {"from": sender, "type": kind, "reason": "not_booted"},
                     ))
                     continue
                 if self.config.loss_prob > 0 and \
                         self.rng.random() < self.config.loss_prob:
                     events.append(TraceEvent(
                         now, rcpt, "drop",
-                        {"from": flight.sender, "type": kind, "reason": "loss"},
+                        {"from": sender, "type": kind, "reason": "loss"},
                     ))
                     continue
                 rt.inq.append(flight.payload)
                 self._check_capacity(rcpt, rt)
                 events.append(TraceEvent(
-                    now, rcpt, "deliver", {"from": flight.sender, "type": kind}
+                    now, rcpt, "deliver", {"from": sender, "type": kind}
                 ))
-            self.nodes[flight.sender].sending = None
+            srt.sending = None
 
         # 2. node turns: timers, then at most one queued message
         for ip in sorted(self.nodes):
@@ -297,14 +295,11 @@ class SimState:
                 recipients = self.topology.neighbors(ip)
             else:
                 recipients = ins.dests & self.topology.neighbors(ip)
-            flight = InFlight(
+            rt.sending = InFlight(
                 payload=ins.payload,
                 recipients=recipients,
                 deliver_at=now + self.config.time_sending,
-                sender=ip,
             )
-            rt.sending = flight
-            self.in_flights.append(flight)
             kind = message_kind(ins.payload)
             self.counts[kind] += 1
             events.append(TraceEvent(
@@ -319,17 +314,11 @@ class SimState:
         events.sort(key=lambda e: (e.node, _KIND_RANK[e.kind]))
         return events
 
-    # -- convergence ----------------------------------------------------
-
-    def converged(self) -> bool:
-        return converged(self, self.topology)
-
 
 def _pending_non_hello(sim: SimState) -> bool:
-    for flight in sim.in_flights:
-        if not isinstance(flight.payload, Hello):
-            return True
     for rt in sim.nodes.values():
+        if rt.sending is not None and not isinstance(rt.sending.payload, Hello):
+            return True
         if any(not isinstance(m, Hello) for m in rt.inq):
             return True
         if any(not isinstance(i.payload, Hello) for i in rt.outq):
@@ -356,17 +345,6 @@ def converged(sim: SimState, topology: Topology) -> bool:
                     return False
             elif entry is not None and entry.links:
                 return False
-
-    # per-origin agreement inside each component
-    for ip in topology.nodes():
-        for other in topology.component_of(ip):
-            if other <= ip:
-                continue
-            db_a = sim.nodes[ip].state.lsdb
-            db_b = sim.nodes[other].state.lsdb
-            for origin in db_a.origins() & db_b.origins():
-                if db_a.get(origin).links != db_b.get(origin).links:
-                    return False
 
     if sim.config.model == "detailed":
         for a, b in topology.edges:
@@ -400,7 +378,7 @@ def run(
             verdict = Verdict("queue_overflow", at_tick=exc.tick, node=exc.node,
                               counts=dict(sim.counts))
             return sim, trace, verdict
-        if sim.converged():
+        if converged(sim, topology):
             at = sim.now - 1
             trace.append(TraceEvent(at, 0, "converged",
                                     {"counts": dict(sim.counts)}))

@@ -9,7 +9,7 @@ skip unchanged tables.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     DbdDetailed,
@@ -104,39 +104,6 @@ def upd_rxmts(nbrs: NbrTable, lsas: Lsdb, deadline: TimeStamp) -> NbrTable:
     )
 
 
-def select_fired(
-    nbrs: NbrTable, now: TimeStamp, ip: NodeId, kind: str
-) -> Optional[NodeId]:
-    """Deterministically pick a neighbour whose ``kind`` timer has fired.
-
-    dd:   exchange-opening retransmission; at Exchange only the side
-          that drives the exchange (neighbour id <= own id) retransmits.
-    req:  pending request list with a fired request timer.
-    rxmt: pending retransmission list with a fired retransmission timer.
-    """
-    if kind == "dd":
-        cands = [
-            n.nip
-            for n in nbrs.entries
-            if n.dd_deadline < now
-            and (
-                n.ns == NeighborState.EX_START
-                or (n.ns == NeighborState.EXCHANGE and n.nip <= ip)
-            )
-        ]
-    elif kind == "req":
-        cands = [
-            n.nip for n in nbrs.entries if n.req_deadline < now and n.req_list
-        ]
-    elif kind == "rxmt":
-        cands = [
-            n.nip for n in nbrs.entries if n.rxmt_deadline < now and n.rxmt_list
-        ]
-    else:
-        raise ValueError(f"unknown timer kind {kind!r}")
-    return min(cands) if cands else None
-
-
 def flood_nips(nbrs: NbrTable) -> frozenset[NodeId]:
     """Destinations for flooding: every neighbour at Exchange or beyond."""
     return frozenset(
@@ -162,8 +129,3 @@ def gen_dbd(
         ibit=entry.ns == NeighborState.EX_START,
         sip=ip,
     )
-
-
-def min_header(hdrs: Iterable[LsaHeader]) -> LsaHeader:
-    """Deterministic choice of a header: lexicographic minimum on (origin, stamp)."""
-    return min(hdrs, key=lambda h: (h.origin, h.stamp))

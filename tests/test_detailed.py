@@ -339,6 +339,81 @@ def test_timers_rxmt_retransmit_sends_whole_list():
     assert ems[0].payload == Upd(db((A, 3, {B})), A) and ems[0].dests == {B}
 
 
+def quiet(ip, *nbrs):
+    """A node whose hello and own-LSA refresh are not due before tick 99."""
+    return node(ip=ip, hellot=99, nbrs=nbrs, lsdb=db((ip, 90, ())))
+
+
+def test_timers_dd_at_exchange_only_from_the_side_with_the_higher_id():
+    exchanging = nbr(B, NS.EXCHANGE, ddsqn=3, dd_deadline=0, inact_deadline=99)
+    # B > A: A waits for B to drive the exchange
+    before = quiet(A, exchanging)
+    assert detailed_timers(before, now=5, cfg=CFG) == (before, [])
+    # B <= C: C re-sends its summary
+    st, ems = detailed_timers(quiet(C, exchanging), now=5, cfg=CFG)
+    assert st.nbrs.get(B).dd_deadline == 5 + CFG.rxmtintvl
+    assert [(e.payload.sqn, e.payload.ibit, e.dests) for e in ems] == [(3, False, {B})]
+
+
+def test_timers_empty_lists_never_fire():
+    before = quiet(A, nbr(B, NS.LOADING, inact_deadline=99),
+                   nbr(C, NS.FULL, inact_deadline=99))
+    assert detailed_timers(before, now=50, cfg=CFG) == (before, [])
+
+
+def test_timers_fire_only_after_the_deadline_has_passed():
+    reqs = frozenset({LsaHeader(C, 1)})
+    before = quiet(A, nbr(B, NS.EX_START, dd_deadline=7, req_deadline=7,
+                          rxmt_deadline=7, req_list=reqs,
+                          rxmt_list=db((C, 1, ())), inact_deadline=99))
+    assert detailed_timers(before, now=7, cfg=CFG) == (before, [])
+    _, ems = detailed_timers(before, now=8, cfg=CFG)
+    assert len(ems) == 3
+
+
+def test_timers_lowest_neighbour_id_wins():
+    reqs = frozenset({LsaHeader(A, 1)})
+    before = quiet(
+        4,
+        nbr(C, NS.LOADING, req_deadline=0, req_list=reqs, inact_deadline=99),
+        nbr(B, NS.LOADING, req_deadline=0, req_list=reqs, inact_deadline=99),
+    )
+    st, ems = detailed_timers(before, now=5, cfg=CFG)
+    assert [e.dests for e in ems] == [{B}]
+    assert st.nbrs.get(C).req_deadline == 0
+    # C is picked on the next call, once B's timer is rearmed
+    _, ems = detailed_timers(st, now=6, cfg=CFG)
+    assert [e.dests for e in ems] == [{C}]
+
+
+def test_timers_request_the_least_header_by_origin_then_stamp():
+    reqs = frozenset({LsaHeader(C, 9), LsaHeader(B, 7), LsaHeader(B, 2)})
+    before = quiet(A, nbr(B, NS.LOADING, req_deadline=0, req_list=reqs,
+                          inact_deadline=99))
+    _, ems = detailed_timers(before, now=5, cfg=CFG)
+    assert [e.payload for e in ems] == [ReqDetailed(LsaHeader(B, 2), A)]
+
+
+def test_timers_dd_req_and_rxmt_fire_in_that_order_and_rearm():
+    # each timer fires for a different neighbour; C is listed first so
+    # that the emission order cannot come from the table order
+    before = quiet(
+        A,
+        nbr(4, NS.FULL, rxmt_deadline=1, rxmt_list=db((A, 90, ())),
+            inact_deadline=99),
+        nbr(C, NS.LOADING, req_deadline=1, req_list=frozenset({LsaHeader(B, 1)}),
+            inact_deadline=99),
+        nbr(B, NS.EX_START, ddsqn=2, dd_deadline=1, inact_deadline=99),
+    )
+    st, ems = detailed_timers(before, now=5, cfg=CFG)
+    assert [(type(e.payload), e.dests) for e in ems] == [
+        (DbdDetailed, {B}), (ReqDetailed, {C}), (Upd, {4})]
+    rearm = 5 + CFG.rxmtintvl
+    assert st.nbrs.get(B).dd_deadline == rearm
+    assert st.nbrs.get(C).req_deadline == rearm
+    assert st.nbrs.get(4).rxmt_deadline == rearm
+
+
 def test_timers_dead_removal_floods():
     before = node(
         ip=A, hellot=99,

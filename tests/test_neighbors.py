@@ -21,11 +21,9 @@ from ospfsim.neighbors import (
     drop_dead,
     flood_nips,
     gen_dbd,
-    min_header,
     nbr_exist,
     nbr_set,
     new_nbr,
-    select_fired,
     upd_rxmts,
 )
 
@@ -176,29 +174,6 @@ def test_upd_rxmts_only_exchange_and_up():
     assert fresher.get(B).rxmt_deadline == 40
 
 
-def test_select_fired_dd():
-    t = dtable(dn(B, NS.EX_START, dd_deadline=4))
-    assert select_fired(t, 5, A, "dd") == B
-    # at Exchange only the side driving the exchange retransmits
-    master_side = dtable(dn(B, NS.EXCHANGE, dd_deadline=0))
-    assert select_fired(master_side, 5, A, "dd") is None  # B > A
-    assert select_fired(master_side, 5, C, "dd") == B  # B <= C
-
-
-def test_select_fired_req_rxmt_and_determinism():
-    empty_req = dtable(dn(B, NS.LOADING, req_deadline=0))
-    assert select_fired(empty_req, 9, A, "req") is None
-    pending = dtable(
-        dn(B, NS.LOADING, req_deadline=0, req_list=frozenset({LsaHeader(C, 1)})),
-        dn(C, NS.LOADING, req_deadline=0, req_list=frozenset({LsaHeader(B, 1)})),
-    )
-    assert select_fired(pending, 9, A, "req") == B
-    assert select_fired(pending, 9, A, "req") == B
-    rx = dtable(dn(C, NS.FULL, rxmt_list=db((A, 1, ())), rxmt_deadline=2))
-    assert select_fired(rx, 3, A, "rxmt") == C
-    assert select_fired(rx, 2, A, "rxmt") is None
-
-
 def test_flood_nips_boundary():
     t = dtable(dn(B, NS.FULL), dn(C, NS.INIT))
     assert flood_nips(t) == {B}
@@ -216,11 +191,6 @@ def test_gen_dbd_branches():
     assert msg.hdrs == {LsaHeader(A, 1)} and msg.sqn == 4 and msg.ibit is False
     assert gen_dbd(dtable(dn(B, NS.INIT)), lsdb, B, A) is None
     assert gen_dbd(dtable(dn(B, NS.INIT)), lsdb, C, A) is None
-
-
-def test_min_header():
-    hdrs = {LsaHeader(B, 9), LsaHeader(A, 7), LsaHeader(A, 2)}
-    assert min_header(hdrs) == LsaHeader(A, 2)
 
 
 def test_uniqueness_preserved_by_random_operations():
