@@ -78,6 +78,16 @@ class ExploreConfig:
             raise ValueError("queue_bound must be positive")
         if self.start_interval < 0:
             raise ValueError("start_interval must be non-negative")
+        if self.depth_bound < 0:
+            raise ValueError("depth_bound must be non-negative")
+        if self.max_states < 1:
+            raise ValueError("max_states must be positive")
+        # the same limits and wording as EngineConfig.validate
+        if self.time_sending < 1:
+            raise ValueError("time_sending must be at least 1 tick")
+        for key in ("hellointvl", "rtdeadintvl"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive")
         if self.resolved_age_bound() < 2:
             raise ValueError("age_bound must be at least 2")
 

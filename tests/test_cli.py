@@ -133,6 +133,24 @@ def test_explore_refuses_large_topology(capsys, tmp_path):
     assert "limited to" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,flags,message", [
+    ("time_sending 0\n", [], "time_sending must be at least 1 tick"),
+    ("rtdeadintvl 0\n", [], "rtdeadintvl must be positive"),
+    ("", ["--depth-bound", "-1"], "depth_bound must be non-negative"),
+    ("", ["--max-states", "0"], "max_states must be positive"),
+])
+def test_explore_rejects_what_run_rejects(capsys, tmp_path, override, flags,
+                                          message):
+    p = tmp_path / "two.top"
+    p.write_text(LINE2 + override)
+    assert main(["explore", str(p)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    if override:
+        assert main(["run", str(p)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_explore_inconclusive_exit_code(capsys, line3_path):
     assert main(["explore", line3_path, "--start-interval", "2",
                  "--depth-bound", "4"]) == 3

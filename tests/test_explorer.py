@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ospfsim.engine import EngineConfig, run
+from ospfsim.engine import ConfigError, EngineConfig, run
 from ospfsim.explorer import (
     Counterexample,
     ExploreConfig,
@@ -194,6 +194,28 @@ def test_state_converged_checks():
 def test_over_scale_topology_refused():
     with pytest.raises(ValueError):
         explore(ExploreConfig(topology=star(6)))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("hellointvl", 0), ("rtdeadintvl", 0), ("rtdeadintvl", -3),
+    ("time_sending", 0),
+])
+def test_config_rejects_timings_the_engine_rejects(key, value):
+    with pytest.raises(ConfigError) as engine_err:
+        EngineConfig(**{key: value}).validate()
+    with pytest.raises(ValueError) as explore_err:
+        explore(ExploreConfig(topology=line(2), **{key: value}))
+    assert str(explore_err.value) == str(engine_err.value)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("depth_bound", -1, "depth_bound must be non-negative"),
+    ("max_states", 0, "max_states must be positive"),
+])
+def test_config_rejects_negative_budgets(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        ExploreConfig(topology=line(2), **{key: value}).validate()
+    ExploreConfig(topology=line(2), depth_bound=0, max_states=1).validate()
 
 
 def test_depth_budget_reports_inconclusive():
