@@ -33,15 +33,10 @@ def _die(message: str) -> int:
 
 
 def _build_config(tf, args) -> EngineConfig:
-    cfg = EngineConfig(model=args.model)
-    cfg.boot_offsets = dict(tf.boot_offsets)
+    cfg = EngineConfig(model=args.model, boot_offsets=dict(tf.boot_offsets),
+                       **tf.overrides)
     if tf.adj_pairs is not None:
         cfg.adjacency = AdjPolicy(tf.adj_pairs)
-    for key, value in tf.overrides.items():
-        if key == "loss_prob":
-            cfg.loss_prob = float(value)
-        else:
-            setattr(cfg, key, int(value))
     if args.seed is not None:
         cfg.seed = args.seed
     if args.max_ticks is not None:

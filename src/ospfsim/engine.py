@@ -115,6 +115,27 @@ class TraceEvent:
         )
 
 
+def delivery_event(tick: TimeStamp, rcpt: NodeId, sender: NodeId, kind: str,
+                   drop_reason: Optional[str] = None) -> TraceEvent:
+    """A deliver record, or a drop record when ``drop_reason`` is given."""
+    detail = {"from": sender, "type": kind}
+    if drop_reason is None:
+        return TraceEvent(tick, rcpt, "deliver", detail)
+    detail["reason"] = drop_reason
+    return TraceEvent(tick, rcpt, "drop", detail)
+
+
+def send_event(tick: TimeStamp, ip: NodeId, kind: str,
+               recipients) -> TraceEvent:
+    """A send record; hellos are always broadcast, everything else is
+    always groupcast."""
+    return TraceEvent(tick, ip, "send", {
+        "type": kind,
+        "method": "broadcast" if kind == "hello" else "groupcast",
+        "recipients": sorted(recipients),
+    })
+
+
 def parse_trace_line(line: str) -> TraceEvent:
     rec = json.loads(line)
     return TraceEvent(rec["tick"], rec["node"], rec["kind"], rec["detail"])
@@ -246,23 +267,16 @@ class SimState:
             for rcpt in sorted(flight.recipients):
                 rt = self.nodes[rcpt]
                 if not rt.booted:
-                    events.append(TraceEvent(
-                        now, rcpt, "drop",
-                        {"from": sender, "type": kind, "reason": "not_booted"},
-                    ))
+                    events.append(
+                        delivery_event(now, rcpt, sender, kind, "not_booted"))
                     continue
                 if self.config.loss_prob > 0 and \
                         self.rng.random() < self.config.loss_prob:
-                    events.append(TraceEvent(
-                        now, rcpt, "drop",
-                        {"from": sender, "type": kind, "reason": "loss"},
-                    ))
+                    events.append(delivery_event(now, rcpt, sender, kind, "loss"))
                     continue
                 rt.inq.append(flight.payload)
                 self._check_capacity(rcpt, rt)
-                events.append(TraceEvent(
-                    now, rcpt, "deliver", {"from": sender, "type": kind}
-                ))
+                events.append(delivery_event(now, rcpt, sender, kind))
             srt.sending = None
 
         # 2. node turns: timers, then at most one queued message
@@ -302,12 +316,7 @@ class SimState:
             )
             kind = message_kind(ins.payload)
             self.counts[kind] += 1
-            events.append(TraceEvent(
-                now, ip, "send",
-                {"type": kind,
-                 "method": "broadcast" if ins.is_broadcast else "groupcast",
-                 "recipients": sorted(recipients)},
-            ))
+            events.append(send_event(now, ip, kind, recipients))
 
         self.now += 1
         # within a tick, events are presented per node in phase order

@@ -33,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from .engine import EngineConfig, TraceEvent, delivery_event, send_event
 from .lsdb import newer_age, next_age
 from .topology import Topology
 
@@ -82,12 +83,9 @@ class ExploreConfig:
             raise ValueError("depth_bound must be non-negative")
         if self.max_states < 1:
             raise ValueError("max_states must be positive")
-        # the same limits and wording as EngineConfig.validate
-        if self.time_sending < 1:
-            raise ValueError("time_sending must be at least 1 tick")
-        for key in ("hellointvl", "rtdeadintvl"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be positive")
+        EngineConfig(model="simple", hellointvl=self.hellointvl,
+                     rtdeadintvl=self.rtdeadintvl,
+                     time_sending=self.time_sending).validate()
         if self.resolved_age_bound() < 2:
             raise ValueError("age_bound must be at least 2")
 
@@ -178,17 +176,6 @@ class _Node:
         self.inq = inq  # list of messages
         self.outq = outq  # list of (message, dests-tuple | None)
 
-    def copy(self) -> "_Node":
-        return _Node(
-            self.boot_res,
-            self.hellot,
-            self.age,
-            dict(self.nbrs),
-            dict(self.lsdb),
-            list(self.inq),
-            list(self.outq),
-        )
-
     @property
     def booted(self) -> bool:
         return self.boot_res == BOOTED
@@ -200,10 +187,6 @@ class _World:
     def __init__(self, nodes, flights):
         self.nodes = nodes  # dict ip -> _Node, in ascending ip order
         self.flights = flights  # dict sender -> (sender, msg, recipients, res)
-
-    def copy(self) -> "_World":
-        return _World({ip: n.copy() for ip, n in self.nodes.items()},
-                      dict(self.flights))
 
 
 def _encode(world: _World):
@@ -448,8 +431,14 @@ def successors(canon, ctx: _Ctx, tracker: dict):
         _node_options(base.nodes[ip]) if base.nodes[ip].booted else (IDLE,)
         for ip in ips
     ]
-    for combo in itertools.product(*options):
-        world = base.copy()
+    for n, combo in enumerate(itertools.product(*options)):
+        # the first combination consumes base; each further one starts
+        # from a fresh decode of the same delivered state
+        if n:
+            world = _decode(canon)
+            _deliver(world)
+        else:
+            world = base
         ctx.violations = []
         for ip, label in zip(ips, combo):
             _apply_choice(world.nodes[ip], ip, label, ctx)
@@ -712,8 +701,6 @@ def counterexample_trace(config: ExploreConfig, counterexample: Counterexample):
     """Engine-format trace events (tick, node, kind, detail) along a
     recorded counterexample path.  Raises RuntimeError, through
     :func:`replay`, when the recorded choices do not replay."""
-    from .engine import TraceEvent  # local import to avoid a cycle
-
     path, _ = replay(config, counterexample)
     events: list[TraceEvent] = []
     for tick, (cur, nxt) in enumerate(zip(path, path[1:] + [None])):
@@ -722,15 +709,8 @@ def counterexample_trace(config: ExploreConfig, counterexample: Counterexample):
             if world.nodes[ip].boot_res == 0:
                 events.append(TraceEvent(tick, ip, "boot", {}))
         for sender, rcpt, msg, received in _deliver(world):
-            if received:
-                events.append(TraceEvent(
-                    tick, rcpt, "deliver", {"from": sender, "type": msg[0]},
-                ))
-            else:
-                events.append(TraceEvent(
-                    tick, rcpt, "drop",
-                    {"from": sender, "type": msg[0], "reason": "not_booted"},
-                ))
+            events.append(delivery_event(
+                tick, rcpt, sender, msg[0], None if received else "not_booted"))
         if nxt is None:
             continue
         after = _decode(nxt)
@@ -738,11 +718,7 @@ def counterexample_trace(config: ExploreConfig, counterexample: Counterexample):
             # a sender whose flight is still under way started nothing
             if sender not in world.flights:
                 _, msg, recipients, _ = after.flights[sender]
-                events.append(TraceEvent(
-                    tick, sender, "send",
-                    {"type": msg[0], "method": "broadcast" if msg[0] == "hello"
-                     else "groupcast", "recipients": list(recipients)},
-                ))
+                events.append(send_event(tick, sender, msg[0], recipients))
     return events
 
 
