@@ -28,7 +28,7 @@ from .core import (
 from .detailed import AdjPolicy
 from .engine import EngineConfig, SimState, Verdict, converged, run
 from .explorer import ExploreConfig, ExploreVerdict, explore
-from .lsdb import get_lsa, install, lsa_exist, new_lsa_detailed, new_lsa_simple, newer_age
+from .lsdb import install, lsa_exist, new_lsa_detailed, new_lsa_simple, newer_age
 from .topology import Topology, line, load_topology, parse_topology, ring, star
 
 __version__ = "0.1.0"

@@ -74,25 +74,31 @@ def cmd_run(args) -> int:
     return 2
 
 
+# the topology-file settings the explorer models; it enumerates boot
+# offsets itself and runs the lossless simple model with every adjacency
+_EXPLORE_KEYS = ("hellointvl", "rtdeadintvl", "time_sending")
+
+
 def cmd_explore(args) -> int:
     try:
         tf = load_topology(args.topology)
     except (TopologyError, OSError) as exc:
         return _die(str(exc))
-    cfg = ExploreConfig(topology=tf.topology)
-    if args.queue_bound is not None:
-        cfg.queue_bound = args.queue_bound
-    if args.age_bound is not None:
-        cfg.age_bound = args.age_bound
-    if args.start_interval is not None:
-        cfg.start_interval = args.start_interval
-    if args.depth_bound is not None:
-        cfg.depth_bound = args.depth_bound
-    if args.max_states is not None:
-        cfg.max_states = args.max_states
-    for key, value in tf.overrides.items():
-        if key in ("hellointvl", "rtdeadintvl", "time_sending"):
-            setattr(cfg, key, int(value))
+    unmodelled = [key for key in tf.overrides if key not in _EXPLORE_KEYS]
+    if tf.boot_offsets:
+        unmodelled.append("boot")
+    if tf.adj_pairs is not None:
+        unmodelled.append("adj")
+    if unmodelled:
+        return _die(f"explore does not model {', '.join(unmodelled)}; "
+                    f"a topology file may set only {', '.join(_EXPLORE_KEYS)}")
+    flags = {
+        key: getattr(args, key)
+        for key in ("queue_bound", "age_bound", "start_interval",
+                    "depth_bound", "max_states")
+        if getattr(args, key) is not None
+    }
+    cfg = ExploreConfig(topology=tf.topology, **tf.overrides, **flags)
     try:
         cfg.validate()
     except ValueError as exc:

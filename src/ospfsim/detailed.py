@@ -34,7 +34,7 @@ from .core import (
     groupcast,
     hdr,
 )
-from .lsdb import get_lsa, install, lsa_exist, new_lsa_detailed
+from .lsdb import install, lsa_exist, new_lsa_detailed
 from .neighbors import (
     add_reqs,
     clean_reqs,
@@ -405,7 +405,7 @@ def handle_req_detailed(
         or not lsa_exist(state.lsdb, h)
     ):
         return state, []
-    lsa = get_lsa(state.lsdb, h)
+    lsa = state.lsdb.get(h.origin)
     return state, [groupcast(Upd(Lsdb.of([lsa]), state.ip), {sip})]
 
 

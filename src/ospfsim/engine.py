@@ -70,6 +70,9 @@ class EngineConfig:
         if self.model == "simple" and self.loss_prob != 0.0:
             raise ConfigError("the simple model assumes guaranteed receipt; "
                               "loss_prob must be 0")
+        if self.model == "simple" and self.adjacency.allowed is not None:
+            raise ConfigError("the simple model forms every adjacency; "
+                              "adj pairs must not restrict it")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ConfigError("loss_prob must lie in [0, 1]")
         if self.time_sending < 1:

@@ -13,7 +13,7 @@ incoming is fresher.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import (
     DetailedNeighbor,
@@ -61,11 +61,6 @@ def lsa_exist(lsdb: Lsdb, h: LsaHeader) -> bool:
     """True when the database already holds information at least as fresh as ``h``."""
     lsa = lsdb.get(h.origin)
     return lsa is not None and h.stamp <= lsa.stamp
-
-
-def get_lsa(lsdb: Lsdb, h: LsaHeader) -> Optional[Lsa]:
-    """The entry with ``h``'s originator, regardless of stamp."""
-    return lsdb.get(h.origin)
 
 
 def newer_age(age1: int, age2: int, age_bound: int) -> bool:

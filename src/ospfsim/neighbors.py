@@ -28,12 +28,8 @@ from .lsdb import install, lsa_exist
 SimpleNbrTable = DetailedNbrTable = NbrTable
 
 
-def nbr_exist(nbrs, nip: NodeId) -> bool:
-    return nbrs.get(nip) is not None
-
-
 def new_nbr(nbrs: NbrTable, entry: Neighbor) -> NbrTable:
-    if nbr_exist(nbrs, entry.nip):
+    if nbrs.get(entry.nip) is not None:
         raise RuntimeError(f"neighbour {entry.nip} already exists")
     return NbrTable.of(nbrs.entries + (entry,))
 

@@ -29,7 +29,7 @@ from .core import (
     hdr,
 )
 from .lsdb import install, lsa_exist, new_lsa_simple
-from .neighbors import drop_dead, nbr_exist, nbr_set, new_nbr
+from .neighbors import drop_dead, nbr_set, new_nbr
 
 Emissions = list[SendInstruction]
 
@@ -75,7 +75,7 @@ def handle_hello_simple(
 ) -> tuple[NodeState, Emissions]:
     # ips is carried on the wire but never read in this model
     del ips
-    if not nbr_exist(state.nbrs, sip):
+    if state.nbrs.get(sip) is None:
         return _discover(state, sip, now, cfg)
     nbrs = nbr_set(state.nbrs, sip, inact_deadline=now + cfg.rtdeadintvl)
     return replace(state, nbrs=nbrs), []
@@ -89,7 +89,7 @@ def handle_dbd_simple(
     cfg: ProtocolConfig,
 ) -> tuple[NodeState, Emissions]:
     st, ems = state, []
-    if not nbr_exist(st.nbrs, sip):
+    if st.nbrs.get(sip) is None:
         st, ems = _discover(st, sip, now, cfg)
     reqs = frozenset(h for h in hdrs if not lsa_exist(st.lsdb, h))
     if reqs:
@@ -100,7 +100,7 @@ def handle_dbd_simple(
 def handle_req_simple(
     state: NodeState, hdrs: frozenset[LsaHeader], sip: NodeId
 ) -> tuple[NodeState, Emissions]:
-    if not nbr_exist(state.nbrs, sip):
+    if state.nbrs.get(sip) is None:
         return state, []
     origins = {h.origin for h in hdrs}
     lsas = Lsdb.of(l for l in state.lsdb if l.origin in origins)

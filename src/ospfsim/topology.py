@@ -206,7 +206,7 @@ def parse_topology(text: str) -> TopologyFile:
         else:
             raise TopologyError(
                 lineno,
-                f"unknown key {key!r}; valid keys: nodes, edge, "
+                f"unknown key {key!r}; valid keys: nodes, edge, adj, "
                 + ", ".join(VALID_KEYS),
             )
 

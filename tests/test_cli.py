@@ -5,6 +5,10 @@ import sys
 import pytest
 
 from ospfsim.cli import main
+from ospfsim.detailed import AdjPolicy
+from ospfsim.engine import EngineConfig, render_trace, run
+from ospfsim.explorer import ExploreConfig, explore
+from ospfsim.topology import VALID_KEYS, line
 
 LINE2 = "nodes 2\nedge 1 2\n"
 LINE3 = "nodes 3\nedge 1 2\nedge 2 3\n"
@@ -149,6 +153,56 @@ def test_explore_rejects_what_run_rejects(capsys, tmp_path, override, flags,
     if override:
         assert main(["run", str(p)]) == 2
         assert message in capsys.readouterr().err
+
+
+# per topology-file directive other than nodes and edge: a line setting
+# it to a value other than the default, and the config fields it sets
+DIRECTIVES = {
+    "hellointvl": ("hellointvl 7", {"hellointvl": 7}),
+    "rtdeadintvl": ("rtdeadintvl 11", {"rtdeadintvl": 11}),
+    "rxmtintvl": ("rxmtintvl 5", {"rxmtintvl": 5}),
+    "refreshintvl": ("refreshintvl 20", {"refreshintvl": 20}),
+    "time_sending": ("time_sending 2", {"time_sending": 2}),
+    "seed": ("seed 5", {"seed": 5}),
+    "max_ticks": ("max_ticks 8", {"max_ticks": 8}),
+    "loss_prob": ("loss_prob 0.5", {"loss_prob": 0.5}),
+    "boot": ("boot 3 4", {"boot_offsets": {3: 4}}),
+    "adj": ("adj 1 2", {"adjacency": AdjPolicy.of_pairs([(1, 2)])}),
+}
+FILE_KEYS = VALID_KEYS + ("adj",)
+REFUSED = {
+    "run-simple": {"loss_prob", "adj"},
+    "run-detailed": set(),
+    "explore": set(FILE_KEYS) - {"hellointvl", "rtdeadintvl", "time_sending"},
+}
+
+
+@pytest.mark.parametrize("key", FILE_KEYS)
+@pytest.mark.parametrize("command", sorted(REFUSED))
+def test_each_command_honours_or_refuses_every_file_directive(
+        capsys, tmp_path, command, key):
+    directive, fields = DIRECTIVES[key]
+    p = tmp_path / "line3.top"
+    p.write_text(LINE3 + directive + "\n")
+    if command == "explore":
+        argv = ["explore", str(p), "--start-interval", "1"]
+    else:
+        model = command.split("-")[1]
+        argv = ["run", str(p), "--model", model, "--format", "full"]
+    code = main(argv)
+    if key in REFUSED[command]:
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and key in captured.err
+        return
+    out = capsys.readouterr().out
+    if command == "explore":
+        verdict = explore(ExploreConfig(topology=line(3), start_interval=1,
+                                        **fields))
+        # a violation adds the counterexample's choices after these lines
+        assert out.startswith("".join(l + "\n" for l in verdict.lines()))
+    else:
+        _, trace, verdict = run(EngineConfig(model=model, **fields), line(3))
+        assert out == render_trace(trace) + verdict.line() + "\n"
 
 
 def test_explore_inconclusive_exit_code(capsys, line3_path):

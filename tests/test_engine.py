@@ -1,6 +1,7 @@
 import pytest
 
 from ospfsim.core import NeighborState
+from ospfsim.detailed import AdjPolicy
 from ospfsim.engine import (
     ConfigError,
     EngineConfig,
@@ -9,7 +10,9 @@ from ospfsim.engine import (
     render_trace,
     run,
 )
-from ospfsim.topology import Topology, line, parse_topology, ring, star, TopologyError
+from ospfsim.topology import (
+    VALID_KEYS, Topology, TopologyError, line, parse_topology, ring, star,
+)
 
 
 def test_two_node_hello_exchange_timing():
@@ -158,6 +161,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EngineConfig(model="both").validate()
     EngineConfig(model="detailed", loss_prob=0.2).validate()
+    # the simple model has no adjacency policy, so a restriction would be
+    # silently ignored
+    restricted = AdjPolicy.of_pairs([(1, 2)])
+    with pytest.raises(ConfigError, match="adj"):
+        EngineConfig(model="simple", adjacency=restricted).validate()
+    EngineConfig(model="detailed", adjacency=restricted).validate()
 
 
 def test_boot_offsets_delay_boot():
@@ -246,7 +255,8 @@ def test_unknown_key_lists_valid_keys():
     with pytest.raises(TopologyError) as err:
         parse_topology("nodes 2\nfanout 3\n")
     assert "valid keys" in str(err.value)
-    assert "hellointvl" in str(err.value)
+    for key in ("nodes", "edge", "adj") + VALID_KEYS:
+        assert key in str(err.value)
 
 
 def test_generators_and_metrics():

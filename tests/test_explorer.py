@@ -81,6 +81,30 @@ def test_counterexample_trace_raises_when_choices_do_not_replay():
         counterexample_trace(cfg, bogus)
 
 
+def _detail_keys(events):
+    keys = {}
+    for ev in events:
+        keys.setdefault(ev.kind, set()).add(tuple(sorted(ev.detail)))
+    return keys
+
+
+def test_counterexample_traces_use_the_engine_record_format():
+    cfg = ExploreConfig(topology=line(3), start_interval=2, queue_bound=1)
+    ce = explore(cfg).counterexample
+    # that counterexample boots every node at 0, so nothing is dropped;
+    # a path with a late boot adds drop records
+    late = {1: 0, 2: 0, 3: 2}
+    roomy = ExploreConfig(topology=line(3), start_interval=2)
+    choices, _ = engine_schedule_path(roomy, late)
+    path = Counterexample(late, choices, Violation("none", ""), len(choices))
+    explored = _detail_keys(counterexample_trace(cfg, ce)
+                            + counterexample_trace(roomy, path))
+    _, trace, _ = run(EngineConfig(model="simple", boot_offsets=late), line(3))
+    engine = _detail_keys(trace)
+    for kind in ("boot", "deliver", "drop", "send"):
+        assert engine.get(kind) and explored.get(kind) == engine[kind], kind
+
+
 def test_engine_schedule_is_among_explored_interleavings():
     cfg = ExploreConfig(topology=line(3), start_interval=10)
     ctx = _Ctx(cfg)

@@ -10,7 +10,6 @@ from ospfsim.core import (
     SimpleNeighbor,
 )
 from ospfsim.lsdb import (
-    get_lsa,
     install,
     lsa_exist,
     new_lsa_detailed,
@@ -121,13 +120,6 @@ def test_lsa_exist():
     assert lsa_exist(d, LsaHeader(A, 3)) is True
     assert lsa_exist(d, LsaHeader(A, 6)) is False
     assert lsa_exist(db(), LsaHeader(A, 1)) is False
-
-
-def test_get_lsa_matches_by_origin_only():
-    d = db((A, 5, {B}))
-    assert get_lsa(d, LsaHeader(A, 2)) == Lsa(A, 5, frozenset({B}))
-    assert get_lsa(d, LsaHeader(C, 2)) is None
-    assert get_lsa(db(), LsaHeader(A, 1)) is None
 
 
 def test_newer_age_zero_cases():

@@ -21,7 +21,6 @@ from ospfsim.neighbors import (
     drop_dead,
     flood_nips,
     gen_dbd,
-    nbr_exist,
     nbr_set,
     new_nbr,
     upd_rxmts,
@@ -43,11 +42,11 @@ def db(*entries):
     return Lsdb.of(Lsa(o, s, frozenset(links)) for o, s, links in entries)
 
 
-def test_nbr_exist():
+def test_nbr_table_get():
     t = NbrTable.of([SimpleNeighbor(B, 50)])
-    assert nbr_exist(t, B)
-    assert not nbr_exist(t, C)
-    assert not nbr_exist(NbrTable(), B)
+    assert t.get(B) == SimpleNeighbor(B, 50)
+    assert t.get(C) is None
+    assert NbrTable().get(B) is None
 
 
 def test_new_nbr_duplicate_fault():
@@ -199,7 +198,7 @@ def test_uniqueness_preserved_by_random_operations():
     for _ in range(500):
         op = rng.randrange(6)
         nip = rng.randint(2, 5)
-        if op == 0 and not nbr_exist(table, nip):
+        if op == 0 and table.get(nip) is None:
             table = new_nbr(table, dn(nip))
         elif op == 1:
             # downgrades below ExStart wipe the lists in the same update,
