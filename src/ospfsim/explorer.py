@@ -417,28 +417,24 @@ def _deliver(world: _World) -> list:
 
 def successors(canon, ctx: _Ctx, tracker: dict):
     """All (choice-combo, successor) pairs one tick onward."""
-    base = _decode(canon)
-    _deliver(base)
+    world = _decode(canon)
+    _deliver(world)
 
     ctx.violations = []
-    _check_occupancy(base, ctx, tracker)
+    _check_occupancy(world, ctx, tracker)
     if ctx.violations:
         yield None, None, list(ctx.violations)
         return
 
-    ips = sorted(base.nodes)
+    ips = sorted(world.nodes)
     options = [
-        _node_options(base.nodes[ip]) if base.nodes[ip].booted else (IDLE,)
+        _node_options(world.nodes[ip]) if world.nodes[ip].booted else (IDLE,)
         for ip in ips
     ]
     for n, combo in enumerate(itertools.product(*options)):
-        # the first combination consumes base; each further one starts
-        # from a fresh decode of the same delivered state
-        if n:
+        if n:  # the previous combination changed world: start again
             world = _decode(canon)
             _deliver(world)
-        else:
-            world = base
         ctx.violations = []
         for ip, label in zip(ips, combo):
             _apply_choice(world.nodes[ip], ip, label, ctx)
