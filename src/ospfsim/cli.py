@@ -23,7 +23,7 @@ from .engine import (
     render_trace,
     run,
 )
-from .explorer import ExploreConfig, counterexample_trace, explore
+from .explorer import ExploreConfig, explore, replay
 from .topology import TopologyError, load_topology
 
 
@@ -108,12 +108,10 @@ def cmd_explore(args) -> int:
         print(line)
     ce = verdict.counterexample
     if ce is not None:
-        choices = " ".join(
-            "/".join(c) if c is not None else "-" for c in ce.choices
-        )
+        choices = " ".join("/".join(c) for c in ce.choices)
         print(f"counterexample choices: {choices or '(delivery phase)'}")
         if args.trace:
-            events = counterexample_trace(cfg, ce)
+            events, _ = replay(cfg, ce)
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(render_trace(events))
     if verdict.status == "pass":

@@ -231,7 +231,7 @@ def initial_state(config: ExploreConfig, boots: dict[int, int]):
 class _Ctx:
     __slots__ = (
         "neighbors", "bound", "hellointvl", "rtdeadintvl", "time_sending",
-        "queue_bound", "violations",
+        "queue_bound", "violations", "max_occ",
     )
 
     def __init__(self, config: ExploreConfig):
@@ -246,6 +246,7 @@ class _Ctx:
         self.time_sending = config.time_sending
         self.queue_bound = config.queue_bound
         self.violations: list[Violation] = []
+        self.max_occ = 0  # largest queue seen, over every checked world
 
 
 def _own_age(node: _Node, origin: int) -> int:
@@ -275,28 +276,24 @@ def _originate(node: _Node, ip: int, ctx: _Ctx):
     return (ip, node.age, links)
 
 
-def _emit(node: _Node, msg, dests):
-    node.outq.append((msg, dests))
-
-
 def _timer_block(node: _Node, ip: int, ctx: _Ctx):
     if node.hellot <= 0:
         node.hellot = ctx.hellointvl
-        _emit(node, ("hello", tuple(sorted(node.nbrs)), ip), None)
+        node.outq.append((("hello", tuple(sorted(node.nbrs)), ip), None))
     dead = [nip for nip, res in node.nbrs.items() if res < 0]
     if dead:
         for nip in dead:
             del node.nbrs[nip]
         lsa = _originate(node, ip, ctx)
-        _emit(node, ("upd", (lsa,), ip), lsa[2])
+        node.outq.append((("upd", (lsa,), ip), lsa[2]))
 
 
 def _discover(node: _Node, ip: int, sip: int, ctx: _Ctx):
     node.nbrs[sip] = ctx.rtdeadintvl
     lsa = _originate(node, ip, ctx)
-    _emit(node, ("upd", (lsa,), ip), lsa[2])
+    node.outq.append((("upd", (lsa,), ip), lsa[2]))
     hdrs = tuple((o, a) for o, a, _ in sorted(node.lsdb.values()))
-    _emit(node, ("dbd", hdrs, ip), (sip,))
+    node.outq.append((("dbd", hdrs, ip), (sip,)))
 
 
 def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
@@ -315,7 +312,7 @@ def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
             (o, a) for o, a in hdrs if newer_age(a, _own_age(node, o), ctx.bound)
         )
         if reqs:
-            _emit(node, ("req", reqs, ip), (sip,))
+            node.outq.append((("req", reqs, ip), (sip,)))
     elif kind == "req":
         hdrs, sip = msg[1], msg[2]
         if sip not in node.nbrs:
@@ -325,7 +322,7 @@ def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
             e for e in sorted(node.lsdb.values())
             if e[0] in wanted and newer_age(e[1], wanted[e[0]], ctx.bound)
         )
-        _emit(node, ("upd", lsas, ip), (sip,))
+        node.outq.append((("upd", lsas, ip), (sip,)))
     elif kind == "upd":
         # an entry is fresh only when the stored copy is NOT at least as
         # new; on an age tie the stored copy wins and nothing is
@@ -337,21 +334,24 @@ def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
                 _install(node, ip, o, a, links, ctx)
                 fresh.append(lsa)
         if fresh:
-            _emit(node, ("upd", tuple(fresh), ip), tuple(sorted(node.nbrs)))
+            node.outq.append((("upd", tuple(fresh), ip), tuple(sorted(node.nbrs))))
     else:
         raise ValueError(f"unknown message kind {kind!r}")
 
 
-def _node_options(node: _Node) -> tuple[str, ...]:
-    timer = node.hellot <= 0 or any(res < 0 for res in node.nbrs.values())
-    msg = bool(node.inq)
-    if timer and msg:
-        return (TIMER_THEN_MSG, MSG_THEN_TIMER)
-    if timer:
-        return (TIMER_ONLY,)
-    if msg:
-        return (MSG_ONLY,)
-    return (IDLE,)
+def _options(world: _World) -> list[tuple[str, ...]]:
+    """The labels each node may run this tick, in ip order; the first
+    label of each is the engine schedule.  A node not yet booted has
+    nothing queued, since deliveries to it are lost."""
+    options = []
+    for node in world.nodes.values():
+        if node.booted and (
+                node.hellot <= 0 or any(res < 0 for res in node.nbrs.values())):
+            options.append((TIMER_THEN_MSG, MSG_THEN_TIMER) if node.inq
+                           else (TIMER_ONLY,))
+        else:
+            options.append((MSG_ONLY,) if node.inq else (IDLE,))
+    return options
 
 
 def _apply_choice(node: _Node, ip: int, label: str, ctx: _Ctx):
@@ -369,7 +369,7 @@ def _apply_choice(node: _Node, ip: int, label: str, ctx: _Ctx):
         raise ValueError(f"unknown choice {label!r}")
 
 
-def _check_occupancy(world: _World, ctx: _Ctx, tracker: dict) -> None:
+def _check_occupancy(world: _World, ctx: _Ctx) -> None:
     occ = 0
     for ip, node in world.nodes.items():
         occ = max(occ, len(node.inq), len(node.outq))
@@ -382,7 +382,7 @@ def _check_occupancy(world: _World, ctx: _Ctx, tracker: dict) -> None:
                 f"(bound {ctx.queue_bound})",
                 node=ip,
             ))
-    tracker["max_occ"] = max(tracker["max_occ"], occ)
+    ctx.max_occ = max(ctx.max_occ, occ)
 
 
 def _check_db(world: _World, ctx: _Ctx) -> None:
@@ -415,59 +415,61 @@ def _deliver(world: _World) -> list:
     return handed
 
 
-def successors(canon, ctx: _Ctx, tracker: dict):
-    """All (choice-combo, successor) pairs one tick onward."""
+def _advance(world: _World, combo, ctx: _Ctx) -> list[int]:
+    """One tick after delivery: each node runs its label of ``combo``,
+    idle senders start transmitting the head of their output queue, P1
+    and P2 are checked into ``ctx.violations`` and, if they hold, every
+    residue shrinks by one.  Returns the senders that started."""
+    ctx.violations = []
+    for (ip, node), label in zip(world.nodes.items(), combo):
+        _apply_choice(node, ip, label, ctx)
+
+    started = []
+    for ip, node in world.nodes.items():
+        if ip in world.flights or not node.outq:
+            continue
+        msg, dests = node.outq.pop(0)
+        reach = ctx.neighbors[ip]
+        recipients = (reach if dests is None
+                      else tuple(d for d in dests if d in reach))
+        world.flights[ip] = (ip, msg, recipients, ctx.time_sending)
+        started.append(ip)
+
+    _check_occupancy(world, ctx)
+    _check_db(world, ctx)
+    if ctx.violations:
+        return started
+
+    for node in world.nodes.values():
+        if node.boot_res > 0:
+            node.boot_res -= 1
+        if node.booted:
+            node.hellot -= 1
+            for nip in node.nbrs:
+                node.nbrs[nip] -= 1
+    for sender, (_, msg, recipients, res) in world.flights.items():
+        world.flights[sender] = (sender, msg, recipients, res - 1)
+    return started
+
+
+def successors(canon, ctx: _Ctx):
+    """All (choice-combo, successor, violations) triples one tick onward;
+    a violation of the delivery phase comes alone, with combo None."""
     world = _decode(canon)
     _deliver(world)
 
     ctx.violations = []
-    _check_occupancy(world, ctx, tracker)
+    _check_occupancy(world, ctx)
     if ctx.violations:
-        yield None, None, list(ctx.violations)
+        yield None, None, ctx.violations
         return
 
-    ips = sorted(world.nodes)
-    options = [
-        _node_options(world.nodes[ip]) if world.nodes[ip].booted else (IDLE,)
-        for ip in ips
-    ]
-    for n, combo in enumerate(itertools.product(*options)):
+    for n, combo in enumerate(itertools.product(*_options(world))):
         if n:  # the previous combination changed world: start again
             world = _decode(canon)
             _deliver(world)
-        ctx.violations = []
-        for ip, label in zip(ips, combo):
-            _apply_choice(world.nodes[ip], ip, label, ctx)
-
-        # idle senders start transmitting the head of their output queue
-        for ip in ips:
-            node = world.nodes[ip]
-            if ip in world.flights or not node.outq:
-                continue
-            msg, dests = node.outq.pop(0)
-            reach = ctx.neighbors[ip]
-            recipients = (reach if dests is None
-                          else tuple(d for d in dests if d in reach))
-            world.flights[ip] = (ip, msg, recipients, ctx.time_sending)
-
-        _check_occupancy(world, ctx, tracker)
-        _check_db(world, ctx)
-        if ctx.violations:
-            yield combo, None, list(ctx.violations)
-            continue
-
-        # time advances: every residue shrinks by one
-        for node in world.nodes.values():
-            if node.boot_res > 0:
-                node.boot_res -= 1
-            if node.booted:
-                node.hellot -= 1
-                for nip in node.nbrs:
-                    node.nbrs[nip] -= 1
-        for sender, (_, msg, recipients, res) in world.flights.items():
-            world.flights[sender] = (sender, msg, recipients, res - 1)
-
-        yield combo, _encode(world), []
+        _advance(world, combo, ctx)
+        yield combo, None if ctx.violations else _encode(world), ctx.violations
 
 
 def state_converged(canon, topology: Topology) -> bool:
@@ -497,13 +499,9 @@ def state_converged(canon, topology: Topology) -> bool:
 
 def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
     """The engine schedule: every node runs timers first, then one message."""
-    base = _decode(canon)
-    _deliver(base)
-    labels = []
-    for ip in sorted(base.nodes):
-        node = base.nodes[ip]
-        labels.append(_node_options(node)[0] if node.booted else IDLE)
-    return tuple(labels)
+    world = _decode(canon)
+    _deliver(world)
+    return tuple(labels[0] for labels in _options(world))
 
 
 def explore(config: ExploreConfig) -> ExploreVerdict:
@@ -519,7 +517,6 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
     """
     config.validate()
     ctx = _Ctx(config)
-    tracker = {"max_occ": 0}
     topo = config.topology
 
     ids: dict = {}
@@ -559,7 +556,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             return ExploreVerdict(
                 status="inconclusive",
                 states=len(parent),
-                max_queue_occupancy=tracker["max_occ"],
+                max_queue_occupancy=ctx.max_occ,
                 depth_reached=depth,
                 frontier_size=len(frontier),
                 message=(
@@ -570,7 +567,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
         next_frontier: list = []
         for sid, canon in frontier:
             children: list[int] = []
-            for combo, child, violations in successors(canon, ctx, tracker):
+            for combo, child, violations in successors(canon, ctx):
                 if violations:
                     ce = _build_counterexample(
                         parent, via, root_boots, sid, combo, violations[0]
@@ -578,7 +575,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                     return ExploreVerdict(
                         status="violation",
                         states=len(parent),
-                        max_queue_occupancy=tracker["max_occ"],
+                        max_queue_occupancy=ctx.max_occ,
                         depth_reached=depth,
                         counterexample=ce,
                         message=violations[0].detail,
@@ -591,7 +588,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                 return ExploreVerdict(
                     status="inconclusive",
                     states=len(parent),
-                    max_queue_occupancy=tracker["max_occ"],
+                    max_queue_occupancy=ctx.max_occ,
                     depth_reached=depth,
                     frontier_size=len(next_frontier) + len(frontier),
                     message=f"state budget {config.max_states} exhausted",
@@ -608,7 +605,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
         return ExploreVerdict(
             status="violation",
             states=len(parent),
-            max_queue_occupancy=tracker["max_occ"],
+            max_queue_occupancy=ctx.max_occ,
             depth_reached=depth,
             counterexample=ce,
             message="unconverged cycle: some execution never converges",
@@ -618,7 +615,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
     return ExploreVerdict(
         status="pass",
         states=len(parent),
-        max_queue_occupancy=tracker["max_occ"],
+        max_queue_occupancy=ctx.max_occ,
         depth_reached=depth,
         longest_path=longest,
         message="every execution reaches a converged state",
@@ -693,53 +690,35 @@ def _longest_unconverged_path(succ):
     return max(memo, default=0)
 
 
-def counterexample_trace(config: ExploreConfig, counterexample: Counterexample):
-    """Engine-format trace events (tick, node, kind, detail) along a
-    recorded counterexample path.  Raises RuntimeError, through
-    :func:`replay`, when the recorded choices do not replay."""
-    path, _ = replay(config, counterexample)
+def replay(config: ExploreConfig, counterexample: Counterexample):
+    """Re-execute a recorded path.  Returns its engine-format trace events
+    and the violations found on the way (empty only if none recur).
+    Raises RuntimeError when a recorded choice is not among its tick's
+    options."""
+    ctx = _Ctx(config)
+    canon = initial_state(config, counterexample.boot_offsets)
     events: list[TraceEvent] = []
-    for tick, (cur, nxt) in enumerate(zip(path, path[1:] + [None])):
-        world = _decode(cur)
-        for ip in sorted(world.nodes):
-            if world.nodes[ip].boot_res == 0:
+    for tick in itertools.count():
+        world = _decode(canon)
+        for ip, node in world.nodes.items():
+            if node.boot_res == 0:
                 events.append(TraceEvent(tick, ip, "boot", {}))
         for sender, rcpt, msg, received in _deliver(world):
             events.append(delivery_event(
                 tick, rcpt, sender, msg[0], None if received else "not_booted"))
-        if nxt is None:
-            continue
-        after = _decode(nxt)
-        for sender in sorted(after.flights):
-            # a sender whose flight is still under way started nothing
-            if sender not in world.flights:
-                _, msg, recipients, _ = after.flights[sender]
-                events.append(send_event(tick, sender, msg[0], recipients))
-    return events
-
-
-def replay(config: ExploreConfig, counterexample: Counterexample):
-    """Re-execute a recorded path; returns the visited canonical states
-    and the violations found on the way (empty only if none recur)."""
-    ctx = _Ctx(config)
-    tracker = {"max_occ": 0}
-    canon = initial_state(config, counterexample.boot_offsets)
-    visited = [canon]
-    for combo in counterexample.choices:
-        found = None
-        for c, child, violations in successors(canon, ctx, tracker):
-            if violations and c in (combo, None):
-                return visited, violations
-            if c == combo:
-                found = child
-                break
-        if found is None:
+        ctx.violations = []
+        _check_occupancy(world, ctx)
+        if ctx.violations or tick == len(counterexample.choices):
+            return events, ctx.violations
+        combo = counterexample.choices[tick]
+        options = _options(world)
+        if len(combo) != len(options) or any(
+                label not in labels for label, labels in zip(combo, options)):
             raise RuntimeError("counterexample does not replay: choice missing")
-        canon = found
-        visited.append(canon)
-    # a delivery-phase violation surfaces when expanding the final state
-    for _, _, violations in successors(canon, ctx, tracker):
-        if violations:
-            return visited, violations
-        break
-    return visited, []
+        started = _advance(world, combo, ctx)
+        if ctx.violations:
+            return events, ctx.violations
+        for ip in started:
+            _, msg, recipients, _ = world.flights[ip]
+            events.append(send_event(tick, ip, msg[0], recipients))
+        canon = _encode(world)

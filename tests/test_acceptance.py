@@ -287,7 +287,6 @@ def test_criterion_7_engine_schedule_inclusion():
 
     cfg = ExploreConfig(topology=line(3), queue_bound=10, start_interval=10)
     ctx = _Ctx(cfg)
-    tracker = {"max_occ": 0}
     canon = initial_state(cfg, {1: 0, 2: 0, 3: 0})
     ok = False
     for _ in range(100):
@@ -295,7 +294,7 @@ def test_criterion_7_engine_schedule_inclusion():
             ok = True
             break
         want = deterministic_choice(canon, ctx)
-        step = {c: child for c, child, _ in successors(canon, ctx, tracker)}
+        step = {c: child for c, child, _ in successors(canon, ctx)}
         if want not in step:
             break
         canon = step[want]

@@ -15,7 +15,6 @@ from ospfsim.explorer import (
     _find_unconverged_cycle,
     _install,
     _longest_unconverged_path,
-    counterexample_trace,
     deterministic_choice,
     explore,
     initial_state,
@@ -30,12 +29,11 @@ def engine_schedule_path(cfg, boots):
     """Choices of the engine schedule from ``boots`` up to the first
     converged state, and that state."""
     ctx = _Ctx(cfg)
-    tracker = {"max_occ": 0}
     canon = initial_state(cfg, boots)
     choices = []
     while not state_converged(canon, cfg.topology):
         want = deterministic_choice(canon, ctx)
-        canon = {c: ch for c, ch, _ in successors(canon, ctx, tracker)}[want]
+        canon = {c: ch for c, ch, _ in successors(canon, ctx)}[want]
         choices.append(want)
     return choices, canon
 
@@ -78,7 +76,7 @@ def test_counterexample_trace_raises_when_choices_do_not_replay():
     ce = explore(cfg).counterexample
     bogus = dataclasses.replace(ce, choices=[("X", "X", "X")] + ce.choices[1:])
     with pytest.raises(RuntimeError, match="does not replay"):
-        counterexample_trace(cfg, bogus)
+        replay(cfg, bogus)
 
 
 def _detail_keys(events):
@@ -97,8 +95,7 @@ def test_counterexample_traces_use_the_engine_record_format():
     roomy = ExploreConfig(topology=line(3), start_interval=2)
     choices, _ = engine_schedule_path(roomy, late)
     path = Counterexample(late, choices, Violation("none", ""), len(choices))
-    explored = _detail_keys(counterexample_trace(cfg, ce)
-                            + counterexample_trace(roomy, path))
+    explored = _detail_keys(replay(cfg, ce)[0] + replay(roomy, path)[0])
     _, trace, _ = run(EngineConfig(model="simple", boot_offsets=late), line(3))
     engine = _detail_keys(trace)
     for kind in ("boot", "deliver", "drop", "send"):
@@ -108,14 +105,13 @@ def test_counterexample_traces_use_the_engine_record_format():
 def test_engine_schedule_is_among_explored_interleavings():
     cfg = ExploreConfig(topology=line(3), start_interval=10)
     ctx = _Ctx(cfg)
-    tracker = {"max_occ": 0}
     canon = initial_state(cfg, {1: 0, 2: 0, 3: 0})
     for _ in range(80):
         if state_converged(canon, cfg.topology):
             break
         want = deterministic_choice(canon, ctx)
         nxt = None
-        for combo, child, violations in successors(canon, ctx, tracker):
+        for combo, child, violations in successors(canon, ctx):
             assert not violations
             if combo == want:
                 nxt = child
@@ -160,7 +156,6 @@ def test_storage_round_trips_and_keeps_the_lsdb_layout():
     # every state reachable on line(3) with start interval 2
     cfg = ExploreConfig(topology=line(3), start_interval=2)
     ctx = _Ctx(cfg)
-    tracker = {"max_occ": 0}
     roots = {
         initial_state(cfg, {1: a, 2: b, 3: c})
         for a in range(3) for b in range(3) for c in range(3)
@@ -168,7 +163,7 @@ def test_storage_round_trips_and_keeps_the_lsdb_layout():
     }
     seen, todo = set(roots), list(roots)
     while todo:
-        for _, child, violations in successors(todo.pop(), ctx, tracker):
+        for _, child, violations in successors(todo.pop(), ctx):
             assert not violations
             if child not in seen:
                 seen.add(child)
@@ -268,10 +263,10 @@ def test_explorer_requests_on_age_ties_unlike_simple_model():
     cfg = ExploreConfig(topology=topo, start_interval=0)
     choices, _ = engine_schedule_path(cfg, boots)
     assert len(choices) == 16
-    # counterexample_trace renders any recorded path, violating or not
+    # replay renders any recorded path, violating or not
     path = Counterexample(boots, choices, Violation("none", ""), len(choices))
     sends = Counter(
-        ev.detail["type"] for ev in counterexample_trace(cfg, path)
+        ev.detail["type"] for ev in replay(cfg, path)[0]
         if ev.kind == "send"
     )
     assert sends == {"hello": 6, "dbd": 4, "req": 4, "upd": 15}
