@@ -191,6 +191,21 @@ class SimState:
 
     def __init__(self, config: EngineConfig, topology: Topology):
         config.validate()
+        # advertisements cross allowed adjacencies only, so a restricted
+        # policy that splits a topology component could never converge
+        adj = config.adjacency
+        for ip in topology.nodes() if adj.allowed is not None else ():
+            reach, todo = {ip}, [ip]
+            while todo:
+                a = todo.pop()
+                for b in topology.neighbors(a) - reach:
+                    if adj.allows(a, b):
+                        reach.add(b)
+                        todo.append(b)
+            if reach != topology.component_of(ip):
+                raise ConfigError(
+                    f"adj pairs split a topology component: node {ip} "
+                    f"reaches only {sorted(reach)} by adjacencies")
         self.config = config
         self.topology = topology
         self.now: TimeStamp = 0
@@ -380,7 +395,6 @@ def run(
     Message counts tally send events from boot up to and including the
     first tick at which the convergence predicate holds.
     """
-    config.validate()
     sim = SimState(config, topology)
     trace: list[TraceEvent] = []
     while sim.now < config.max_ticks:

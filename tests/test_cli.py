@@ -167,12 +167,15 @@ DIRECTIVES = {
     "max_ticks": ("max_ticks 8", {"max_ticks": 8}),
     "loss_prob": ("loss_prob 0.5", {"loss_prob": 0.5}),
     "boot": ("boot 3 4", {"boot_offsets": {3: 4}}),
-    "adj": ("adj 1 2", {"adjacency": AdjPolicy.of_pairs([(1, 2)])}),
+    # adjacencies that leave line(3) whole, and ones that split it
+    "adj": ("adj 1 2\nadj 2 3",
+            {"adjacency": AdjPolicy.of_pairs([(1, 2), (2, 3)])}),
+    "adj-split": ("adj 1 2", {"adjacency": AdjPolicy.of_pairs([(1, 2)])}),
 }
-FILE_KEYS = VALID_KEYS + ("adj",)
+FILE_KEYS = VALID_KEYS + ("adj", "adj-split")
 REFUSED = {
-    "run-simple": {"loss_prob", "adj"},
-    "run-detailed": set(),
+    "run-simple": {"loss_prob", "adj", "adj-split"},
+    "run-detailed": {"adj-split"},
     "explore": set(FILE_KEYS) - {"hellointvl", "rtdeadintvl", "time_sending"},
 }
 
@@ -192,7 +195,9 @@ def test_each_command_honours_or_refuses_every_file_directive(
     code = main(argv)
     if key in REFUSED[command]:
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and key in captured.err
+        # the refusal names the directive's keyword
+        assert code == 2 and captured.out == ""
+        assert directive.split()[0] in captured.err
         return
     out = capsys.readouterr().out
     if command == "explore":

@@ -169,6 +169,19 @@ def test_config_validation():
     EngineConfig(model="detailed", adjacency=restricted).validate()
 
 
+def test_simulation_refuses_adjacencies_that_split_a_component():
+    # advertisements cross allowed adjacencies only, so node 3 of line(3)
+    # under adj 1-2 alone would never learn node 1's links
+    for pairs, topo in (([(1, 2)], line(3)), ([(1, 2), (3, 4)], ring(4))):
+        cfg = EngineConfig(adjacency=AdjPolicy.of_pairs(pairs))
+        with pytest.raises(ConfigError, match=r"node 1 reaches only \[1, 2\]"):
+            SimState(cfg, topo)
+    # a restriction that leaves every component whole still runs
+    chain = AdjPolicy.of_pairs([(1, 2), (2, 3), (3, 4)])
+    _, _, verdict = run(EngineConfig(adjacency=chain), ring(4))
+    assert verdict.kind == "converged" and verdict.at_tick == 47
+
+
 def test_boot_offsets_delay_boot():
     cfg = EngineConfig(model="simple", boot_offsets={2: 5})
     sim, trace, verdict = run(cfg, line(2))
