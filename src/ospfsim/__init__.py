@@ -22,8 +22,6 @@ from .core import (
     broadcast,
     groupcast,
     hdr,
-    header_leq,
-    header_lt,
 )
 from .detailed import AdjPolicy
 from .engine import EngineConfig, SimState, Verdict, converged, run

@@ -15,8 +15,6 @@ NodeId = int
 TimeStamp = int
 DdSqn = int
 
-NO_NODE: NodeId = 0
-
 
 class NeighborState(IntEnum):
     """Adjacency progress with a neighbour, strictly ordered."""
@@ -50,15 +48,6 @@ class LsaHeader:
     stamp: TimeStamp
 
 
-def header_leq(h1: LsaHeader, h2: LsaHeader) -> bool:
-    """Partial order on headers: comparable only for equal origins."""
-    return h1.origin == h2.origin and h1.stamp <= h2.stamp
-
-
-def header_lt(h1: LsaHeader, h2: LsaHeader) -> bool:
-    return header_leq(h1, h2) and h1 != h2
-
-
 @dataclass(frozen=True)
 class Lsa:
     """One router's advertised outgoing links, keyed by (origin, stamp)."""
@@ -85,7 +74,7 @@ class Lsdb:
     entries for the same origin.
 
     An origin -> entry index, built once by the constructor, answers
-    :meth:`get` and :meth:`origins` without a scan.  It is not a
+    :meth:`get` without a scan.  It is not a
     dataclass field, so equality, hashing and ``repr`` stay on
     ``entries``.  :func:`ospfsim.lsdb.install` returns the database it
     was given when nothing incoming is fresher; the engine's trace diff
@@ -114,9 +103,6 @@ class Lsdb:
 
     def headers(self) -> frozenset[LsaHeader]:
         return frozenset(hdr(lsa) for lsa in self.entries)
-
-    def origins(self) -> frozenset[NodeId]:
-        return frozenset(self._by_origin)
 
     def __iter__(self):
         return iter(self.entries)

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from ospfsim.core import (
@@ -19,38 +17,10 @@ from ospfsim.core import (
     broadcast,
     groupcast,
     hdr,
-    header_leq,
-    header_lt,
     message_kind,
 )
 
 A, B, C = 1, 2, 3
-
-
-def test_header_leq_examples():
-    assert header_leq(LsaHeader(A, 3), LsaHeader(A, 5)) is True
-    assert header_leq(LsaHeader(A, 3), LsaHeader(B, 5)) is False
-    assert header_leq(LsaHeader(A, 3), LsaHeader(A, 3)) is True
-
-
-def test_header_lt_examples():
-    assert header_lt(LsaHeader(A, 3), LsaHeader(A, 5)) is True
-    assert header_lt(LsaHeader(A, 5), LsaHeader(A, 3)) is False
-    assert header_lt(LsaHeader(A, 3), LsaHeader(A, 3)) is False
-
-
-def test_header_order_is_partial_order():
-    headers = [LsaHeader(o, s) for o in (A, B) for s in range(4)]
-    for h in headers:
-        assert header_leq(h, h)
-    for h1, h2 in itertools.product(headers, repeat=2):
-        if header_leq(h1, h2) and header_leq(h2, h1):
-            assert h1 == h2
-        if h1.origin != h2.origin:
-            assert not header_leq(h1, h2)
-    for h1, h2, h3 in itertools.product(headers, repeat=3):
-        if header_leq(h1, h2) and header_leq(h2, h3):
-            assert header_leq(h1, h3)
 
 
 def test_neighbor_state_chain():

@@ -17,7 +17,6 @@ from ospfsim.core import (
     Lsdb,
     NeighborState,
     hdr,
-    header_leq,
 )
 from ospfsim.lsdb import install, lsa_exist
 from ospfsim.neighbors import NbrTable, clean_reqs, clean_rxmts, nbr_set
@@ -42,6 +41,11 @@ def headers():
     return st.frozensets(
         st.builds(LsaHeader, st.sampled_from(ORIGINS), st.integers(0, 8))
     )
+
+
+def header_leq(h1, h2):
+    """Headers are ordered only within one origin, by stamp."""
+    return h1.origin == h2.origin and h1.stamp <= h2.stamp
 
 
 def scan_get(lsdb, origin):
@@ -99,10 +103,9 @@ def test_value_does_not_depend_on_construction_order(entries, rng):
 
 @PROPS
 @given(lsdbs())
-def test_get_and_origins_match_a_scan(db):
+def test_get_matches_a_scan(db):
     for origin in range(0, len(ORIGINS) + 2):
         assert db.get(origin) == scan_get(db, origin)
-    assert db.origins() == frozenset(l.origin for l in db.entries)
 
 
 @PROPS

@@ -118,6 +118,10 @@ def random_graph(rng):
     return Topology(n, frozenset(edges)), boots
 
 
+def origins(lsdb):
+    return {lsa.origin for lsa in lsdb}
+
+
 def origins_agree_within_components(sim, topo):
     """The pass ``converged`` used to make after its exact-links pass:
     two nodes of one component hold the same links for every origin
@@ -128,7 +132,7 @@ def origins_agree_within_components(sim, topo):
                 continue
             db_a = sim.nodes[ip].state.lsdb
             db_b = sim.nodes[other].state.lsdb
-            for origin in db_a.origins() & db_b.origins():
+            for origin in origins(db_a) & origins(db_b):
                 if db_a.get(origin).links != db_b.get(origin).links:
                     return False
     return True
@@ -145,7 +149,7 @@ def test_converged_implies_agreement_on_every_shared_origin(rng, model):
         # node holds lies in its component; this is why the exact-links
         # pass of converged covers the agreement
         for ip in topo.nodes():
-            assert sim.nodes[ip].state.lsdb.origins() <= topo.component_of(ip)
+            assert origins(sim.nodes[ip].state.lsdb) <= topo.component_of(ip)
         if converged(sim, topo):
             assert origins_agree_within_components(sim, topo), (topo, boots, sim.now)
 
