@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ospfsim.engine import ConfigError, EngineConfig, run
+from ospfsim.engine import ConfigError, EngineConfig, TraceEvent, run
 from ospfsim.explorer import (
     Counterexample,
     ExploreConfig,
@@ -273,6 +273,31 @@ def test_explorer_requests_on_age_ties_unlike_simple_model():
     _, _, verdict = run(EngineConfig(model="simple"), topo)
     assert verdict.kind == "converged" and verdict.at_tick == 11
     assert verdict.counts == {"hello": 6, "dbd": 4, "req": 0, "upd": 11, "ack": 0}
+
+
+
+def test_explorer_boots_before_the_deliveries_of_the_boot_tick_unlike_simple_model():
+    # explorer._deliver boots a node and then hands it the tick's
+    # deliveries; SimState.tick delivers first and drops what reaches a
+    # node that boots later in the same tick.  On line(2) node 1's first
+    # hello reaches node 2 in node 2's boot tick.  See
+    # docs/explorer_vs_simple.md.
+    topo = line(2)
+    boots = {1: 0, 2: 1}
+    cfg = ExploreConfig(topology=topo, start_interval=1)
+    choices, _ = engine_schedule_path(cfg, boots)
+    path = Counterexample(boots, choices, Violation("none", ""), len(choices))
+    explored, _ = replay(cfg, path)
+    _, engine, _ = run(EngineConfig(model="simple", boot_offsets=boots), topo)
+
+    def first_hello(trace):
+        return [ev for ev in trace
+                if ev.tick == 1 and ev.kind in ("deliver", "drop")]
+
+    hello = {"from": 1, "type": "hello"}
+    assert first_hello(explored) == [TraceEvent(1, 2, "deliver", hello)]
+    assert first_hello(engine) == [
+        TraceEvent(1, 2, "drop", {**hello, "reason": "not_booted"})]
 
 
 # verdicts of the explorer as it stands, pinned so that a change to its
