@@ -74,9 +74,8 @@ class Lsdb:
     entries for the same origin.
 
     An origin -> entry index, built once by the constructor, answers
-    :meth:`get` without a scan.  It is not a
-    dataclass field, so equality, hashing and ``repr`` stay on
-    ``entries``.  :func:`ospfsim.lsdb.install` returns the database it
+    :meth:`get` without a scan.  It is not a dataclass field, so
+    equality, hashing and ``repr`` stay on ``entries``.  :func:`ospfsim.lsdb.install` returns the database it
     was given when nothing incoming is fresher; the engine's trace diff
     relies on that identity to skip unchanged databases.
     """

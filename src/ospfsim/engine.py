@@ -194,18 +194,19 @@ class SimState:
         # advertisements cross allowed adjacencies only, so a restricted
         # policy that splits a topology component could never converge
         adj = config.adjacency
-        for ip in topology.nodes() if adj.allowed is not None else ():
-            reach, todo = {ip}, [ip]
-            while todo:
-                a = todo.pop()
-                for b in topology.neighbors(a) - reach:
-                    if adj.allows(a, b):
-                        reach.add(b)
-                        todo.append(b)
-            if reach != topology.component_of(ip):
-                raise ConfigError(
-                    f"adj pairs split a topology component: node {ip} "
-                    f"reaches only {sorted(reach)} by adjacencies")
+        if adj.allowed is not None:
+            for ip in topology.nodes():
+                reach, todo = {ip}, [ip]
+                while todo:
+                    a = todo.pop()
+                    for b in topology.neighbors(a) - reach:
+                        if adj.allows(a, b):
+                            reach.add(b)
+                            todo.append(b)
+                if reach != topology.component_of(ip):
+                    raise ConfigError(
+                        f"adj pairs split a topology component: node {ip} "
+                        f"reaches only {sorted(reach)} by adjacencies")
         self.config = config
         self.topology = topology
         self.now: TimeStamp = 0

@@ -275,7 +275,6 @@ def test_explorer_requests_on_age_ties_unlike_simple_model():
     assert verdict.counts == {"hello": 6, "dbd": 4, "req": 0, "upd": 11, "ack": 0}
 
 
-
 def test_explorer_boots_before_the_deliveries_of_the_boot_tick_unlike_simple_model():
     # explorer._deliver boots a node and then hands it the tick's
     # deliveries; SimState.tick delivers first and drops what reaches a
