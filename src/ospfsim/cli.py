@@ -32,20 +32,14 @@ def _die(message: str) -> int:
     return 2
 
 
-def _build_config(tf, args) -> EngineConfig:
-    cfg = EngineConfig(model=args.model, boot_offsets=dict(tf.boot_offsets),
-                       **tf.overrides)
-    if tf.adj_pairs is not None:
-        cfg.adjacency = AdjPolicy(tf.adj_pairs)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.max_ticks is not None:
-        cfg.max_ticks = args.max_ticks
-    if args.loss_prob is not None:
-        cfg.loss_prob = args.loss_prob
-    if args.queue_capacity is not None:
-        cfg.queue_capacity = args.queue_capacity
-    return cfg
+def _merged(file_settings: dict, args, flags) -> dict:
+    """A command's settings: the topology file's, then every flag that
+    the command line gives."""
+    merged = dict(file_settings)
+    for key in flags:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    return merged
 
 
 def cmd_run(args) -> int:
@@ -55,8 +49,12 @@ def cmd_run(args) -> int:
         return _die(str(exc))
     except OSError as exc:
         return _die(str(exc))
+    # AdjPolicy(None), when the file lists no adj pair, allows every pair
+    file_settings = dict(tf.overrides, boot_offsets=tf.boot_offsets,
+                         adjacency=AdjPolicy(tf.adj_pairs))
+    cfg = EngineConfig(**_merged(file_settings, args, (
+        "model", "seed", "max_ticks", "loss_prob", "queue_capacity")))
     try:
-        cfg = _build_config(tf, args)
         sim, trace, verdict = run(cfg, tf.topology)
     except ConfigError as exc:
         return _die(str(exc))
@@ -92,13 +90,9 @@ def cmd_explore(args) -> int:
     if unmodelled:
         return _die(f"explore does not model {', '.join(unmodelled)}; "
                     f"a topology file may set only {', '.join(_EXPLORE_KEYS)}")
-    flags = {
-        key: getattr(args, key)
-        for key in ("queue_bound", "age_bound", "start_interval",
-                    "depth_bound", "max_states")
-        if getattr(args, key) is not None
-    }
-    cfg = ExploreConfig(topology=tf.topology, **tf.overrides, **flags)
+    cfg = ExploreConfig(topology=tf.topology, **_merged(tf.overrides, args, (
+        "queue_bound", "age_bound", "start_interval", "depth_bound",
+        "max_states")))
     try:
         cfg.validate()
     except ValueError as exc:

@@ -291,7 +291,9 @@ def groupcast(msg: Message, dests: Iterable[NodeId]) -> SendInstruction:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Timer constants shared by the protocol state machines (in ticks)."""
+    """Timer constants shared by the protocol state machines (in ticks);
+    ``EngineConfig`` inherits them, and ``ExploreConfig`` takes its
+    defaults from ``EngineConfig``."""
 
     hellointvl: int = 10
     rtdeadintvl: int = 50

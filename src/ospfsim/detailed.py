@@ -170,15 +170,13 @@ def handle_hello_detailed(
         fields.update(ns=NeighborState.INIT, req_list=frozenset(),
                       rxmt_list=EMPTY_LSDB)
     elif entry.ns == NeighborState.INIT and adj.allows(state.ip, sip):
-        fields.update(ns=NeighborState.EX_START, ddsqn=entry.ddsqn + 1,
-                      dd_deadline=now + cfg.rxmtintvl)
         start = True
     elif entry.ns < NeighborState.EX_START and not adj.allows(state.ip, sip):
         fields.update(ns=NeighborState.TWO_WAY)
     st = replace(state, nbrs=nbr_set(nbrs, sip, **fields))
     if not start:
         return st, []
-    return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
+    return snmis(st, sip, now, cfg)
 
 
 # --- database description handling ---------------------------------------
@@ -289,8 +287,9 @@ def dbd_branch(
 def _finish_exchange(
     state: NodeState, sip: NodeId, now: TimeStamp, cfg: ProtocolConfig
 ) -> tuple[NodeState, Emissions]:
-    """After a summary round: wait in Loading while requests are pending,
-    otherwise declare the adjacency full and flood a fresh own LSA."""
+    """After a summary round, or an update while Loading: wait in Loading
+    while requests are pending, otherwise declare the adjacency full and
+    flood a fresh own LSA."""
     if state.nbrs.get(sip).req_list:
         return replace(state, nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.LOADING)), []
     st = replace(state, nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.FULL))
@@ -300,7 +299,10 @@ def _finish_exchange(
 def snmis(
     state: NodeState, sip: NodeId, now: TimeStamp, cfg: ProtocolConfig
 ) -> tuple[NodeState, Emissions]:
-    """Sequence-number mismatch: restart the exchange from scratch."""
+    """Enter ExStart and open the exchange from scratch.  This is the
+    only way into ExStart: a hello or dbd that starts the adjacency and
+    a sequence-number mismatch take the same action (AdjOK and
+    SeqNumberMismatch, RFC 2328 §10.3)."""
     entry = state.nbrs.get(sip)
     if entry is None:
         return state, []
@@ -350,10 +352,7 @@ def handle_dbd_detailed(
         return replace(state, nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.TWO_WAY)), []
 
     if branch == "init_adjacent":
-        nbrs = nbr_set(state.nbrs, sip, ns=NeighborState.EX_START,
-                       ddsqn=entry.ddsqn + 1, dd_deadline=now + cfg.rxmtintvl)
-        st = replace(state, nbrs=nbrs)
-        ems = [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
+        st, ems = snmis(state, sip, now, cfg)
         # the same message is examined once more, now at ExStart, where
         # only a negotiate_* branch applies and none of those recurses
         st, more = handle_dbd_detailed(st, hdrs, sqn, ibit, sip, now, adj, cfg)
@@ -429,17 +428,12 @@ def handle_upd_detailed(
     # clean the sender's request list on every update, fresh or not: an
     # entry may be outdated by an instance learnt from another neighbour
     # (RFC 2328 §13.3), and nothing this neighbour sends is then fresh
-    nbrs = clean_reqs(st.nbrs, sip, st.lsdb)
-    entry = nbrs.get(sip)
-    loaded = entry.ns == NeighborState.LOADING and not entry.req_list
-    if loaded:
-        nbrs = nbr_set(nbrs, sip, ns=NeighborState.FULL)
-    st = replace(st, nbrs=nbrs)
+    st = replace(st, nbrs=clean_reqs(st.nbrs, sip, st.lsdb))
     if fresh:
         st, more = _flood(st, fresh, now, cfg)
         ems.extend(more)
-    if loaded:
-        st, more = _refresh_own_lsa(st, now, cfg)
+    if st.nbrs.get(sip).ns == NeighborState.LOADING:
+        st, more = _finish_exchange(st, sip, now, cfg)
         ems.extend(more)
     return st, ems
 

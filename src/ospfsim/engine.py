@@ -49,13 +49,11 @@ class QueueOverflowError(RuntimeError):
         self.which = which
 
 
-@dataclass
-class EngineConfig:
+@dataclass(frozen=True)
+class EngineConfig(ProtocolConfig):
+    """The protocol timers, inherited, and the settings of one run."""
+
     model: str = "detailed"
-    hellointvl: int = 10
-    rtdeadintvl: int = 50
-    rxmtintvl: int = 24
-    refreshintvl: int = 1000
     time_sending: int = 1
     boot_offsets: dict[NodeId, int] = field(default_factory=dict)
     loss_prob: float = 0.0
@@ -87,14 +85,6 @@ class EngineConfig:
         for node, t in self.boot_offsets.items():
             if t < 0:
                 raise ConfigError(f"boot offset for node {node} must be >= 0")
-
-    def protocol(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            hellointvl=self.hellointvl,
-            rtdeadintvl=self.rtdeadintvl,
-            rxmtintvl=self.rxmtintvl,
-            refreshintvl=self.refreshintvl,
-        )
 
 
 _KIND_RANK = {
@@ -195,14 +185,10 @@ class SimState:
         # policy that splits a topology component could never converge
         adj = config.adjacency
         if adj.allowed is not None:
+            allowed = Topology(topology.n, frozenset(
+                e for e in topology.edges if adj.allows(*e)))
             for ip in topology.nodes():
-                reach, todo = {ip}, [ip]
-                while todo:
-                    a = todo.pop()
-                    for b in topology.neighbors(a) - reach:
-                        if adj.allows(a, b):
-                            reach.add(b)
-                            todo.append(b)
+                reach = allowed.component_of(ip)
                 if reach != topology.component_of(ip):
                     raise ConfigError(
                         f"adj pairs split a topology component: node {ip} "
@@ -213,7 +199,6 @@ class SimState:
         self.rng = random.Random(config.seed)
         self.counts: dict[str, int] = {k: 0 for k in MESSAGE_KINDS}
         self.nodes: dict[NodeId, _NodeRuntime] = {}
-        self._proto = config.protocol()
         for ip in topology.nodes():
             self.nodes[ip] = _NodeRuntime(state=NodeState(ip))
 
@@ -224,14 +209,14 @@ class SimState:
 
     def _timers(self, state, now):
         if self.config.model == "simple":
-            return simple_timers(state, now, self._proto)
-        return detailed_timers(state, now, self._proto)
+            return simple_timers(state, now, self.config)
+        return detailed_timers(state, now, self.config)
 
     def _handle(self, state, msg, now):
         if self.config.model == "simple":
-            return handle_message_simple(state, msg, now, self._proto)
+            return handle_message_simple(state, msg, now, self.config)
         return handle_message_detailed(
-            state, msg, now, self.config.adjacency, self._proto
+            state, msg, now, self.config.adjacency, self.config
         )
 
     def _check_capacity(self, ip: NodeId, rt: _NodeRuntime) -> None:

@@ -57,9 +57,9 @@ class ExploreConfig:
     age_bound: Optional[int] = None  # default 2 * (n + 1)
     start_interval: int = 10
     depth_bound: int = 150
-    hellointvl: int = 10
-    rtdeadintvl: int = 50
-    time_sending: int = 1
+    hellointvl: int = EngineConfig.hellointvl
+    rtdeadintvl: int = EngineConfig.rtdeadintvl
+    time_sending: int = EngineConfig.time_sending
     max_states: int = 2_000_000
 
     def resolved_age_bound(self) -> int:
@@ -551,19 +551,19 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             visit(initial_state(config, boots), -1, None, frontier), boots)
 
     depth = 0
+
+    def verdict(status, message, **rest) -> ExploreVerdict:
+        return ExploreVerdict(status=status, states=len(parent),
+                              max_queue_occupancy=ctx.max_occ,
+                              depth_reached=depth, message=message, **rest)
+
     while frontier:
         if depth >= config.depth_bound:
-            return ExploreVerdict(
-                status="inconclusive",
-                states=len(parent),
-                max_queue_occupancy=ctx.max_occ,
-                depth_reached=depth,
-                frontier_size=len(frontier),
-                message=(
-                    f"depth bound {config.depth_bound} reached with "
-                    f"{len(frontier)} unconverged states on the frontier"
-                ),
-            )
+            return verdict(
+                "inconclusive",
+                f"depth bound {config.depth_bound} reached with "
+                f"{len(frontier)} unconverged states on the frontier",
+                frontier_size=len(frontier))
         next_frontier: list = []
         for sid, canon in frontier:
             children: list[int] = []
@@ -572,27 +572,17 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                     ce = _build_counterexample(
                         parent, via, root_boots, sid, combo, violations[0]
                     )
-                    return ExploreVerdict(
-                        status="violation",
-                        states=len(parent),
-                        max_queue_occupancy=ctx.max_occ,
-                        depth_reached=depth,
-                        counterexample=ce,
-                        message=violations[0].detail,
-                    )
+                    return verdict("violation", violations[0].detail,
+                                   counterexample=ce)
                 cid = visit(child, sid, combo, next_frontier)
                 if succ[cid] is not None and cid not in children:
                     children.append(cid)
             succ[sid] = children
             if len(parent) > config.max_states:
-                return ExploreVerdict(
-                    status="inconclusive",
-                    states=len(parent),
-                    max_queue_occupancy=ctx.max_occ,
-                    depth_reached=depth,
-                    frontier_size=len(next_frontier) + len(frontier),
-                    message=f"state budget {config.max_states} exhausted",
-                )
+                return verdict(
+                    "inconclusive",
+                    f"state budget {config.max_states} exhausted",
+                    frontier_size=len(next_frontier) + len(frontier))
         frontier = next_frontier
         depth += 1
 
@@ -602,24 +592,11 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             parent, via, root_boots, cycle, None,
             Violation("convergence", "execution can avoid convergence forever"),
         )
-        return ExploreVerdict(
-            status="violation",
-            states=len(parent),
-            max_queue_occupancy=ctx.max_occ,
-            depth_reached=depth,
-            counterexample=ce,
-            message="unconverged cycle: some execution never converges",
-        )
-
-    longest = _longest_unconverged_path(succ)
-    return ExploreVerdict(
-        status="pass",
-        states=len(parent),
-        max_queue_occupancy=ctx.max_occ,
-        depth_reached=depth,
-        longest_path=longest,
-        message="every execution reaches a converged state",
-    )
+        return verdict("violation",
+                       "unconverged cycle: some execution never converges",
+                       counterexample=ce)
+    return verdict("pass", "every execution reaches a converged state",
+                   longest_path=_longest_unconverged_path(succ))
 
 
 def _build_counterexample(parent, via, root_boots, sid, last_combo, violation):

@@ -91,8 +91,8 @@ LOADING_STALL_SEEDS = (1, 23, 34, 59, 112, 129, 145, 154, 191, 195, 276, 293)
 def check_detailed_verdict_before_refresh(topo, boots):
     if max(len(topo.neighbors(ip)) for ip in topo.nodes()) > 4:
         return
-    cfg = EngineConfig(model="detailed", boot_offsets=boots)
-    cfg.max_ticks = cfg.refreshintvl
+    cfg = EngineConfig(model="detailed", boot_offsets=boots,
+                       max_ticks=EngineConfig.refreshintvl)
     sim, trace, verdict = run(cfg, topo)
     assert verdict.kind == "converged", (topo, boots, verdict.line())
 
