@@ -87,8 +87,10 @@ class EngineConfig(ProtocolConfig):
                 raise ConfigError(f"boot offset for node {node} must be >= 0")
 
 
+# a node that boots in a tick was not booted when that tick's messages
+# arrived, so its boot record follows their drop records
 _KIND_RANK = {
-    "boot": 0, "deliver": 1, "drop": 2, "state_change": 3,
+    "deliver": 0, "drop": 1, "boot": 2, "state_change": 3,
     "lsa_install": 4, "send": 5, "converged": 6,
 }
 

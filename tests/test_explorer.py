@@ -297,6 +297,9 @@ def test_explorer_boots_before_the_deliveries_of_the_boot_tick_unlike_simple_mod
     assert first_hello(explored) == [TraceEvent(1, 2, "deliver", hello)]
     assert first_hello(engine) == [
         TraceEvent(1, 2, "drop", {**hello, "reason": "not_booted"})]
+    # the engine prints the drop before the boot that follows it
+    assert [ev.kind for ev in engine if ev.tick == 1 and ev.node == 2] == [
+        "drop", "boot", "send"]
 
 
 # verdicts of the explorer as it stands, pinned so that a change to its
