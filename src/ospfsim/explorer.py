@@ -538,6 +538,12 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                 todo.append((sid, canon))
         return sid
 
+    def verdict(status, message, **rest) -> ExploreVerdict:
+        """The verdict on the search as it stands when it ends."""
+        return ExploreVerdict(status=status, states=len(parent),
+                              max_queue_occupancy=ctx.max_occ,
+                              depth_reached=depth, message=message, **rest)
+
     frontier: list = []
     for combo in itertools.product(
         range(config.start_interval + 1), repeat=topo.n
@@ -551,12 +557,6 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             visit(initial_state(config, boots), -1, None, frontier), boots)
 
     depth = 0
-
-    def verdict(status, message, **rest) -> ExploreVerdict:
-        return ExploreVerdict(status=status, states=len(parent),
-                              max_queue_occupancy=ctx.max_occ,
-                              depth_reached=depth, message=message, **rest)
-
     while frontier:
         if depth >= config.depth_bound:
             return verdict(

@@ -237,19 +237,48 @@ def test_config_rejects_negative_budgets(key, value, message):
     ExploreConfig(topology=line(2), depth_bound=0, max_states=1).validate()
 
 
+def verdict_fields(v):
+    return (v.status, v.states, v.max_queue_occupancy, v.depth_reached,
+            v.frontier_size, v.longest_path, v.counterexample, v.message)
+
+
 def test_depth_budget_reports_inconclusive():
     verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
                                     depth_bound=5))
-    assert verdict.status == "inconclusive"
-    assert verdict.frontier_size > 0
-    assert "depth bound" in verdict.message
+    assert verdict_fields(verdict) == (
+        "inconclusive", 2188, 4, 5, 389, None, None,
+        "depth bound 5 reached with 389 unconverged states on the frontier")
 
 
 def test_state_budget_reports_inconclusive():
+    # line(3) has 331 roots at start interval 10 and the budget is
+    # checked after each expansion, so the search stops after the first
     verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
                                     max_states=50))
-    assert verdict.status == "inconclusive"
-    assert "state budget" in verdict.message
+    assert verdict_fields(verdict) == (
+        "inconclusive", 332, 0, 0, 332, None, None,
+        "state budget 50 exhausted")
+
+
+def test_unconverged_cycle_reports_a_convergence_counterexample():
+    # with rtdeadintvl below hellointvl a neighbour expires between two
+    # of its hellos, so some execution keeps changing its links forever
+    cfg = ExploreConfig(topology=line(2), start_interval=1, hellointvl=10,
+                        rtdeadintvl=5)
+    verdict = explore(cfg)
+    assert verdict.lines() == [
+        "EXPLORE VIOLATION states=156 max_queue=2 depth=35",
+        "counterexample: convergence at tick 5 (execution can avoid "
+        "convergence forever); boot offsets 1:0 2:1",
+        "unconverged cycle: some execution never converges",
+    ]
+    ce = verdict.counterexample
+    assert ce.violation.prop == "convergence" and ce.at_tick == 5
+    assert ce.boot_offsets == {1: 0, 2: 1}
+    assert [" ".join(c) for c in ce.choices] == [
+        "T -", "- TM", "M -", "M M", "M M"]
+    # the path ends on a state of the cycle, which breaks no P1-P3
+    assert replay(cfg, ce)[1] == []
 
 
 def test_explorer_requests_on_age_ties_unlike_simple_model():
