@@ -23,7 +23,6 @@ from .core import (
     groupcast,
     hdr,
 )
-from .detailed import AdjPolicy
 from .engine import EngineConfig, SimState, Verdict, converged, run
 from .explorer import ExploreConfig, ExploreVerdict, explore
 from .lsdb import install, lsa_exist, new_lsa_detailed, new_lsa_simple, newer_age

@@ -14,7 +14,6 @@ import json
 import sys
 from collections import Counter, defaultdict
 
-from .detailed import AdjPolicy
 from .engine import (
     ConfigError,
     EngineConfig,
@@ -49,9 +48,8 @@ def cmd_run(args) -> int:
         return _die(str(exc))
     except OSError as exc:
         return _die(str(exc))
-    # AdjPolicy(None), when the file lists no adj pair, allows every pair
     file_settings = dict(tf.overrides, boot_offsets=tf.boot_offsets,
-                         adjacency=AdjPolicy(tf.adj_pairs))
+                         adjacency=tf.adjacency)
     cfg = EngineConfig(**_merged(file_settings, args, (
         "model", "seed", "max_ticks", "loss_prob", "queue_capacity")))
     try:
@@ -85,7 +83,7 @@ def cmd_explore(args) -> int:
     unmodelled = [key for key in tf.overrides if key not in _EXPLORE_KEYS]
     if tf.boot_offsets:
         unmodelled.append("boot")
-    if tf.adj_pairs is not None:
+    if tf.adjacency is not None:
         unmodelled.append("adj")
     if unmodelled:
         return _die(f"explore does not model {', '.join(unmodelled)}; "

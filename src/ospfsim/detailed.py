@@ -5,12 +5,14 @@ acknowledgements.
 Handlers are pure transitions, as in the simplified model.  The
 database-description handler is a partition of guards; exactly one
 branch applies to any input (see :func:`dbd_branch`, which the
-exhaustive partition test exercises directly).
+exhaustive partition test exercises directly).  The hello and
+database-description handlers take ``adj``, the graph of node pairs
+allowed to become adjacent (RFC 2328 §10.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from .core import (
@@ -46,32 +48,9 @@ from .neighbors import (
     new_nbr,
     upd_rxmts,
 )
+from .topology import Topology
 
 Emissions = list[SendInstruction]
-
-
-@dataclass(frozen=True)
-class AdjPolicy:
-    """Which node pairs are supposed to form an adjacency.
-
-    ``allowed`` holds unordered pairs as (low, high) tuples; None means
-    every pair is allowed.  The relation is symmetric by construction.
-    """
-
-    allowed: Optional[frozenset[tuple[NodeId, NodeId]]] = None
-
-    @classmethod
-    def total(cls) -> "AdjPolicy":
-        return cls(None)
-
-    @classmethod
-    def of_pairs(cls, pairs) -> "AdjPolicy":
-        return cls(frozenset((min(a, b), max(a, b)) for a, b in pairs))
-
-    def allows(self, a: NodeId, b: NodeId) -> bool:
-        if self.allowed is None:
-            return True
-        return (min(a, b), max(a, b)) in self.allowed
 
 
 def _flood(
@@ -155,7 +134,7 @@ def handle_hello_detailed(
     ips: frozenset[NodeId],
     sip: NodeId,
     now: TimeStamp,
-    adj: AdjPolicy,
+    adj: Topology,
     cfg: ProtocolConfig,
 ) -> tuple[NodeState, Emissions]:
     entry = state.nbrs.get(sip)
@@ -169,9 +148,9 @@ def handle_hello_detailed(
         # sender no longer lists us: wipe any adjacency progress
         fields.update(ns=NeighborState.INIT, req_list=frozenset(),
                       rxmt_list=EMPTY_LSDB)
-    elif entry.ns == NeighborState.INIT and adj.allows(state.ip, sip):
+    elif entry.ns == NeighborState.INIT and adj.connected(state.ip, sip):
         start = True
-    elif entry.ns < NeighborState.EX_START and not adj.allows(state.ip, sip):
+    elif entry.ns < NeighborState.EX_START and not adj.connected(state.ip, sip):
         fields.update(ns=NeighborState.TWO_WAY)
     st = replace(state, nbrs=nbr_set(nbrs, sip, **fields))
     if not start:
@@ -322,12 +301,12 @@ def handle_dbd_detailed(
     ibit: bool,
     sip: NodeId,
     now: TimeStamp,
-    adj: AdjPolicy,
+    adj: Topology,
     cfg: ProtocolConfig,
 ) -> tuple[NodeState, Emissions]:
     entry = state.nbrs.get(sip)
     known = entry is not None
-    pair_adj = adj.allows(state.ip, sip)
+    pair_adj = adj.connected(state.ip, sip)
     is_slave = pair_adj and state.ip < sip
     is_master = pair_adj and state.ip > sip
     held = dbd_branch(
@@ -448,7 +427,7 @@ def handle_message_detailed(
     state: NodeState,
     msg: Message,
     now: TimeStamp,
-    adj: AdjPolicy,
+    adj: Topology,
     cfg: ProtocolConfig,
 ) -> tuple[NodeState, Emissions]:
     if isinstance(msg, Hello):

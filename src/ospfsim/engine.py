@@ -30,7 +30,7 @@ from .core import (
     TimeStamp,
     message_kind,
 )
-from .detailed import AdjPolicy, detailed_timers, handle_message_detailed
+from .detailed import detailed_timers, handle_message_detailed
 from .simple import handle_message_simple, simple_timers
 from .topology import Topology
 
@@ -60,7 +60,8 @@ class EngineConfig(ProtocolConfig):
     seed: int = 0
     max_ticks: int = 10_000
     queue_capacity: Optional[int] = None
-    adjacency: AdjPolicy = field(default_factory=AdjPolicy.total)
+    # the graph of allowed adjacencies; None lets every link form one
+    adjacency: Optional[Topology] = None
 
     def validate(self) -> None:
         if self.model not in ("simple", "detailed"):
@@ -68,7 +69,7 @@ class EngineConfig(ProtocolConfig):
         if self.model == "simple" and self.loss_prob != 0.0:
             raise ConfigError("the simple model assumes guaranteed receipt; "
                               "loss_prob must be 0")
-        if self.model == "simple" and self.adjacency.allowed is not None:
+        if self.model == "simple" and self.adjacency is not None:
             raise ConfigError("the simple model forms every adjacency; "
                               "adj pairs must not restrict it")
         if not 0.0 <= self.loss_prob <= 1.0:
@@ -183,14 +184,15 @@ class SimState:
 
     def __init__(self, config: EngineConfig, topology: Topology):
         config.validate()
-        # advertisements cross allowed adjacencies only, so a restricted
-        # policy that splits a topology component could never converge
-        adj = config.adjacency
-        if adj.allowed is not None:
-            allowed = Topology(topology.n, frozenset(
-                e for e in topology.edges if adj.allows(*e)))
+        # adjacencies form over links only; advertisements cross allowed
+        # adjacencies only, so a restriction that splits a topology
+        # component could never converge
+        self.adjacency = topology
+        if config.adjacency is not None:
+            self.adjacency = Topology(
+                topology.n, topology.edges & config.adjacency.edges)
             for ip in topology.nodes():
-                reach = allowed.component_of(ip)
+                reach = self.adjacency.component_of(ip)
                 if reach != topology.component_of(ip):
                     raise ConfigError(
                         f"adj pairs split a topology component: node {ip} "
@@ -218,7 +220,7 @@ class SimState:
         if self.config.model == "simple":
             return handle_message_simple(state, msg, now, self.config)
         return handle_message_detailed(
-            state, msg, now, self.config.adjacency, self.config
+            state, msg, now, self.adjacency, self.config
         )
 
     def _check_capacity(self, ip: NodeId, rt: _NodeRuntime) -> None:
@@ -362,9 +364,7 @@ def converged(sim: SimState, topology: Topology) -> bool:
                 return False
 
     if sim.config.model == "detailed":
-        for a, b in topology.edges:
-            if not sim.config.adjacency.allows(a, b):
-                continue
+        for a, b in sim.adjacency.edges:
             for me, peer in ((a, b), (b, a)):
                 entry = sim.nodes[me].state.nbrs.get(peer)
                 if entry is None or entry.ns != NeighborState.FULL:

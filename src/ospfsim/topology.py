@@ -4,8 +4,9 @@ File format, one directive per line ('#' starts a comment):
 
     nodes N
     edge i j
-    adj i j          optional; listing any pair restricts adjacency
-                     formation to exactly the listed pairs
+    adj i j          optional; the graph of allowed adjacencies: listing
+                     any pair restricts adjacency formation to the listed
+                     pairs, and a listed pair that is no edge is ignored
     boot i t         optional per-node boot tick
     key value        config overrides (hellointvl, rtdeadintvl,
                      rxmtintvl, refreshintvl, time_sending, loss_prob,
@@ -30,7 +31,8 @@ class TopologyError(ValueError):
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected connectivity over nodes 1..n; links are bidirectional."""
+    """An undirected graph over nodes 1..n: the links of a network, or
+    the pairs of nodes allowed to become adjacent."""
 
     n: int
     edges: frozenset[tuple[NodeId, NodeId]]
@@ -129,15 +131,15 @@ VALID_KEYS = _INT_KEYS + ("loss_prob", "boot")
 @dataclass
 class TopologyFile:
     topology: Topology
-    adj_pairs: Optional[frozenset[tuple[NodeId, NodeId]]] = None
+    # None when the file has no adj line: every link may form an adjacency
+    adjacency: Optional[Topology] = None
     boot_offsets: dict[NodeId, int] = field(default_factory=dict)
     overrides: dict[str, float] = field(default_factory=dict)
 
 
 def parse_topology(text: str) -> TopologyFile:
     n: Optional[int] = None
-    edges: list[tuple[int, int]] = []
-    adj_pairs: list[tuple[int, int]] = []
+    pairs: dict[str, list[tuple[int, int]]] = {"edge": [], "adj": []}
     boots: dict[int, int] = {}
     overrides: dict[str, float] = {}
 
@@ -167,17 +169,13 @@ def parse_topology(text: str) -> TopologyFile:
                 raise TopologyError(lineno, f"bad node count {parts[1]!r}")
             if n < 1:
                 raise TopologyError(lineno, "node count must be positive")
-        elif key == "edge":
+        elif key in pairs:
             if len(parts) != 3:
-                raise TopologyError(lineno, "usage: edge i j")
+                raise TopologyError(lineno, f"usage: {key} i j")
             a, b = want_node(lineno, parts[1]), want_node(lineno, parts[2])
             if a == b:
                 raise TopologyError(lineno, f"self-loop on node {a}")
-            edges.append((a, b))
-        elif key == "adj":
-            if len(parts) != 3:
-                raise TopologyError(lineno, "usage: adj i j")
-            adj_pairs.append((want_node(lineno, parts[1]), want_node(lineno, parts[2])))
+            pairs[key].append((a, b))
         elif key == "boot":
             if len(parts) != 3:
                 raise TopologyError(lineno, "usage: boot i t")
@@ -212,12 +210,8 @@ def parse_topology(text: str) -> TopologyFile:
 
     if n is None:
         raise TopologyError(0, "missing 'nodes N' directive")
-    topo = Topology(n, frozenset(edges))
-    adj = (
-        frozenset((min(a, b), max(a, b)) for a, b in adj_pairs)
-        if adj_pairs
-        else None
-    )
+    topo = Topology(n, frozenset(pairs["edge"]))
+    adj = Topology(n, frozenset(pairs["adj"])) if pairs["adj"] else None
     return TopologyFile(topo, adj, boots, overrides)
 
 

@@ -5,10 +5,9 @@ import sys
 import pytest
 
 from ospfsim.cli import main
-from ospfsim.detailed import AdjPolicy
 from ospfsim.engine import EngineConfig, render_trace, run
 from ospfsim.explorer import ExploreConfig, explore
-from ospfsim.topology import VALID_KEYS, line
+from ospfsim.topology import VALID_KEYS, Topology, line
 
 LINE2 = "nodes 2\nedge 1 2\n"
 LINE3 = "nodes 3\nedge 1 2\nedge 2 3\n"
@@ -169,8 +168,8 @@ DIRECTIVES = {
     "boot": ("boot 3 4", {"boot_offsets": {3: 4}}),
     # adjacencies that leave line(3) whole, and ones that split it
     "adj": ("adj 1 2\nadj 2 3",
-            {"adjacency": AdjPolicy.of_pairs([(1, 2), (2, 3)])}),
-    "adj-split": ("adj 1 2", {"adjacency": AdjPolicy.of_pairs([(1, 2)])}),
+            {"adjacency": Topology(3, frozenset({(1, 2), (2, 3)}))}),
+    "adj-split": ("adj 1 2", {"adjacency": Topology(3, frozenset({(1, 2)}))}),
 }
 FILE_KEYS = VALID_KEYS + ("adj", "adj-split")
 REFUSED = {

@@ -16,7 +16,6 @@ from ospfsim.core import (
     Upd,
 )
 from ospfsim.detailed import (
-    AdjPolicy,
     DBD_BRANCHES,
     dbd_branch,
     detailed_timers,
@@ -28,11 +27,13 @@ from ospfsim.detailed import (
     snmis,
 )
 from ospfsim.neighbors import NbrTable
+from ospfsim.topology import Topology
 
 A, B, C = 1, 2, 3
 NS = NeighborState
 CFG = ProtocolConfig()
-ADJ = AdjPolicy.total()
+# every pair of A, B and C may become adjacent
+ADJ = Topology(3, frozenset({(A, B), (A, C), (B, C)}))
 
 
 def db(*entries):
@@ -52,11 +53,11 @@ def nbr(nip, ns=NS.INIT, **kw):
     return DetailedNeighbor(nip=nip, ns=ns, **kw)
 
 
-def test_adj_policy_symmetry():
-    pol = AdjPolicy.of_pairs([(B, A)])
-    assert pol.allows(A, B) and pol.allows(B, A)
-    assert not pol.allows(A, C)
-    assert ADJ.allows(A, C)
+def test_adjacency_is_symmetric():
+    adj = Topology(3, frozenset({(B, A)}))
+    assert adj.connected(A, B) and adj.connected(B, A)
+    assert not adj.connected(A, C)
+    assert ADJ.connected(A, C)
 
 
 # --- hello ---------------------------------------------------------------
@@ -100,7 +101,7 @@ def test_hello_established_adjacency_only_refreshes_deadline():
 
 
 def test_hello_non_adjacent_goes_two_way():
-    pol = AdjPolicy.of_pairs([])
+    pol = Topology(2, frozenset())
     before = node(nbrs=[nbr(B, NS.INIT)])
     st, ems = handle_hello_detailed(before, frozenset({A}), B, 11, pol, CFG)
     assert st.nbrs.get(B).ns == NS.TWO_WAY and ems == []
@@ -189,6 +190,15 @@ def test_dbd_unknown_and_two_way_dropped():
     assert handle_dbd_detailed(
         tw, frozenset(), 1, True, B, 5, ADJ, CFG
     ) == (tw, [])
+
+
+def test_dbd_from_a_non_adjacent_init_neighbour_goes_two_way():
+    before = node(ip=A, nbrs=[nbr(B, NS.INIT)])
+    st, ems = handle_dbd_detailed(
+        before, frozenset(), sqn=1, ibit=True, sip=B, now=5,
+        adj=Topology(2, frozenset()), cfg=CFG,
+    )
+    assert st.nbrs.get(B) == nbr(B, NS.TWO_WAY) and ems == []
 
 
 def test_dbd_init_adjacent_redispatches_once():

@@ -1,7 +1,6 @@
 import pytest
 
-from ospfsim.core import NeighborState
-from ospfsim.detailed import AdjPolicy
+from ospfsim.core import Lsa, NeighborState
 from ospfsim.engine import (
     ConfigError,
     EngineConfig,
@@ -163,7 +162,7 @@ def test_config_validation():
     EngineConfig(model="detailed", loss_prob=0.2).validate()
     # the simple model has no adjacency policy, so a restriction would be
     # silently ignored
-    restricted = AdjPolicy.of_pairs([(1, 2)])
+    restricted = Topology(2, frozenset({(1, 2)}))
     with pytest.raises(ConfigError, match="adj"):
         EngineConfig(model="simple", adjacency=restricted).validate()
     EngineConfig(model="detailed", adjacency=restricted).validate()
@@ -173,13 +172,52 @@ def test_simulation_refuses_adjacencies_that_split_a_component():
     # advertisements cross allowed adjacencies only, so node 3 of line(3)
     # under adj 1-2 alone would never learn node 1's links
     for pairs, topo in (([(1, 2)], line(3)), ([(1, 2), (3, 4)], ring(4))):
-        cfg = EngineConfig(adjacency=AdjPolicy.of_pairs(pairs))
+        cfg = EngineConfig(adjacency=Topology(topo.n, frozenset(pairs)))
         with pytest.raises(ConfigError, match=r"node 1 reaches only \[1, 2\]"):
             SimState(cfg, topo)
     # a restriction that leaves every component whole still runs
-    chain = AdjPolicy.of_pairs([(1, 2), (2, 3), (3, 4)])
+    chain = Topology(4, frozenset({(1, 2), (2, 3), (3, 4)}))
     _, _, verdict = run(EngineConfig(adjacency=chain), ring(4))
     assert verdict.kind == "converged" and verdict.at_tick == 47
+
+
+def test_simple_star4_dead_interval_18_keeps_two_copies_of_one_stamp():
+    # docs/dead_interval.md, section 2: at rtdeadintvl 18 the hub's timer
+    # drops each spoke in the tick in which it handles that spoke's queued
+    # hello; both originations carry stamp `now`, and install keeps the
+    # first, so the rediscovered spoke is missing from what the hub stores
+    runs = {
+        dead: run(EngineConfig(model="simple", hellointvl=10, rtdeadintvl=dead,
+                               max_ticks=3000), star(4))
+        for dead in (17, 18, 19)
+    }
+    assert {dead: verdict.line() for dead, (_, _, verdict) in runs.items()} == {
+        17: "CONVERGED tick=36 msgs=61 hello=16 dbd=9 req=0 upd=36 ack=0",
+        18: "TIMEOUT",
+        19: "CONVERGED tick=24 msgs=39 hello=12 dbd=6 req=0 upd=21 ack=0",
+    }
+    sim, trace, _ = runs[18]
+    own = [(e.tick, e.detail["links"]) for e in trace
+           if e.node == 1 and e.kind == "lsa_install" and e.detail["origin"] == 1]
+    assert own[-3:] == [(20, [3, 4]), (21, [2, 4]), (22, [2, 3])]
+    stored = Lsa(1, 22, frozenset({2, 3}))
+    discarded = Lsa(1, 22, frozenset({2, 3, 4}))
+    assert {ip: sim.nodes[ip].state.lsdb.get(1) for ip in star(4).nodes()} == {
+        1: stored, 2: stored, 3: stored, 4: discarded}
+
+
+def test_detailed_exchange_ignores_a_restart_below_its_sequence_number():
+    # docs/dead_interval.md, section 3: nodes 3 and 4 drop and re-create
+    # each other; node 3 then enters Exchange at sequence 4 from a restart
+    # node 4 sent before the drop, takes node 4's new restart at sequence 1
+    # for a duplicate, and node 4 drops node 3's re-sent reply
+    cfg = EngineConfig(hellointvl=10, rtdeadintvl=14, max_ticks=3000)
+    sim, trace, verdict = run(cfg, ring(4))
+    assert verdict.line() == "TIMEOUT"
+    assert max(e.tick for e in trace if e.kind == "state_change") == 115
+    to_3, to_4 = sim.nodes[4].state.nbrs.get(3), sim.nodes[3].state.nbrs.get(4)
+    assert (to_3.ns, to_3.ddsqn) == (NeighborState.EX_START, 1)
+    assert (to_4.ns, to_4.ddsqn) == (NeighborState.EXCHANGE, 4)
 
 
 def test_boot_offsets_delay_boot():
@@ -245,23 +283,44 @@ def test_parse_topology_full_file():
     tf = parse_topology(GOOD)
     assert tf.topology.n == 3
     assert tf.topology.edges == {(1, 2), (2, 3)}
-    assert tf.adj_pairs == {(1, 2), (2, 3)}
+    assert tf.adjacency.edges == {(1, 2), (2, 3)}
     assert tf.boot_offsets == {3: 4}
     assert tf.overrides == {"hellointvl": 10, "loss_prob": 0.1, "seed": 9}
 
 
-@pytest.mark.parametrize("text,lineno", [
-    ("nodes 2\nedge 1 3\n", 2),
-    ("edge 1 2\n", 1),
-    ("nodes 2\nedge 1 1\n", 2),
-    ("nodes 2\nfanout 3\n", 2),
-    ("nodes 0\n", 1),
-    ("nodes 2\nboot 1 -3\n", 2),
-])
-def test_parse_topology_errors_carry_line_numbers(text, lineno):
+# one case per refusal in parse_topology: file text, line, message
+PARSE_ERRORS = [
+    ("nodes 2\nedge 1 3\n", 2, "node 3 outside 1..2"),
+    ("edge 1 2\n", 1, "'nodes N' must come first"),
+    ("nodes 2\nedge 1 1\n", 2, "self-loop on node 1"),
+    ("nodes 2\nfanout 3\n", 2, "unknown key 'fanout'; valid keys: nodes, "
+     "edge, adj, " + ", ".join(VALID_KEYS)),
+    ("nodes 0\n", 1, "node count must be positive"),
+    ("nodes 2\nboot 1 -3\n", 2, "boot tick must be non-negative"),
+    ("nodes 2\nedge 1 x\n", 2, "expected a node id, got 'x'"),
+    ("nodes\n", 1, "usage: nodes N"),
+    ("nodes two\n", 1, "bad node count 'two'"),
+    ("nodes 2\nedge 1\n", 2, "usage: edge i j"),
+    ("nodes 2\nadj 1 2 1\n", 2, "usage: adj i j"),
+    ("nodes 2\nadj 2 2\n", 2, "self-loop on node 2"),
+    ("nodes 2\nadj 1 3\n", 2, "node 3 outside 1..2"),
+    ("nodes 2\nboot 1\n", 2, "usage: boot i t"),
+    ("nodes 2\nboot 1 soon\n", 2, "bad boot tick 'soon'"),
+    ("nodes 2\nhellointvl\n", 2, "usage: hellointvl value"),
+    ("nodes 2\nseed 1.5\n", 2, "bad value '1.5' for seed"),
+    ("nodes 2\nloss_prob 0.1 0.2\n", 2, "usage: loss_prob value"),
+    ("nodes 2\nloss_prob high\n", 2, "bad value 'high' for loss_prob"),
+    ("# no nodes line\n", 0, "missing 'nodes N' directive"),
+]
+
+
+@pytest.mark.parametrize("text,lineno,message", PARSE_ERRORS, ids=[
+    f"{text}-{lineno}" for text, lineno, _ in PARSE_ERRORS])
+def test_parse_topology_errors_carry_line_numbers(text, lineno, message):
     with pytest.raises(TopologyError) as err:
         parse_topology(text)
     assert err.value.lineno == lineno
+    assert str(err.value) == f"line {lineno}: {message}"
 
 
 def test_unknown_key_lists_valid_keys():

@@ -12,7 +12,7 @@ from ospfsim.core import (
     SimpleNeighbor,
 )
 from ospfsim.core import NodeState
-from ospfsim.detailed import AdjPolicy, handle_hello_detailed
+from ospfsim.detailed import handle_hello_detailed
 from ospfsim.neighbors import (
     NbrTable,
     add_reqs,
@@ -25,6 +25,7 @@ from ospfsim.neighbors import (
     new_nbr,
     upd_rxmts,
 )
+from ospfsim.topology import Topology
 
 A, B, C = 1, 2, 3
 NS = NeighborState
@@ -64,8 +65,9 @@ def test_new_nbr_detailed_initial_fields():
     # a hello from an unknown sender that does not list us leaves the
     # new entry at Init with only its inactivity deadline armed
     cfg = ProtocolConfig()
+    adj = Topology(3, frozenset({(A, B), (A, C)}))
     st, ems = handle_hello_detailed(
-        NodeState(ip=A), frozenset(), B, 11, AdjPolicy.total(), cfg
+        NodeState(ip=A), frozenset(), B, 11, adj, cfg
     )
     assert st.nbrs.get(B) == DetailedNeighbor(
         nip=B, ns=NS.INIT, inact_deadline=11 + cfg.rtdeadintvl, ddsqn=0,
@@ -74,7 +76,7 @@ def test_new_nbr_detailed_initial_fields():
     )
     assert ems == []
     both, _ = handle_hello_detailed(
-        st, frozenset(), C, 12, AdjPolicy.total(), cfg
+        st, frozenset(), C, 12, adj, cfg
     )
     assert both.nbrs.nips() == {B, C}
 
