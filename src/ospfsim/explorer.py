@@ -10,9 +10,12 @@ atomic (hello first, then dead-neighbour removal).
 States are canonical: every deadline is stored as a residue relative to
 the current tick, so runs that differ only by elapsed time collide.
 Canonical states are plain nested tuples.  The search holds each one
-exactly once, as a key of the dict that interns it to an int id, which
-keeps state identity exact (no hash compaction, no lossy keys); parent
-links, choices and the successor graph are int-indexed lists.
+exactly once, as its version-2 marshal bytes, the key of the dict that
+interns it to an int id; the bytes are a lossless image of the tuple,
+so state identity stays exact (no hash compaction, no lossy keys).  The
+frontier holds (id, bytes) pairs, and a state is rebuilt as a tuple
+only while it is expanded.  Parent links, choices and the successor
+graph are int-indexed lists.
 
 Checked per state:
     P1  queue occupancy stays within the configured bound
@@ -30,6 +33,7 @@ deterministic engine schedule replay directly in the engine.
 from __future__ import annotations
 
 import itertools
+import marshal
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,6 +125,8 @@ class ExploreVerdict:
     longest_path: Optional[int] = None
     counterexample: Optional[Counterexample] = None
     frontier_size: int = 0
+    # frontier size at the start of each depth, from depth 0 on
+    frontier_sizes: tuple[int, ...] = ()
     message: str = ""
 
     def lines(self) -> list[str]:
@@ -141,6 +147,9 @@ class ExploreVerdict:
             )
         if self.message:
             out.append(self.message)
+        if self.status == "inconclusive":
+            out.append("frontier per depth: "
+                       + " ".join(map(str, self.frontier_sizes)))
         return out
 
 
@@ -497,6 +506,19 @@ def state_converged(canon, topology: Topology) -> bool:
     return True
 
 
+def _state_key(canon) -> bytes:
+    """The interning key of a canonical state: its marshal bytes, from
+    which ``marshal.loads`` rebuilds an equal tuple.
+
+    Version 2 is pinned.  Versions 3 and up write a back-reference for
+    any object that occurs twice (a shared message tuple, an interned
+    string, a small int), so two equal states built from different
+    objects would get different bytes and be interned twice; version 2
+    writes every object out in full, so equal states give equal bytes.
+    """
+    return marshal.dumps(canon, 2)
+
+
 def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
     """The engine schedule: every node runs timers first, then one message."""
     world = _decode(canon)
@@ -507,13 +529,17 @@ def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
 def explore(config: ExploreConfig) -> ExploreVerdict:
     """Breadth-first enumeration over boot offsets and interleavings.
 
-    Each canonical state is held once, as the key of ``ids``, which
-    interns it to an int id in discovery order; identity stays exact.
+    Each canonical state is held once, as its version-2 marshal bytes
+    (see :func:`_state_key`), the key of ``ids``, which interns it to an
+    int id in discovery order; identity stays exact.  The frontier holds
+    (id, key) pairs whose key is the object ``ids`` holds, and a state's
+    tuple is rebuilt with ``marshal.loads`` only to expand it.
     Everything else is indexed by id: the parent id (-1 for a root), the
-    choice combo that first led to the state, and its unconverged
-    successors (None for a converged state), which is all that the
-    cycle check and the longest-path pass at the end read.  Roots keep
-    their boot offsets in ``root_boots``.
+    choice combo that first led to the state (one tuple per distinct
+    combo), and its unconverged successors as a tuple (None for a
+    converged state), which is all that the cycle check and the
+    longest-path pass at the end read.  Roots keep their boot offsets
+    in ``root_boots``.
     """
     config.validate()
     ctx = _Ctx(config)
@@ -522,27 +548,31 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
     ids: dict = {}
     parent: list[int] = []
     via: list = []
+    combos: dict = {}
     succ: list = []
     root_boots: dict[int, dict[int, int]] = {}
 
     def visit(canon, parent_id, combo, todo) -> int:
         """The id of ``canon``; a new unconverged state joins ``todo``."""
-        sid = ids.setdefault(canon, len(parent))
+        key = _state_key(canon)
+        sid = ids.setdefault(key, len(parent))
         if sid == len(parent):  # first visit
             parent.append(parent_id)
-            via.append(combo)
+            via.append(combos.setdefault(combo, combo))
             if state_converged(canon, topo):
                 succ.append(None)
             else:
                 succ.append(())  # filled in when the state is expanded
-                todo.append((sid, canon))
+                todo.append((sid, key))
         return sid
 
     def verdict(status, message, **rest) -> ExploreVerdict:
         """The verdict on the search as it stands when it ends."""
         return ExploreVerdict(status=status, states=len(parent),
                               max_queue_occupancy=ctx.max_occ,
-                              depth_reached=depth, message=message, **rest)
+                              depth_reached=depth,
+                              frontier_sizes=tuple(frontier_sizes),
+                              message=message, **rest)
 
     frontier: list = []
     for combo in itertools.product(
@@ -557,7 +587,9 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             visit(initial_state(config, boots), -1, None, frontier), boots)
 
     depth = 0
+    frontier_sizes: list[int] = []
     while frontier:
+        frontier_sizes.append(len(frontier))
         if depth >= config.depth_bound:
             return verdict(
                 "inconclusive",
@@ -565,9 +597,10 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                 f"{len(frontier)} unconverged states on the frontier",
                 frontier_size=len(frontier))
         next_frontier: list = []
-        for sid, canon in frontier:
+        for sid, key in frontier:
             children: list[int] = []
-            for combo, child, violations in successors(canon, ctx):
+            for combo, child, violations in successors(marshal.loads(key),
+                                                       ctx):
                 if violations:
                     ce = _build_counterexample(
                         parent, via, root_boots, sid, combo, violations[0]
@@ -577,7 +610,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                 cid = visit(child, sid, combo, next_frontier)
                 if succ[cid] is not None and cid not in children:
                     children.append(cid)
-            succ[sid] = children
+            succ[sid] = tuple(children)
             if len(parent) > config.max_states:
                 return verdict(
                     "inconclusive",

@@ -1,4 +1,5 @@
 import dataclasses
+import marshal
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from ospfsim.explorer import (
     _find_unconverged_cycle,
     _install,
     _longest_unconverged_path,
+    _state_key,
     deterministic_choice,
     explore,
     initial_state,
@@ -152,8 +154,9 @@ def test_wrap_window_install_flags_p3():
     assert ctx.violations and ctx.violations[0].prop == "P3"
 
 
-def test_storage_round_trips_and_keeps_the_lsdb_layout():
-    # every state reachable on line(3) with start interval 2
+@pytest.fixture(scope="module")
+def line3_si2_states():
+    """Every state reachable on line(3) with start interval 2."""
     cfg = ExploreConfig(topology=line(3), start_interval=2)
     ctx = _Ctx(cfg)
     roots = {
@@ -169,7 +172,11 @@ def test_storage_round_trips_and_keeps_the_lsdb_layout():
                 seen.add(child)
                 todo.append(child)
     assert len(seen) > 1000
-    for canon in seen:
+    return seen
+
+
+def test_storage_round_trips_and_keeps_the_lsdb_layout(line3_si2_states):
+    for canon in line3_si2_states:
         assert _encode(_decode(canon)) == canon
         for node in canon[0]:
             lsdb = node[4]
@@ -178,6 +185,32 @@ def test_storage_round_trips_and_keeps_the_lsdb_layout():
             for origin, age, links in lsdb:
                 assert isinstance(origin, int) and isinstance(age, int)
                 assert isinstance(links, tuple) and list(links) == sorted(links)
+
+
+def rebuilt(x):
+    """An equal copy of ``x`` built from new objects where Python allows:
+    fresh tuples, ints parsed from text and strings that are not
+    interned."""
+    if isinstance(x, tuple):
+        return tuple([rebuilt(e) for e in x])
+    if isinstance(x, str):
+        return "".join(list(x))
+    if isinstance(x, int):
+        return int(str(x))
+    assert x is None
+    return x
+
+
+def test_state_key_is_exact(line3_si2_states):
+    # the interning key loses nothing, and equal states give equal keys
+    # whichever objects they are built from; marshal versions 3 and 4
+    # write back-references for shared objects and fail the second check
+    for canon in line3_si2_states:
+        key = _state_key(canon)
+        assert marshal.loads(key) == canon
+        copy = rebuilt(canon)
+        assert copy == canon
+        assert _state_key(copy) == key
 
 
 # hand-built successor lists for the final pass: succ[i] lists the
@@ -239,15 +272,22 @@ def test_config_rejects_negative_budgets(key, value, message):
 
 def verdict_fields(v):
     return (v.status, v.states, v.max_queue_occupancy, v.depth_reached,
-            v.frontier_size, v.longest_path, v.counterexample, v.message)
+            v.frontier_size, v.frontier_sizes, v.longest_path,
+            v.counterexample, v.message)
 
 
 def test_depth_budget_reports_inconclusive():
     verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
                                     depth_bound=5))
     assert verdict_fields(verdict) == (
-        "inconclusive", 2188, 4, 5, 389, None, None,
+        "inconclusive", 2188, 4, 5, 389, (331, 331, 375, 379, 383, 389),
+        None, None,
         "depth bound 5 reached with 389 unconverged states on the frontier")
+    assert verdict.lines() == [
+        "EXPLORE INCONCLUSIVE states=2188 max_queue=4 depth=5",
+        "depth bound 5 reached with 389 unconverged states on the frontier",
+        "frontier per depth: 331 331 375 379 383 389",
+    ]
 
 
 def test_state_budget_reports_inconclusive():
@@ -256,7 +296,7 @@ def test_state_budget_reports_inconclusive():
     verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
                                     max_states=50))
     assert verdict_fields(verdict) == (
-        "inconclusive", 332, 0, 0, 332, None, None,
+        "inconclusive", 332, 0, 0, 332, (331,), None, None,
         "state budget 50 exhausted")
 
 
@@ -340,6 +380,7 @@ PINNED_VERDICTS = [
     ("star3-si3", star(3), 3, 10, ("pass", 1765, 7, 20, 20)),
     ("ring4-si1", ring(4), 1, 10, ("pass", 5197, 10, 27, 27)),
     ("line2-si5-qb2", line(2), 5, 2, ("pass", 156, 2, 14, 14)),
+    ("line4-si3", line(4), 3, 10, ("pass", 23381, 9, 27, 27)),
 ]
 
 
