@@ -10,14 +10,13 @@ Exit codes
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter, defaultdict
 
 from .engine import (
     ConfigError,
     EngineConfig,
-    MESSAGE_KINDS,
+    format_counts,
     parse_trace_line,
     render_trace,
     run,
@@ -44,9 +43,7 @@ def _merged(file_settings: dict, args, flags) -> dict:
 def cmd_run(args) -> int:
     try:
         tf = load_topology(args.topology)
-    except TopologyError as exc:
-        return _die(str(exc))
-    except OSError as exc:
+    except (TopologyError, OSError) as exc:
         return _die(str(exc))
     file_settings = dict(tf.overrides, boot_offsets=tf.boot_offsets,
                          adjacency=tf.adjacency)
@@ -126,7 +123,7 @@ def cmd_summarize(args) -> int:
             continue
         try:
             events.append(parse_trace_line(line))
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except ValueError:
             return _die(f"record {idx}: malformed trace record")
 
     per_node: dict[int, Counter] = defaultdict(Counter)
@@ -146,12 +143,11 @@ def cmd_summarize(args) -> int:
             )
 
     total = sum(totals.values())
-    print(f"messages total={total} " + " ".join(
-        f"{k}={totals.get(k, 0)}" for k in MESSAGE_KINDS))
+    print(f"messages total={total} " + format_counts(totals))
     for node in sorted(per_node):
         counts = per_node[node]
-        print(f"node {node}: total={sum(counts.values())} " + " ".join(
-            f"{k}={counts.get(k, 0)}" for k in MESSAGE_KINDS))
+        print(f"node {node}: total={sum(counts.values())} "
+              + format_counts(counts))
     for node in sorted(timeline):
         steps = " ".join(
             f"[{tick}] {nbr}->{ns}" for tick, nbr, ns in timeline[node]

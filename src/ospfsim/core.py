@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional, Union
+from typing import ClassVar, Iterable, Optional, Union
 
 NodeId = int
 TimeStamp = int
@@ -193,22 +193,27 @@ class NodeState:
 
 
 # --- control messages ---------------------------------------------------
+# each class names its wire-level family (hello, dbd, req, upd or ack) in
+# ``kind``, a class attribute and not a field
 
 
 @dataclass(frozen=True)
 class Hello:
+    kind: ClassVar[str] = "hello"
     ips: frozenset[NodeId]
     sip: NodeId
 
 
 @dataclass(frozen=True)
 class DbdSimple:
+    kind: ClassVar[str] = "dbd"
     hdrs: frozenset[LsaHeader]
     sip: NodeId
 
 
 @dataclass(frozen=True)
 class DbdDetailed:
+    kind: ClassVar[str] = "dbd"
     hdrs: frozenset[LsaHeader]
     sqn: DdSqn
     ibit: bool
@@ -217,44 +222,33 @@ class DbdDetailed:
 
 @dataclass(frozen=True)
 class ReqSimple:
+    kind: ClassVar[str] = "req"
     hdrs: frozenset[LsaHeader]
     sip: NodeId
 
 
 @dataclass(frozen=True)
 class ReqDetailed:
+    kind: ClassVar[str] = "req"
     hdr: LsaHeader
     sip: NodeId
 
 
 @dataclass(frozen=True)
 class Upd:
+    kind: ClassVar[str] = "upd"
     lsas: Lsdb
     sip: NodeId
 
 
 @dataclass(frozen=True)
 class Ack:
+    kind: ClassVar[str] = "ack"
     hdrs: frozenset[LsaHeader]
     sip: NodeId
 
 
 Message = Union[Hello, DbdSimple, DbdDetailed, ReqSimple, ReqDetailed, Upd, Ack]
-
-
-def message_kind(msg: Message) -> str:
-    """Wire-level family of a message: hello, dbd, req, upd or ack."""
-    if isinstance(msg, Hello):
-        return "hello"
-    if isinstance(msg, (DbdSimple, DbdDetailed)):
-        return "dbd"
-    if isinstance(msg, (ReqSimple, ReqDetailed)):
-        return "req"
-    if isinstance(msg, Upd):
-        return "upd"
-    if isinstance(msg, Ack):
-        return "ack"
-    raise TypeError(f"not a protocol message: {msg!r}")
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,17 @@ from .core import (
     ProtocolConfig,
     SendInstruction,
     TimeStamp,
-    message_kind,
 )
 from .detailed import detailed_timers, handle_message_detailed
 from .simple import handle_message_simple, simple_timers
 from .topology import Topology
 
 MESSAGE_KINDS = ("hello", "dbd", "req", "upd", "ack")
+
+
+def format_counts(counts) -> str:
+    """Per-kind message counts as ``hello=N dbd=N req=N upd=N ack=N``."""
+    return " ".join(f"{k}={counts.get(k, 0)}" for k in MESSAGE_KINDS)
 
 
 class ConfigError(ValueError):
@@ -133,7 +137,14 @@ def send_event(tick: TimeStamp, ip: NodeId, kind: str,
 
 
 def parse_trace_line(line: str) -> TraceEvent:
+    """One rendered record; ValueError unless it is a JSON object with
+    int ``tick`` and ``node``, str ``kind`` and object ``detail``."""
     rec = json.loads(line)
+    if not (isinstance(rec, dict) and type(rec.get("tick")) is int
+            and type(rec.get("node")) is int
+            and isinstance(rec.get("kind"), str)
+            and isinstance(rec.get("detail"), dict)):
+        raise ValueError(f"malformed trace record {line!r}")
     return TraceEvent(rec["tick"], rec["node"], rec["kind"], rec["detail"])
 
 
@@ -166,13 +177,8 @@ class Verdict:
 
     def line(self) -> str:
         if self.kind == "converged":
-            c = self.counts
-            return (
-                f"CONVERGED tick={self.at_tick} msgs={self.total_messages} "
-                f"hello={c.get('hello', 0)} dbd={c.get('dbd', 0)} "
-                f"req={c.get('req', 0)} upd={c.get('upd', 0)} "
-                f"ack={c.get('ack', 0)}"
-            )
+            return (f"CONVERGED tick={self.at_tick} msgs={self.total_messages} "
+                    + format_counts(self.counts))
         if self.kind == "timed_out":
             return "TIMEOUT"
         return f"OVERFLOW node={self.node} tick={self.at_tick}"
@@ -202,14 +208,12 @@ class SimState:
         self.now: TimeStamp = 0
         self.rng = random.Random(config.seed)
         self.counts: dict[str, int] = {k: 0 for k in MESSAGE_KINDS}
+        # in ascending id, the order in which every phase of a tick walks them
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for ip in topology.nodes():
             self.nodes[ip] = _NodeRuntime(state=NodeState(ip))
 
     # -- helpers -----------------------------------------------------
-
-    def _boot_tick(self, ip: NodeId) -> int:
-        return self.config.boot_offsets.get(ip, 0)
 
     def _timers(self, state, now):
         if self.config.model == "simple":
@@ -271,7 +275,7 @@ class SimState:
             flight = srt.sending
             if flight is None or flight.deliver_at > now:
                 continue
-            kind = message_kind(flight.payload)
+            kind = flight.payload.kind
             for rcpt in sorted(flight.recipients):
                 rt = self.nodes[rcpt]
                 if not rt.booted:
@@ -288,14 +292,12 @@ class SimState:
             srt.sending = None
 
         # 2. node turns: timers, then at most one queued message
-        for ip in sorted(self.nodes):
-            rt = self.nodes[ip]
+        for ip, rt in self.nodes.items():
             if not rt.booted:
-                if self._boot_tick(ip) <= now:
-                    rt.booted = True
-                    events.append(TraceEvent(now, ip, "boot", {}))
-                else:
+                if self.config.boot_offsets.get(ip, 0) > now:
                     continue
+                rt.booted = True
+                events.append(TraceEvent(now, ip, "boot", {}))
             before = rt.state
             state, ems = self._timers(rt.state, now)
             if rt.inq:
@@ -308,8 +310,7 @@ class SimState:
             self._check_capacity(ip, rt)
 
         # 3/4. start a transmission wherever the sender is idle
-        for ip in sorted(self.nodes):
-            rt = self.nodes[ip]
+        for ip, rt in self.nodes.items():
             if rt.sending is not None or not rt.outq:
                 continue
             ins: SendInstruction = rt.outq.popleft()
@@ -322,7 +323,7 @@ class SimState:
                 recipients=recipients,
                 deliver_at=now + self.config.time_sending,
             )
-            kind = message_kind(ins.payload)
+            kind = ins.payload.kind
             self.counts[kind] += 1
             events.append(send_event(now, ip, kind, recipients))
 

@@ -2,7 +2,7 @@
 
 File format, one directive per line ('#' starts a comment):
 
-    nodes N
+    nodes N          exactly once, before any line that names a node
     edge i j
     adj i j          optional; the graph of allowed adjacencies: listing
                      any pair restricts adjacency formation to the listed
@@ -116,16 +116,18 @@ def star(n: int) -> Topology:
     return Topology(n, frozenset((1, i) for i in range(2, n + 1)))
 
 
-_INT_KEYS = (
-    "hellointvl",
-    "rtdeadintvl",
-    "rxmtintvl",
-    "refreshintvl",
-    "time_sending",
-    "seed",
-    "max_ticks",
-)
-VALID_KEYS = _INT_KEYS + ("loss_prob", "boot")
+# each "key value" setting and the type of its value
+_SETTING_TYPES = {
+    "hellointvl": int,
+    "rtdeadintvl": int,
+    "rxmtintvl": int,
+    "refreshintvl": int,
+    "time_sending": int,
+    "seed": int,
+    "max_ticks": int,
+    "loss_prob": float,
+}
+VALID_KEYS = tuple(_SETTING_TYPES) + ("boot",)
 
 
 @dataclass
@@ -161,6 +163,8 @@ def parse_topology(text: str) -> TopologyFile:
         parts = stripped.split()
         key = parts[0]
         if key == "nodes":
+            if n is not None:
+                raise TopologyError(lineno, "duplicate 'nodes N' directive")
             if len(parts) != 2:
                 raise TopologyError(lineno, "usage: nodes N")
             try:
@@ -187,20 +191,13 @@ def parse_topology(text: str) -> TopologyFile:
             if t < 0:
                 raise TopologyError(lineno, "boot tick must be non-negative")
             boots[node] = t
-        elif key in _INT_KEYS:
+        elif key in _SETTING_TYPES:
             if len(parts) != 2:
                 raise TopologyError(lineno, f"usage: {key} value")
             try:
-                overrides[key] = int(parts[1])
+                overrides[key] = _SETTING_TYPES[key](parts[1])
             except ValueError:
                 raise TopologyError(lineno, f"bad value {parts[1]!r} for {key}")
-        elif key == "loss_prob":
-            if len(parts) != 2:
-                raise TopologyError(lineno, "usage: loss_prob value")
-            try:
-                overrides[key] = float(parts[1])
-            except ValueError:
-                raise TopologyError(lineno, f"bad value {parts[1]!r} for loss_prob")
         else:
             raise TopologyError(
                 lineno,

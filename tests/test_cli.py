@@ -41,9 +41,11 @@ def test_run_is_reproducible(capsys, line3_path):
 
 def test_run_rejects_bad_topology(capsys, tmp_path):
     p = tmp_path / "bad.top"
-    p.write_text("nodes 2\nedge 1 3\n")
-    assert main(["run", str(p)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    for text, lineno in (("nodes 2\nedge 1 3\n", 2),
+                         ("nodes 3\nedge 1 3\nnodes 2\n", 3)):
+        p.write_text(text)
+        assert main(["run", str(p)]) == 2
+        assert f"line {lineno}: " in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_key(capsys, tmp_path):
@@ -103,11 +105,28 @@ def test_summarize_empty_trace(capsys, tmp_path):
     assert "no convergence recorded" in out
 
 
+# second records that summarize must refuse: truncated, not an object,
+# missing a field, or a field of the wrong type
+MALFORMED_RECORDS = [
+    '{"tick":1,',
+    '[1, 2]',
+    '{"tick":1,"node":1,"kind":"send"}',
+    '{"tick":0,"node":1,"kind":"send","detail":[]}',
+    '{"tick":0,"node":1,"kind":"send","detail":null}',
+    '{"tick":"x","node":1,"kind":"converged","detail":{}}',
+    '{"tick":0,"node":1.5,"kind":"send","detail":{}}',
+    '{"tick":0,"node":1,"kind":7,"detail":{}}',
+]
+
+
 def test_summarize_truncated_record(capsys, tmp_path):
     p = tmp_path / "broken.trace"
-    p.write_text('{"tick":0,"node":1,"kind":"send","detail":{}}\n{"tick":1,\n')
-    assert main(["summarize", str(p)]) == 2
-    assert "record 2" in capsys.readouterr().err
+    for record in MALFORMED_RECORDS:
+        p.write_text('{"tick":0,"node":1,"kind":"send","detail":{}}\n'
+                     + record + "\n")
+        assert main(["summarize", str(p)]) == 2, record
+        err = capsys.readouterr().err
+        assert "record 2: malformed trace record" in err, record
 
 
 def test_explore_pass_and_violation(capsys, tmp_path, line3_path):

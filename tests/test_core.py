@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ospfsim.core import (
@@ -17,7 +19,6 @@ from ospfsim.core import (
     broadcast,
     groupcast,
     hdr,
-    message_kind,
 )
 
 A, B, C = 1, 2, 3
@@ -77,10 +78,12 @@ def test_send_instruction_hello_must_broadcast():
 
 def test_message_kind():
     db = Lsdb.of([Lsa(A, 1, frozenset())])
-    assert message_kind(Hello(frozenset(), A)) == "hello"
-    assert message_kind(DbdSimple(frozenset(), A)) == "dbd"
-    assert message_kind(DbdDetailed(frozenset(), 0, True, A)) == "dbd"
-    assert message_kind(ReqSimple(frozenset(), A)) == "req"
-    assert message_kind(ReqDetailed(LsaHeader(A, 1), A)) == "req"
-    assert message_kind(Upd(db, A)) == "upd"
-    assert message_kind(Ack(frozenset(), A)) == "ack"
+    assert Hello(frozenset(), A).kind == "hello"
+    assert DbdSimple(frozenset(), A).kind == "dbd"
+    assert DbdDetailed(frozenset(), 0, True, A).kind == "dbd"
+    assert ReqSimple(frozenset(), A).kind == "req"
+    assert ReqDetailed(LsaHeader(A, 1), A).kind == "req"
+    assert Upd(db, A).kind == "upd"
+    assert Ack(frozenset(), A).kind == "ack"
+    # a class attribute, not a field: equality and hashing ignore it
+    assert [f.name for f in dataclasses.fields(Hello)] == ["ips", "sip"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ospfsim.core import Lsa, NeighborState
@@ -220,6 +222,34 @@ def test_detailed_exchange_ignores_a_restart_below_its_sequence_number():
     assert (to_4.ns, to_4.ddsqn) == (NeighborState.EXCHANGE, 4)
 
 
+# the phases of one node's records within a tick: a node that boots was
+# not booted when the tick's messages arrived, so its boot follows their drops
+PHASES = ("deliver", "drop", "boot", "state_change", "lsa_install", "send")
+# the detail field that orders the records of one kind at one node
+ORDER_FIELD = {"deliver": "from", "drop": "from", "state_change": "nbr",
+                "lsa_install": "origin"}
+
+
+@pytest.mark.parametrize("topo", [ring(4), star(5)], ids=["ring4", "star5"])
+def test_records_come_in_node_then_phase_order(topo):
+    """Within a tick, records go by ascending node, within one node by
+    phase, and within one phase by sender, neighbour or origin."""
+    reasons = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        boots = {ip: rng.randint(0, 4) for ip in topo.nodes()}
+        cfg = EngineConfig(model="detailed", loss_prob=0.3, seed=seed,
+                           boot_offsets=boots, max_ticks=2000)
+        _, trace, verdict = run(cfg, topo)
+        assert verdict.kind == "converged"
+        keys = [(ev.tick, ev.node, PHASES.index(ev.kind),
+                 ev.detail.get(ORDER_FIELD.get(ev.kind), 0))
+                for ev in trace[:-1]]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        reasons |= {ev.detail["reason"] for ev in trace if ev.kind == "drop"}
+    assert reasons == {"loss", "not_booted"}
+
+
 def test_boot_offsets_delay_boot():
     cfg = EngineConfig(model="simple", boot_offsets={2: 5})
     sim, trace, verdict = run(cfg, line(2))
@@ -311,6 +341,8 @@ PARSE_ERRORS = [
     ("nodes 2\nloss_prob 0.1 0.2\n", 2, "usage: loss_prob value"),
     ("nodes 2\nloss_prob high\n", 2, "bad value 'high' for loss_prob"),
     ("# no nodes line\n", 0, "missing 'nodes N' directive"),
+    ("nodes 3\nedge 1 3\nnodes 2\n", 3, "duplicate 'nodes N' directive"),
+    ("nodes 2\nnodes 3\n", 2, "duplicate 'nodes N' directive"),
 ]
 
 
