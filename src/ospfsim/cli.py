@@ -54,11 +54,11 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         return _die(str(exc))
 
-    if args.trace:
+    if args.trace == "-":
+        sys.stdout.write(render_trace(trace))
+    elif args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(render_trace(trace))
-    if args.format == "full" and not args.trace:
-        sys.stdout.write(render_trace(trace))
     print(verdict.line())
     if verdict.kind == "converged":
         return 0
@@ -175,11 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-ticks", type=int, default=None)
     p_run.add_argument("--loss-prob", type=float, default=None)
     p_run.add_argument("--queue-capacity", type=int, default=None)
-    p_run.add_argument("--trace", help="write the event trace to this file")
-    p_run.add_argument("--format", choices=("full", "summary"),
-                       default="summary",
-                       help="'full' prints the trace to stdout when no "
-                            "--trace file is given")
+    p_run.add_argument("--trace",
+                       help="write the event trace to this file, or to "
+                            "stdout before the verdict line if '-'")
     p_run.set_defaults(func=cmd_run)
 
     p_exp = sub.add_parser("explore",

@@ -36,7 +36,7 @@ from .core import (
     groupcast,
     hdr,
 )
-from .lsdb import install, lsa_exist, new_lsa_detailed
+from .lsdb import install, lsa_exist, new_lsa_detailed, own_stamp
 from .neighbors import (
     add_reqs,
     clean_reqs,
@@ -71,7 +71,8 @@ def _flood(
 def _refresh_own_lsa(
     state: NodeState, now: TimeStamp, cfg: ProtocolConfig
 ) -> tuple[NodeState, Emissions]:
-    lsa = new_lsa_detailed(state.ip, now, state.nbrs)
+    lsa = new_lsa_detailed(state.ip, own_stamp(state.lsdb, state.ip, now),
+                           state.nbrs)
     st = replace(state, lsdb=install(state.lsdb, Lsdb.of([lsa])))
     return _flood(st, Lsdb.of([lsa]), now, cfg)
 

@@ -45,14 +45,6 @@ class ConfigError(ValueError):
     pass
 
 
-class QueueOverflowError(RuntimeError):
-    def __init__(self, node: NodeId, tick: TimeStamp, which: str):
-        super().__init__(f"node {node} {which} queue overflow at tick {tick}")
-        self.node = node
-        self.tick = tick
-        self.which = which
-
-
 @dataclass(frozen=True)
 class EngineConfig(ProtocolConfig):
     """The protocol timers, inherited, and the settings of one run."""
@@ -96,7 +88,7 @@ class EngineConfig(ProtocolConfig):
 # arrived, so its boot record follows their drop records
 _KIND_RANK = {
     "deliver": 0, "drop": 1, "boot": 2, "state_change": 3,
-    "lsa_install": 4, "send": 5, "converged": 6,
+    "lsa_install": 4, "send": 5,
 }
 
 
@@ -138,12 +130,18 @@ def send_event(tick: TimeStamp, ip: NodeId, kind: str,
 
 def parse_trace_line(line: str) -> TraceEvent:
     """One rendered record; ValueError unless it is a JSON object with
-    int ``tick`` and ``node``, str ``kind`` and object ``detail``."""
+    int ``tick`` and ``node``, str ``kind`` and object ``detail``, whose
+    send ``type`` is a message kind and whose state-change ``nbr`` is an
+    int and ``ns`` a str."""
     rec = json.loads(line)
-    if not (isinstance(rec, dict) and type(rec.get("tick")) is int
-            and type(rec.get("node")) is int
-            and isinstance(rec.get("kind"), str)
-            and isinstance(rec.get("detail"), dict)):
+    detail = rec.get("detail") if isinstance(rec, dict) else None
+    ok = (isinstance(detail, dict) and type(rec.get("tick")) is int
+          and type(rec.get("node")) is int and isinstance(rec.get("kind"), str))
+    if ok and rec["kind"] == "send":
+        ok = detail.get("type") in MESSAGE_KINDS
+    elif ok and rec["kind"] == "state_change":
+        ok = type(detail.get("nbr")) is int and isinstance(detail.get("ns"), str)
+    if not ok:
         raise ValueError(f"malformed trace record {line!r}")
     return TraceEvent(rec["tick"], rec["node"], rec["kind"], rec["detail"])
 
@@ -208,6 +206,8 @@ class SimState:
         self.now: TimeStamp = 0
         self.rng = random.Random(config.seed)
         self.counts: dict[str, int] = {k: 0 for k in MESSAGE_KINDS}
+        # the first node whose queue outgrew queue_capacity
+        self.overflow: Optional[NodeId] = None
         # in ascending id, the order in which every phase of a tick walks them
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for ip in topology.nodes():
@@ -229,12 +229,10 @@ class SimState:
 
     def _check_capacity(self, ip: NodeId, rt: _NodeRuntime) -> None:
         cap = self.config.queue_capacity
-        if cap is None:
+        if cap is None or self.overflow is not None:
             return
-        if len(rt.inq) > cap:
-            raise QueueOverflowError(ip, self.now, "input")
-        if len(rt.outq) > cap:
-            raise QueueOverflowError(ip, self.now, "output")
+        if len(rt.inq) > cap or len(rt.outq) > cap:
+            self.overflow = ip
 
     def _diff_events(self, ip: NodeId, before, after, events: list[TraceEvent]):
         """State-change and install events derived from a transition.
@@ -344,7 +342,7 @@ def _pending_non_hello(sim: SimState) -> bool:
     return False
 
 
-def converged(sim: SimState, topology: Topology) -> bool:
+def converged(sim: SimState) -> bool:
     """Steady state: every node knows its component's links exactly, no
     non-hello traffic is pending, and (detailed model) every allowed
     adjacency is fully established with clean bookkeeping."""
@@ -353,6 +351,7 @@ def converged(sim: SimState, topology: Topology) -> bool:
     if _pending_non_hello(sim):
         return False
 
+    topology = sim.topology
     for ip in topology.nodes():
         lsdb: Lsdb = sim.nodes[ip].state.lsdb
         for other in topology.component_of(ip):
@@ -379,21 +378,21 @@ def run(
     config: EngineConfig,
     topology: Topology,
 ) -> tuple[SimState, list[TraceEvent], Verdict]:
-    """Tick until converged or out of budget.
+    """Tick until converged, a queue overflows or out of budget.
 
     Message counts tally send events from boot up to and including the
-    first tick at which the convergence predicate holds.
+    first tick at which the convergence predicate holds, or the tick in
+    which a queue outgrew ``queue_capacity``.
     """
     sim = SimState(config, topology)
     trace: list[TraceEvent] = []
     while sim.now < config.max_ticks:
-        try:
-            trace.extend(sim.tick())
-        except QueueOverflowError as exc:
-            verdict = Verdict("queue_overflow", at_tick=exc.tick, node=exc.node,
-                              counts=dict(sim.counts))
-            return sim, trace, verdict
-        if converged(sim, topology):
+        trace.extend(sim.tick())
+        if sim.overflow is not None:
+            return sim, trace, Verdict("queue_overflow", at_tick=sim.now - 1,
+                                       node=sim.overflow,
+                                       counts=dict(sim.counts))
+        if converged(sim):
             at = sim.now - 1
             trace.append(TraceEvent(at, 0, "converged",
                                     {"counts": dict(sim.counts)}))

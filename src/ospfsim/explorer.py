@@ -124,7 +124,6 @@ class ExploreVerdict:
     depth_reached: int
     longest_path: Optional[int] = None
     counterexample: Optional[Counterexample] = None
-    frontier_size: int = 0
     # frontier size at the start of each depth, from depth 0 on
     frontier_sizes: tuple[int, ...] = ()
     message: str = ""
@@ -160,10 +159,11 @@ class ExploreVerdict:
 #   lsdb: tuple of (origin, age, links-tuple), sorted
 #   inq:  tuple of messages
 #   outq: tuple of (message, dests-tuple-or-None)
-# Messages: ("hello", ips, sip) / ("dbd", hdrs, sip) /
+# Messages: ("hello", (), sip) / ("dbd", hdrs, sip) /
 #           ("req", hdrs, sip) / ("upd", lsas, sip)
 #   with hdrs a sorted tuple of (origin, age) and lsas a sorted tuple of
-#   (origin, age, links-tuple).
+#   (origin, age, links-tuple).  A hello carries no neighbour list: the
+#   model reads only its sender.
 # Canonical global state: (nodes, flights)
 #   flights: tuple of (sender, message, recipients-tuple, res), sorted.
 #
@@ -288,7 +288,7 @@ def _originate(node: _Node, ip: int, ctx: _Ctx):
 def _timer_block(node: _Node, ip: int, ctx: _Ctx):
     if node.hellot <= 0:
         node.hellot = ctx.hellointvl
-        node.outq.append((("hello", tuple(sorted(node.nbrs)), ip), None))
+        node.outq.append((("hello", (), ip), None))
     dead = [nip for nip, res in node.nbrs.items() if res < 0]
     if dead:
         for nip in dead:
@@ -594,8 +594,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             return verdict(
                 "inconclusive",
                 f"depth bound {config.depth_bound} reached with "
-                f"{len(frontier)} unconverged states on the frontier",
-                frontier_size=len(frontier))
+                f"{len(frontier)} unconverged states on the frontier")
         next_frontier: list = []
         for sid, key in frontier:
             children: list[int] = []
@@ -614,8 +613,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             if len(parent) > config.max_states:
                 return verdict(
                     "inconclusive",
-                    f"state budget {config.max_states} exhausted",
-                    frontier_size=len(next_frontier) + len(frontier))
+                    f"state budget {config.max_states} exhausted")
         frontier = next_frontier
         depth += 1
 

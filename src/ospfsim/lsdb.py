@@ -39,6 +39,14 @@ def new_lsa_detailed(ip: NodeId, t: TimeStamp, nbrs: Iterable[DetailedNeighbor])
     )
 
 
+def own_stamp(lsdb: Lsdb, ip: NodeId, now: TimeStamp) -> TimeStamp:
+    """The stamp of a new own advertisement of ``ip``: ``now``, or one
+    past the stamp it already holds, so that each new instance is newer
+    than the last (RFC 2328 §12.1.6) even when two originate in one tick."""
+    own = lsdb.get(ip)
+    return now if own is None else max(now, own.stamp + 1)
+
+
 def install(lsdb: Lsdb, lsas: Lsdb) -> Lsdb:
     """Merge ``lsas`` into ``lsdb``, keeping the freshest entry per origin.
 

@@ -28,7 +28,7 @@ from .core import (
     groupcast,
     hdr,
 )
-from .lsdb import install, lsa_exist, new_lsa_simple
+from .lsdb import install, lsa_exist, new_lsa_simple, own_stamp
 from .neighbors import drop_dead, nbr_set, new_nbr
 
 Emissions = list[SendInstruction]
@@ -45,7 +45,7 @@ def simple_timers(
         ems.append(broadcast(Hello(st.nbrs.nips(), st.ip)))
     live = drop_dead(st.nbrs, now)
     if live is not st.nbrs:
-        lsa = new_lsa_simple(st.ip, now, live)
+        lsa = new_lsa_simple(st.ip, own_stamp(st.lsdb, st.ip, now), live)
         st = replace(st, nbrs=live, lsdb=install(st.lsdb, Lsdb.of([lsa])))
         ems.append(groupcast(Upd(Lsdb.of([lsa]), st.ip), live.nips()))
     return st, ems
@@ -57,7 +57,7 @@ def _discover(
     """Shared new-neighbour block: record the sender, advertise the new
     link to everyone known, and offer the sender a database summary."""
     nbrs = new_nbr(state.nbrs, SimpleNeighbor(sip, now + cfg.rtdeadintvl))
-    lsa = new_lsa_simple(state.ip, now, nbrs)
+    lsa = new_lsa_simple(state.ip, own_stamp(state.lsdb, state.ip, now), nbrs)
     lsdb = install(state.lsdb, Lsdb.of([lsa]))
     st = replace(state, nbrs=nbrs, lsdb=lsdb)
     return st, [

@@ -32,10 +32,10 @@ def test_run_converges(capsys, tmp_path):
 
 def test_run_is_reproducible(capsys, line3_path):
     assert main(["run", line3_path, "--model", "simple", "--seed", "7",
-                 "--format", "full"]) == 0
+                 "--trace", "-"]) == 0
     first = capsys.readouterr().out
     assert main(["run", line3_path, "--model", "simple", "--seed", "7",
-                 "--format", "full"]) == 0
+                 "--trace", "-"]) == 0
     assert capsys.readouterr().out == first
 
 
@@ -116,13 +116,19 @@ MALFORMED_RECORDS = [
     '{"tick":"x","node":1,"kind":"converged","detail":{}}',
     '{"tick":0,"node":1.5,"kind":"send","detail":{}}',
     '{"tick":0,"node":1,"kind":7,"detail":{}}',
+    '{"tick":0,"node":1,"kind":"send","detail":{"type":[1]}}',
+    '{"tick":0,"node":1,"kind":"send","detail":{"type":"bogus"}}',
+    '{"tick":0,"node":1,"kind":"send","detail":{}}',
+    '{"tick":0,"node":1,"kind":"state_change","detail":{"nbr":"2","ns":"Full"}}',
+    '{"tick":0,"node":1,"kind":"state_change","detail":{"ns":"Full"}}',
+    '{"tick":0,"node":1,"kind":"state_change","detail":{"nbr":2,"ns":5}}',
 ]
 
 
 def test_summarize_truncated_record(capsys, tmp_path):
     p = tmp_path / "broken.trace"
     for record in MALFORMED_RECORDS:
-        p.write_text('{"tick":0,"node":1,"kind":"send","detail":{}}\n'
+        p.write_text('{"tick":0,"node":1,"kind":"send","detail":{"type":"hello"}}\n'
                      + record + "\n")
         assert main(["summarize", str(p)]) == 2, record
         err = capsys.readouterr().err
@@ -209,7 +215,7 @@ def test_each_command_honours_or_refuses_every_file_directive(
         argv = ["explore", str(p), "--start-interval", "1"]
     else:
         model = command.split("-")[1]
-        argv = ["run", str(p), "--model", model, "--format", "full"]
+        argv = ["run", str(p), "--model", model, "--trace", "-"]
     code = main(argv)
     if key in REFUSED[command]:
         captured = capsys.readouterr()

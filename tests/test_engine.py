@@ -69,14 +69,14 @@ def test_converged_predicate():
     topo = line(2)
     sim = SimState(EngineConfig(model="detailed"), topo)
     sim.tick()
-    assert not converged(sim, topo)
+    assert not converged(sim)
     single = Topology(1, frozenset())
     fresh = SimState(EngineConfig(model="simple"), single)
-    assert not converged(fresh, single)  # not booted yet
+    assert not converged(fresh)  # not booted yet
     fresh.tick()
-    assert converged(fresh, single)
+    assert converged(fresh)
     sim2, _, verdict = run(EngineConfig(model="detailed"), topo)
-    assert verdict.kind == "converged" and converged(sim2, topo)
+    assert verdict.kind == "converged" and converged(sim2)
     for me, peer in ((1, 2), (2, 1)):
         entry = sim2.nodes[me].state.nbrs.get(peer)
         assert entry.ns == NeighborState.FULL
@@ -150,6 +150,8 @@ def test_queue_overflow_verdict():
     assert verdict.kind == "queue_overflow"
     assert verdict.node == 2 and verdict.at_tick == 1
     assert verdict.line() == "OVERFLOW node=2 tick=1"
+    # the overflowing tick finishes, so its records are in the trace
+    assert trace[-1].tick == 1
 
 
 def test_config_validation():
@@ -183,29 +185,35 @@ def test_simulation_refuses_adjacencies_that_split_a_component():
     assert verdict.kind == "converged" and verdict.at_tick == 47
 
 
-def test_simple_star4_dead_interval_18_keeps_two_copies_of_one_stamp():
-    # docs/dead_interval.md, section 2: at rtdeadintvl 18 the hub's timer
-    # drops each spoke in the tick in which it handles that spoke's queued
-    # hello; both originations carry stamp `now`, and install keeps the
-    # first, so the rediscovered spoke is missing from what the hub stores
+def test_simple_short_dead_intervals_converge_with_a_newer_own_stamp_each_time():
+    # docs/dead_interval.md, section 2: at rtdeadintvl 18 the star's hub
+    # drops each spoke in the tick in which it handles that spoke's
+    # queued hello, so it originates twice in one tick.  Stamped `now`
+    # twice, install kept the first and the run timed out; with
+    # own_stamp each instance is newer than the last, and these runs,
+    # all of which timed out before, converge
     runs = {
-        dead: run(EngineConfig(model="simple", hellointvl=10, rtdeadintvl=dead,
-                               max_ticks=3000), star(4))
-        for dead in (17, 18, 19)
+        (name, dead): run(EngineConfig(model="simple", hellointvl=10,
+                                       rtdeadintvl=dead, max_ticks=3000), topo)
+        for name, topo in (("star4", star(4)), ("ring4", ring(4)))
+        for dead in ((17, 18, 19) if name == "star4" else (11, 14, 15))
     }
-    assert {dead: verdict.line() for dead, (_, _, verdict) in runs.items()} == {
-        17: "CONVERGED tick=36 msgs=61 hello=16 dbd=9 req=0 upd=36 ack=0",
-        18: "TIMEOUT",
-        19: "CONVERGED tick=24 msgs=39 hello=12 dbd=6 req=0 upd=21 ack=0",
+    assert {key: verdict.line() for key, (_, _, verdict) in runs.items()} == {
+        ("star4", 17): "CONVERGED tick=38 msgs=63 hello=16 dbd=9 req=0 upd=38 ack=0",
+        ("star4", 18): "CONVERGED tick=42 msgs=71 hello=20 dbd=9 req=0 upd=42 ack=0",
+        ("star4", 19): "CONVERGED tick=24 msgs=39 hello=12 dbd=6 req=0 upd=21 ack=0",
+        ("ring4", 11): "CONVERGED tick=59 msgs=138 hello=24 dbd=20 req=0 upd=94 ack=0",
+        ("ring4", 14): "CONVERGED tick=47 msgs=112 hello=20 dbd=16 req=0 upd=76 ack=0",
+        ("ring4", 15): "CONVERGED tick=35 msgs=82 hello=16 dbd=12 req=0 upd=54 ack=0",
     }
-    sim, trace, _ = runs[18]
-    own = [(e.tick, e.detail["links"]) for e in trace
+    sim, trace, _ = runs[("star4", 18)]
+    own = [(e.tick, e.detail["stamp"]) for e in trace
            if e.node == 1 and e.kind == "lsa_install" and e.detail["origin"] == 1]
-    assert own[-3:] == [(20, [3, 4]), (21, [2, 4]), (22, [2, 3])]
-    stored = Lsa(1, 22, frozenset({2, 3}))
-    discarded = Lsa(1, 22, frozenset({2, 3, 4}))
+    # two originations in each of ticks 20-22 push the stamp past `now`
+    assert own[-3:] == [(20, 21), (21, 23), (22, 25)]
+    hub = Lsa(1, 25, frozenset({2, 3, 4}))
     assert {ip: sim.nodes[ip].state.lsdb.get(1) for ip in star(4).nodes()} == {
-        1: stored, 2: stored, 3: stored, 4: discarded}
+        ip: hub for ip in star(4).nodes()}
 
 
 def test_detailed_exchange_ignores_a_restart_below_its_sequence_number():

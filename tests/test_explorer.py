@@ -272,7 +272,7 @@ def test_config_rejects_negative_budgets(key, value, message):
 
 def verdict_fields(v):
     return (v.status, v.states, v.max_queue_occupancy, v.depth_reached,
-            v.frontier_size, v.frontier_sizes, v.longest_path,
+            v.frontier_sizes, v.longest_path,
             v.counterexample, v.message)
 
 
@@ -280,7 +280,7 @@ def test_depth_budget_reports_inconclusive():
     verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
                                     depth_bound=5))
     assert verdict_fields(verdict) == (
-        "inconclusive", 2188, 4, 5, 389, (331, 331, 375, 379, 383, 389),
+        "inconclusive", 2188, 4, 5, (331, 331, 375, 379, 383, 389),
         None, None,
         "depth bound 5 reached with 389 unconverged states on the frontier")
     assert verdict.lines() == [
@@ -296,7 +296,7 @@ def test_state_budget_reports_inconclusive():
     verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
                                     max_states=50))
     assert verdict_fields(verdict) == (
-        "inconclusive", 332, 0, 0, 332, (331,), None, None,
+        "inconclusive", 332, 0, 0, (331,), None, None,
         "state budget 50 exhausted")
 
 

@@ -16,6 +16,7 @@ from ospfsim.lsdb import (
     new_lsa_simple,
     newer_age,
     next_age,
+    own_stamp,
 )
 
 A, B, C = 1, 2, 3
@@ -30,6 +31,16 @@ def test_new_lsa_simple():
     assert new_lsa_simple(A, 5, nbrs) == Lsa(A, 5, frozenset({B, C}))
     assert new_lsa_simple(A, 0, []) == Lsa(A, 0, frozenset())
     assert new_lsa_simple(B, 9, [SimpleNeighbor(A, 10)]) == Lsa(B, 9, frozenset({A}))
+
+
+def test_own_stamp_is_now_or_one_past_the_stored_own_entry():
+    assert own_stamp(db(), A, 7) == 7
+    # another origin's entry does not count
+    assert own_stamp(db((B, 9, [A])), A, 7) == 7
+    assert own_stamp(db((A, 3, [B])), A, 7) == 7
+    # a second origination in the tick of the first is newer still
+    assert own_stamp(db((A, 7, [B])), A, 7) == 8
+    assert own_stamp(db((A, 8, [B])), A, 7) == 9
 
 
 def test_new_lsa_detailed_filters_below_two_way():

@@ -150,7 +150,7 @@ def test_converged_implies_agreement_on_every_shared_origin(rng, model):
         # pass of converged covers the agreement
         for ip in topo.nodes():
             assert origins(sim.nodes[ip].state.lsdb) <= topo.component_of(ip)
-        if converged(sim, topo):
+        if converged(sim):
             assert origins_agree_within_components(sim, topo), (topo, boots, sim.now)
 
 
