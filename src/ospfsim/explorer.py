@@ -9,13 +9,23 @@ atomic (hello first, then dead-neighbour removal).
 
 States are canonical: every deadline is stored as a residue relative to
 the current tick, so runs that differ only by elapsed time collide.
-Canonical states are plain nested tuples.  The search holds each one
-exactly once, as its version-2 marshal bytes, the key of the dict that
-interns it to an int id; the bytes are a lossless image of the tuple,
-so state identity stays exact (no hash compaction, no lossy keys).  The
-frontier holds (id, bytes) pairs, and a state is rebuilt as a tuple
-only while it is expanded.  Parent links, choices and the successor
-graph are int-indexed lists.
+Each node's canonical tuple and each message is interned to an int id
+by exact tuple equality, so a global state is the tuple of its node
+ids and its transmissions in flight, in the style of SPIN's collapse
+compression.  The search holds each state exactly once, as its
+version-2 marshal bytes, the key of the dict that interns it to an int
+id; the bytes are a lossless image of the tuple, so state identity
+stays exact (no hash compaction, no lossy keys).  The frontier holds
+(id, bytes) pairs, and a state is rebuilt as a tuple only while it is
+expanded.  Parent links, choices and the successor graph are
+int-indexed lists.
+
+A node's tick depends only on its own state, the messages delivered to
+it, whether its last send is still in flight and its choice label, so
+one node step per (ip, node id, inbox, busy) is computed once and
+cached; a global successor is one cached result per node.  The search,
+the engine-schedule choice and the counterexample replay all run
+through that step.
 
 Checked per state:
     P1  queue occupancy stays within the configured bound
@@ -152,25 +162,73 @@ class ExploreVerdict:
         return out
 
 
-# --- scratch state -------------------------------------------------------
+# --- canonical form ------------------------------------------------------
 #
 # Canonical node: (boot_res, hellot_res, age, nbrs, lsdb, inq, outq)
 #   nbrs: tuple of (nip, inact_res), sorted
 #   lsdb: tuple of (origin, age, links-tuple), sorted
-#   inq:  tuple of messages
-#   outq: tuple of (message, dests-tuple-or-None)
+#   inq:  tuple of message ids
+#   outq: tuple of (message id, dests-tuple-or-None)
 # Messages: ("hello", (), sip) / ("dbd", hdrs, sip) /
 #           ("req", hdrs, sip) / ("upd", lsas, sip)
 #   with hdrs a sorted tuple of (origin, age) and lsas a sorted tuple of
 #   (origin, age, links-tuple).  A hello carries no neighbour list: the
 #   model reads only its sender.
-# Canonical global state: (nodes, flights)
-#   flights: tuple of (sender, message, recipients-tuple, res), sorted.
+# Canonical global state: (node ids, flights), node ids in ip order
+#   flights: tuple of (sender, message id, recipients-tuple, res), sorted.
 #
-# The scratch objects below hold every piece already in its canonical
-# form (LSDB entries as the triples above, destination and recipient sets
-# as sorted tuples, flights as the 4-tuples above), so encoding a world
-# only sorts and freezes the containers.
+# The id tables live in ``_Ctx``, for one search.  A node is rebuilt as
+# a ``_Node`` only when the node-step cache misses (see ``_node_step``);
+# its scratch containers hold every piece already in its canonical form,
+# so encoding one only sorts and freezes them.
+
+
+class _Ctx:
+    """What one search shares: the settings, the id tables of nodes and
+    messages, and the caches of node steps and of per-node convergence."""
+
+    __slots__ = (
+        "ips", "neighbors", "expected", "bound", "hellointvl", "rtdeadintvl",
+        "time_sending", "queue_bound", "violations", "max_occ",
+        "nodes", "node_ids", "msgs", "msg_ids", "steps", "converged",
+    )
+
+    def __init__(self, config: ExploreConfig):
+        topo = config.topology
+        self.ips = tuple(topo.nodes())
+        # sorted tuple of topology neighbours per node
+        self.neighbors = {ip: tuple(sorted(topo.neighbors(ip))) for ip in self.ips}
+        # per node, the links it must hold for each origin it can reach
+        self.expected = {
+            ip: tuple((other, self.neighbors[other])
+                      for other in topo.component_of(ip))
+            for ip in self.ips
+        }
+        self.bound = config.resolved_age_bound()
+        self.hellointvl = config.hellointvl
+        self.rtdeadintvl = config.rtdeadintvl
+        self.time_sending = config.time_sending
+        self.queue_bound = config.queue_bound
+        self.violations: list[Violation] = []
+        self.max_occ = 0  # largest queue seen, over every checked world
+        self.nodes: list[tuple] = []  # node id -> canonical node
+        self.node_ids: dict[tuple, int] = {}
+        self.msgs: list[tuple] = []  # message id -> message
+        self.msg_ids: dict[tuple, int] = {}
+        self.steps: dict = {}  # (ip, node id, inbox, busy) -> node step
+        self.converged: dict = {}  # (ip, node id) -> per-node clause
+
+    def node_id(self, node: tuple) -> int:
+        nid = self.node_ids.setdefault(node, len(self.nodes))
+        if nid == len(self.nodes):
+            self.nodes.append(node)
+        return nid
+
+    def msg_id(self, msg: tuple) -> int:
+        mid = self.msg_ids.setdefault(msg, len(self.msgs))
+        if mid == len(self.msgs):
+            self.msgs.append(msg)
+        return mid
 
 
 class _Node:
@@ -190,72 +248,36 @@ class _Node:
         return self.boot_res == BOOTED
 
 
-class _World:
-    __slots__ = ("nodes", "flights")
-
-    def __init__(self, nodes, flights):
-        self.nodes = nodes  # dict ip -> _Node, in ascending ip order
-        self.flights = flights  # dict sender -> (sender, msg, recipients, res)
-
-
-def _encode(world: _World):
-    nodes = tuple(
-        (
-            n.boot_res,
-            n.hellot,
-            n.age,
-            tuple(sorted(n.nbrs.items())),
-            tuple(sorted(n.lsdb.values())),
-            tuple(n.inq),
-            tuple(n.outq),
-        )
-        for n in world.nodes.values()
-    )
-    return nodes, tuple(sorted(world.flights.values()))
+def _encode(node: _Node, ctx: _Ctx) -> int:
+    """The id of ``node``'s canonical tuple, interned on first sight."""
+    msg_id = ctx.msg_id
+    return ctx.node_id((
+        node.boot_res,
+        node.hellot,
+        node.age,
+        tuple(sorted(node.nbrs.items())),
+        tuple(sorted(node.lsdb.values())),
+        tuple(msg_id(m) for m in node.inq),
+        tuple((msg_id(m), dests) for m, dests in node.outq),
+    ))
 
 
-def _decode(canon) -> _World:
-    nodes_t, flights_t = canon
-    nodes = {
-        ip: _Node(boot, hellot, age, dict(nbrs), {e[0]: e for e in lsdb},
-                  list(inq), list(outq))
-        for ip, (boot, hellot, age, nbrs, lsdb, inq, outq)
-        in enumerate(nodes_t, 1)
-    }
-    return _World(nodes, {f[0]: f for f in flights_t})
+def _decode(nid: int, ctx: _Ctx) -> _Node:
+    boot, hellot, age, nbrs, lsdb, inq, outq = ctx.nodes[nid]
+    msgs = ctx.msgs
+    return _Node(boot, hellot, age, dict(nbrs), {e[0]: e for e in lsdb},
+                 [msgs[m] for m in inq], [(msgs[m], d) for m, d in outq])
 
 
-def initial_state(config: ExploreConfig, boots: dict[int, int]):
+def initial_state(ctx: _Ctx, boots: dict[int, int]):
     # offset 0 means the node boots on the very first tick
-    nodes = {
-        ip: _Node(boots.get(ip, 0), 0, 0, {}, {}, [], [])
-        for ip in config.topology.nodes()
-    }
-    return _encode(_World(nodes, {}))
+    return tuple(
+        _encode(_Node(boots.get(ip, 0), 0, 0, {}, {}, [], []), ctx)
+        for ip in ctx.ips
+    ), ()
 
 
 # --- the simplified protocol under wrap-around ages ----------------------
-
-
-class _Ctx:
-    __slots__ = (
-        "neighbors", "bound", "hellointvl", "rtdeadintvl", "time_sending",
-        "queue_bound", "violations", "max_occ",
-    )
-
-    def __init__(self, config: ExploreConfig):
-        # sorted tuple of topology neighbours per node
-        self.neighbors = {
-            ip: tuple(sorted(config.topology.neighbors(ip)))
-            for ip in config.topology.nodes()
-        }
-        self.bound = config.resolved_age_bound()
-        self.hellointvl = config.hellointvl
-        self.rtdeadintvl = config.rtdeadintvl
-        self.time_sending = config.time_sending
-        self.queue_bound = config.queue_bound
-        self.violations: list[Violation] = []
-        self.max_occ = 0  # largest queue seen, over every checked world
 
 
 def _own_age(node: _Node, origin: int) -> int:
@@ -348,19 +370,14 @@ def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
         raise ValueError(f"unknown message kind {kind!r}")
 
 
-def _options(world: _World) -> list[tuple[str, ...]]:
-    """The labels each node may run this tick, in ip order; the first
-    label of each is the engine schedule.  A node not yet booted has
-    nothing queued, since deliveries to it are lost."""
-    options = []
-    for node in world.nodes.values():
-        if node.booted and (
-                node.hellot <= 0 or any(res < 0 for res in node.nbrs.values())):
-            options.append((TIMER_THEN_MSG, MSG_THEN_TIMER) if node.inq
-                           else (TIMER_ONLY,))
-        else:
-            options.append((MSG_ONLY,) if node.inq else (IDLE,))
-    return options
+def _options(node: _Node) -> tuple[str, ...]:
+    """The labels a delivered node may run this tick; the first is the
+    engine schedule.  A node not yet booted has nothing queued, since
+    deliveries to it are lost."""
+    if node.booted and (
+            node.hellot <= 0 or any(res < 0 for res in node.nbrs.values())):
+        return (TIMER_THEN_MSG, MSG_THEN_TIMER) if node.inq else (TIMER_ONLY,)
+    return (MSG_ONLY,) if node.inq else (IDLE,)
 
 
 def _apply_choice(node: _Node, ip: int, label: str, ctx: _Ctx):
@@ -378,131 +395,173 @@ def _apply_choice(node: _Node, ip: int, label: str, ctx: _Ctx):
         raise ValueError(f"unknown choice {label!r}")
 
 
-def _check_occupancy(world: _World, ctx: _Ctx) -> None:
-    occ = 0
-    for ip, node in world.nodes.items():
-        occ = max(occ, len(node.inq), len(node.outq))
-        if len(node.inq) > ctx.queue_bound or len(node.outq) > ctx.queue_bound:
-            which = "input" if len(node.inq) > ctx.queue_bound else "output"
-            ctx.violations.append(Violation(
-                "P1",
-                f"node {ip} {which} queue holds "
-                f"{max(len(node.inq), len(node.outq))} messages "
-                f"(bound {ctx.queue_bound})",
-                node=ip,
-            ))
-    ctx.max_occ = max(ctx.max_occ, occ)
+def _check_occupancy(node: _Node, ip: int, ctx: _Ctx) -> int:
+    """P1 on one node, into ``ctx.violations``; returns its occupancy."""
+    occ = max(len(node.inq), len(node.outq))
+    if occ > ctx.queue_bound:
+        which = "input" if len(node.inq) > ctx.queue_bound else "output"
+        ctx.violations.append(Violation(
+            "P1",
+            f"node {ip} {which} queue holds {occ} messages "
+            f"(bound {ctx.queue_bound})",
+            node=ip,
+        ))
+    return occ
 
 
-def _check_db(world: _World, ctx: _Ctx) -> None:
-    for ip, node in world.nodes.items():
+def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, busy: bool):
+    """One tick of node ``ip`` in state ``nid``: it boots if due, and if
+    booted receives ``inbox`` (message ids, in sender order); P1 is
+    checked.  Then, per label of :func:`_options`, it runs the label,
+    starts the head of its output queue unless ``busy`` (its last send
+    still in flight), is checked for P3 (while it installs), P1 and P2,
+    and every residue shrinks by one.
+
+    Returns (occupancy, P1 violations) after delivery and a tuple of
+    (label, child id, flight, violations, occupancy), one per label: the
+    flight is the one started, residue shrunk, or None; the violations
+    are in check order, and when there are any the child is None."""
+    msgs = ctx.msgs
+
+    def delivered() -> _Node:
+        node = _decode(nid, ctx)
+        if node.boot_res == 0:
+            node.boot_res = BOOTED
+        if node.booted:
+            node.inq.extend(msgs[m] for m in inbox)
+        return node
+
+    node = delivered()
+    ctx.violations = []
+    after_delivery = _check_occupancy(node, ip, ctx), tuple(ctx.violations)
+    options = []
+    for label in _options(node):
+        if options:  # the previous label changed node: start again
+            node = delivered()
+        ctx.violations = []
+        _apply_choice(node, ip, label, ctx)
+        flight = None
+        if not busy and node.outq:
+            msg, dests = node.outq.pop(0)
+            reach = ctx.neighbors[ip]
+            recipients = (reach if dests is None
+                          else tuple(d for d in dests if d in reach))
+            flight = (ip, ctx.msg_id(msg), recipients, ctx.time_sending - 1)
+        occ = _check_occupancy(node, ip, ctx)
         for o, a, links in node.lsdb.values():
             if not 0 <= a <= ctx.bound or o in links:
                 ctx.violations.append(Violation(
                     "P2", f"node {ip}: bad database entry for origin {o}",
                     node=ip,
                 ))
+        child = None
+        if not ctx.violations:
+            if node.boot_res > 0:
+                node.boot_res -= 1
+            if node.booted:
+                node.hellot -= 1
+                for nip in node.nbrs:
+                    node.nbrs[nip] -= 1
+            child = _encode(node, ctx)
+        options.append((label, child, flight, tuple(ctx.violations), occ))
+    return after_delivery + (tuple(options),)
 
 
-def _deliver(world: _World) -> list:
-    """Start of a tick: boots fire, then due transmissions deliver in
-    sender order; messages to nodes not yet booted are lost.  Returns
-    (sender, recipient, message, received) per recipient, in that order."""
-    for node in world.nodes.values():
-        if node.boot_res == 0:
-            node.boot_res = BOOTED
-    handed = []
-    for sender in sorted(world.flights):
-        _, msg, recipients, res = world.flights[sender]
+def _steps(canon, ctx: _Ctx) -> list:
+    """Each node's step, cached, for the tick that starts in ``canon``,
+    in ip order.  Due transmissions deliver in sender order; a node whose
+    send is still in flight carries it on, residue shrunk, as the flight
+    of each of its labels."""
+    nids, flights = canon
+    due: dict[int, tuple] = {}
+    carried = {}
+    for sender, mid, recipients, res in flights:
         if res <= 0:
-            del world.flights[sender]
             for rcpt in recipients:
-                rnode = world.nodes[rcpt]
-                if rnode.booted:
-                    rnode.inq.append(msg)
-                handed.append((sender, rcpt, msg, rnode.booted))
-    return handed
+                due[rcpt] = due.get(rcpt, ()) + (mid,)
+        else:
+            carried[sender] = (sender, mid, recipients, res - 1)
+    cache = ctx.steps
+    steps = []
+    for ip, nid in zip(ctx.ips, nids):
+        key = (ip, nid, due.get(ip, ()), ip in carried)
+        step = cache.get(key)
+        if step is None:
+            step = cache[key] = _node_step(ctx, *key)
+        flight = carried.get(ip)
+        if flight is not None:
+            occ, p1, options = step
+            step = occ, p1, tuple((label, child, flight, violations, o)
+                                  for label, child, _, violations, o in options)
+        steps.append(step)
+    return steps
 
 
-def _advance(world: _World, combo, ctx: _Ctx) -> list[int]:
-    """One tick after delivery: each node runs its label of ``combo``,
-    idle senders start transmitting the head of their output queue, P1
-    and P2 are checked into ``ctx.violations`` and, if they hold, every
-    residue shrinks by one.  Returns the senders that started."""
-    ctx.violations = []
-    for (ip, node), label in zip(world.nodes.items(), combo):
-        _apply_choice(node, ip, label, ctx)
+# the order in which a tick checks its world
+_CHECK_RANK = {"P3": 0, "P1": 1, "P2": 2}
 
-    started = []
-    for ip, node in world.nodes.items():
-        if ip in world.flights or not node.outq:
-            continue
-        msg, dests = node.outq.pop(0)
-        reach = ctx.neighbors[ip]
-        recipients = (reach if dests is None
-                      else tuple(d for d in dests if d in reach))
-        world.flights[ip] = (ip, msg, recipients, ctx.time_sending)
-        started.append(ip)
 
-    _check_occupancy(world, ctx)
-    _check_db(world, ctx)
-    if ctx.violations:
-        return started
+def _outcome(picked, ctx: _Ctx):
+    """(combo, successor, violations) of one option per node: the P3
+    violations in ip order, then P1, then P2."""
+    combo, nids, slots, violations, occs = zip(*picked)
+    ctx.max_occ = max(ctx.max_occ, *occs)
+    found = [v for vs in violations for v in vs]
+    if found:
+        found.sort(key=lambda v: _CHECK_RANK[v.prop])
+        return combo, None, found
+    return combo, (nids, tuple(f for f in slots if f is not None)), found
 
-    for node in world.nodes.values():
-        if node.boot_res > 0:
-            node.boot_res -= 1
-        if node.booted:
-            node.hellot -= 1
-            for nip in node.nbrs:
-                node.nbrs[nip] -= 1
-    for sender, (_, msg, recipients, res) in world.flights.items():
-        world.flights[sender] = (sender, msg, recipients, res - 1)
-    return started
+
+def _delivery_violations(steps, ctx: _Ctx) -> list[Violation]:
+    """The P1 violations after delivery, in ip order."""
+    ctx.max_occ = max(ctx.max_occ, *(occ for occ, _, _ in steps))
+    return [v for _, p1, _ in steps for v in p1]
 
 
 def successors(canon, ctx: _Ctx):
     """All (choice-combo, successor, violations) triples one tick onward;
     a violation of the delivery phase comes alone, with combo None."""
-    world = _decode(canon)
-    _deliver(world)
-
-    ctx.violations = []
-    _check_occupancy(world, ctx)
-    if ctx.violations:
-        yield None, None, ctx.violations
+    steps = _steps(canon, ctx)
+    violations = _delivery_violations(steps, ctx)
+    if violations:
+        yield None, None, violations
         return
-
-    for n, combo in enumerate(itertools.product(*_options(world))):
-        if n:  # the previous combination changed world: start again
-            world = _decode(canon)
-            _deliver(world)
-        _advance(world, combo, ctx)
-        yield combo, None if ctx.violations else _encode(world), ctx.violations
+    for picked in itertools.product(*(options for _, _, options in steps)):
+        yield _outcome(picked, ctx)
 
 
-def state_converged(canon, topology: Topology) -> bool:
-    nodes_t, flights_t = canon
-    for _, msg, _, _ in flights_t:
-        if msg[0] != "hello":
-            return False
-    for node in nodes_t:
-        boot, _, _, _, _, inq, outq = node
-        if boot != BOOTED:
-            return False
-        if any(m[0] != "hello" for m in inq):
-            return False
-        if any(m[0] != "hello" for m, _ in outq):
-            return False
-    for ip in topology.nodes():
-        lsdb = {o: links for o, _, links in nodes_t[ip - 1][4]}
-        for other in topology.component_of(ip):
-            expected = tuple(sorted(topology.neighbors(other)))
-            if expected:
-                if lsdb.get(other) != expected:
-                    return False
-            elif lsdb.get(other):
+def _node_converged(ctx: _Ctx, ip: int, nid: int) -> bool:
+    boot, _, _, _, lsdb, inq, outq = ctx.nodes[nid]
+    msgs = ctx.msgs
+    if boot != BOOTED:
+        return False
+    if any(msgs[m][0] != "hello" for m in inq):
+        return False
+    if any(msgs[m][0] != "hello" for m, _ in outq):
+        return False
+    links = {o: links for o, _, links in lsdb}
+    for other, expected in ctx.expected[ip]:
+        if expected:
+            if links.get(other) != expected:
                 return False
+        elif links.get(other):
+            return False
+    return True
+
+
+def state_converged(canon, ctx: _Ctx) -> bool:
+    nids, flights = canon
+    for _, mid, _, _ in flights:
+        if ctx.msgs[mid][0] != "hello":
+            return False
+    cache = ctx.converged
+    for key in zip(ctx.ips, nids):
+        ok = cache.get(key)
+        if ok is None:
+            ok = cache[key] = _node_converged(ctx, *key)
+        if not ok:
+            return False
     return True
 
 
@@ -511,19 +570,17 @@ def _state_key(canon) -> bytes:
     which ``marshal.loads`` rebuilds an equal tuple.
 
     Version 2 is pinned.  Versions 3 and up write a back-reference for
-    any object that occurs twice (a shared message tuple, an interned
-    string, a small int), so two equal states built from different
-    objects would get different bytes and be interned twice; version 2
-    writes every object out in full, so equal states give equal bytes.
+    any object that occurs twice (a shared recipients tuple, a small
+    int), so two equal states built from different objects would get
+    different bytes and be interned twice; version 2 writes every object
+    out in full, so equal states give equal bytes.
     """
     return marshal.dumps(canon, 2)
 
 
 def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
     """The engine schedule: every node runs timers first, then one message."""
-    world = _decode(canon)
-    _deliver(world)
-    return tuple(labels[0] for labels in _options(world))
+    return tuple(options[0][0] for _, _, options in _steps(canon, ctx))
 
 
 def explore(config: ExploreConfig) -> ExploreVerdict:
@@ -559,7 +616,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
         if sid == len(parent):  # first visit
             parent.append(parent_id)
             via.append(combos.setdefault(combo, combo))
-            if state_converged(canon, topo):
+            if state_converged(canon, ctx):
                 succ.append(None)
             else:
                 succ.append(())  # filled in when the state is expanded
@@ -584,7 +641,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             continue
         boots = {ip: combo[ip - 1] for ip in topo.nodes()}
         root_boots.setdefault(
-            visit(initial_state(config, boots), -1, None, frontier), boots)
+            visit(initial_state(ctx, boots), -1, None, frontier), boots)
 
     depth = 0
     frontier_sizes: list[int] = []
@@ -699,34 +756,37 @@ def _longest_unconverged_path(succ):
 
 
 def replay(config: ExploreConfig, counterexample: Counterexample):
-    """Re-execute a recorded path.  Returns its engine-format trace events
-    and the violations found on the way (empty only if none recur).
-    Raises RuntimeError when a recorded choice is not among its tick's
-    options."""
+    """Re-execute a recorded path through the node steps of the search.
+    Returns its engine-format trace events and the violations found on
+    the way (empty only if none recur).  Raises RuntimeError when a
+    recorded choice is not among its tick's options."""
     ctx = _Ctx(config)
-    canon = initial_state(config, counterexample.boot_offsets)
+    canon = initial_state(ctx, counterexample.boot_offsets)
     events: list[TraceEvent] = []
     for tick in itertools.count():
-        world = _decode(canon)
-        for ip, node in world.nodes.items():
-            if node.boot_res == 0:
-                events.append(TraceEvent(tick, ip, "boot", {}))
-        for sender, rcpt, msg, received in _deliver(world):
-            events.append(delivery_event(
-                tick, rcpt, sender, msg[0], None if received else "not_booted"))
-        ctx.violations = []
-        _check_occupancy(world, ctx)
-        if ctx.violations or tick == len(counterexample.choices):
-            return events, ctx.violations
+        nids, flights = canon
+        boot = {ip: ctx.nodes[nid][0] for ip, nid in zip(ctx.ips, nids)}
+        events.extend(TraceEvent(tick, ip, "boot", {})
+                      for ip, res in boot.items() if res == 0)
+        for sender, mid, recipients, res in flights:
+            if res <= 0:
+                events.extend(delivery_event(
+                    tick, rcpt, sender, ctx.msgs[mid][0],
+                    None if boot[rcpt] in (0, BOOTED) else "not_booted")
+                    for rcpt in recipients)
+        steps = _steps(canon, ctx)
+        violations = _delivery_violations(steps, ctx)
+        if violations or tick == len(counterexample.choices):
+            return events, violations
         combo = counterexample.choices[tick]
-        options = _options(world)
-        if len(combo) != len(options) or any(
-                label not in labels for label, labels in zip(combo, options)):
+        picked = [next((o for o in options if o[0] == label), None)
+                  for label, (_, _, options) in zip(combo, steps)]
+        if len(combo) != len(steps) or None in picked:
             raise RuntimeError("counterexample does not replay: choice missing")
-        started = _advance(world, combo, ctx)
-        if ctx.violations:
-            return events, ctx.violations
-        for ip in started:
-            _, msg, recipients, _ = world.flights[ip]
-            events.append(send_event(tick, ip, msg[0], recipients))
-        canon = _encode(world)
+        _, canon, violations = _outcome(picked, ctx)
+        if violations:
+            return events, violations
+        busy = {f[0] for f in flights if f[3] > 0}
+        events.extend(send_event(tick, ip, ctx.msgs[f[1]][0], f[2])
+                      for ip, (_, _, f, _, _) in zip(ctx.ips, picked)
+                      if f is not None and ip not in busy)

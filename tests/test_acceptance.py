@@ -287,10 +287,10 @@ def test_criterion_7_engine_schedule_inclusion():
 
     cfg = ExploreConfig(topology=line(3), queue_bound=10, start_interval=10)
     ctx = _Ctx(cfg)
-    canon = initial_state(cfg, {1: 0, 2: 0, 3: 0})
+    canon = initial_state(ctx, {1: 0, 2: 0, 3: 0})
     ok = False
     for _ in range(100):
-        if state_converged(canon, cfg.topology):
+        if state_converged(canon, ctx):
             ok = True
             break
         want = deterministic_choice(canon, ctx)

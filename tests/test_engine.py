@@ -185,6 +185,25 @@ def test_simulation_refuses_adjacencies_that_split_a_component():
     assert verdict.kind == "converged" and verdict.at_tick == 47
 
 
+def test_converged_verdict_is_a_snapshot_without_liveness():
+    # docs/dead_interval.md, section 1: simple line(3) at rtdeadintvl 8
+    # goes on dropping and rediscovering neighbours after its verdict,
+    # and the predicate the verdict rests on holds again only in short
+    # bursts; the verdict has no liveness clause (ROADMAP item 5)
+    cfg = EngineConfig(model="simple", hellointvl=10, rtdeadintvl=8,
+                       max_ticks=3000)
+    sim, _, verdict = run(cfg, line(3))
+    assert (verdict.kind, verdict.at_tick) == ("converged", 192)
+    held = [verdict.at_tick]
+    while sim.now < 1000:
+        sim.tick()
+        if converged(sim):
+            held.append(sim.now - 1)
+    assert len(held) == 13
+    assert held == [192, 208, 209, 392, 408, 409, 592, 608, 609, 792, 808,
+                    809, 992]
+
+
 def test_simple_short_dead_intervals_converge_with_a_newer_own_stamp_each_time():
     # docs/dead_interval.md, section 2: at rtdeadintvl 18 the star's hub
     # drops each spoke in the tick in which it handles that spoke's

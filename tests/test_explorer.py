@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import marshal
 from collections import Counter
 
@@ -29,15 +30,15 @@ from ospfsim.topology import line, ring, star
 
 def engine_schedule_path(cfg, boots):
     """Choices of the engine schedule from ``boots`` up to the first
-    converged state, and that state."""
+    converged state, and the canonical nodes of that state in ip order."""
     ctx = _Ctx(cfg)
-    canon = initial_state(cfg, boots)
+    canon = initial_state(ctx, boots)
     choices = []
-    while not state_converged(canon, cfg.topology):
+    while not state_converged(canon, ctx):
         want = deterministic_choice(canon, ctx)
         canon = {c: ch for c, ch, _ in successors(canon, ctx)}[want]
         choices.append(want)
-    return choices, canon
+    return choices, [ctx.nodes[nid] for nid in canon[0]]
 
 
 def test_two_node_exploration_passes():
@@ -107,9 +108,9 @@ def test_counterexample_traces_use_the_engine_record_format():
 def test_engine_schedule_is_among_explored_interleavings():
     cfg = ExploreConfig(topology=line(3), start_interval=10)
     ctx = _Ctx(cfg)
-    canon = initial_state(cfg, {1: 0, 2: 0, 3: 0})
+    canon = initial_state(ctx, {1: 0, 2: 0, 3: 0})
     for _ in range(80):
-        if state_converged(canon, cfg.topology):
+        if state_converged(canon, ctx):
             break
         want = deterministic_choice(canon, ctx)
         nxt = None
@@ -119,7 +120,7 @@ def test_engine_schedule_is_among_explored_interleavings():
                 nxt = child
         assert nxt is not None, "deterministic schedule missing from successors"
         canon = nxt
-    assert state_converged(canon, cfg.topology)
+    assert state_converged(canon, ctx)
 
 
 # star(4) is left out: with every node booting at 0 the hub's queue
@@ -135,8 +136,7 @@ AGREEMENT_TOPOLOGIES = [
                          ids=[n for n, _ in AGREEMENT_TOPOLOGIES])
 def test_engine_and_explorer_agree_on_final_links(topo):
     cfg = ExploreConfig(topology=topo, start_interval=0)
-    _, canon = engine_schedule_path(cfg, {ip: 0 for ip in topo.nodes()})
-    nodes_t, _ = canon
+    _, nodes_t = engine_schedule_path(cfg, {ip: 0 for ip in topo.nodes()})
     sim, _, verdict = run(EngineConfig(model="simple"), cfg.topology)
     assert verdict.kind == "converged"
     for ip in cfg.topology.nodes():
@@ -154,15 +154,19 @@ def test_wrap_window_install_flags_p3():
     assert ctx.violations and ctx.violations[0].prop == "P3"
 
 
-@pytest.fixture(scope="module")
-def line3_si2_states():
-    """Every state reachable on line(3) with start interval 2."""
-    cfg = ExploreConfig(topology=line(3), start_interval=2)
+LINE3_SI2 = ExploreConfig(topology=line(3), start_interval=2)
+
+
+def reachable(cfg):
+    """The search context of ``cfg`` and every state reachable from its
+    roots, converged states expanded too; the states hold node and
+    message ids of that context."""
     ctx = _Ctx(cfg)
     roots = {
-        initial_state(cfg, {1: a, 2: b, 3: c})
-        for a in range(3) for b in range(3) for c in range(3)
-        if min(a, b, c) == 0
+        initial_state(ctx, dict(zip(cfg.topology.nodes(), boots)))
+        for boots in itertools.product(range(cfg.start_interval + 1),
+                                       repeat=cfg.topology.n)
+        if min(boots) == 0
     }
     seen, todo = set(roots), list(roots)
     while todo:
@@ -171,15 +175,23 @@ def line3_si2_states():
             if child not in seen:
                 seen.add(child)
                 todo.append(child)
+    return ctx, seen
+
+
+@pytest.fixture(scope="module")
+def line3_si2_states():
+    """Every state reachable on line(3) with start interval 2."""
+    ctx, seen = reachable(LINE3_SI2)
     assert len(seen) > 1000
-    return seen
+    return ctx, seen
 
 
 def test_storage_round_trips_and_keeps_the_lsdb_layout(line3_si2_states):
-    for canon in line3_si2_states:
-        assert _encode(_decode(canon)) == canon
-        for node in canon[0]:
-            lsdb = node[4]
+    ctx, states = line3_si2_states
+    for canon in states:
+        for nid in canon[0]:
+            assert _encode(_decode(nid, ctx), ctx) == nid
+            lsdb = ctx.nodes[nid][4]
             assert isinstance(lsdb, tuple)
             assert [e[0] for e in lsdb] == sorted({e[0] for e in lsdb})
             for origin, age, links in lsdb:
@@ -205,12 +217,71 @@ def test_state_key_is_exact(line3_si2_states):
     # the interning key loses nothing, and equal states give equal keys
     # whichever objects they are built from; marshal versions 3 and 4
     # write back-references for shared objects and fail the second check
-    for canon in line3_si2_states:
+    ctx, states = line3_si2_states
+    for canon in states:
         key = _state_key(canon)
         assert marshal.loads(key) == canon
         copy = rebuilt(canon)
         assert copy == canon
         assert _state_key(copy) == key
+        # node ids are exact too: an equal node gets the same id
+        for nid in canon[0]:
+            assert ctx.node_id(rebuilt(ctx.nodes[nid])) == nid
+
+
+def expanded(canon, ctx):
+    """``canon`` with every node and message id of ``ctx`` replaced by
+    the tuple it stands for, which no context's ids affect."""
+    msgs = ctx.msgs
+
+    def node(nid):
+        boot, hellot, age, nbrs, lsdb, inq, outq = ctx.nodes[nid]
+        return (boot, hellot, age, nbrs, lsdb, tuple(msgs[m] for m in inq),
+                tuple((msgs[m], dests) for m, dests in outq))
+
+    nids, flights = canon
+    return (tuple(map(node, nids)),
+            tuple((s, msgs[m], rcpts, res) for s, m, rcpts, res in flights))
+
+
+def interned(state, ctx):
+    """The inverse of :func:`expanded`, in the ids of ``ctx``."""
+    nodes, flights = state
+    return (
+        tuple(ctx.node_id((boot, hellot, age, nbrs, lsdb,
+                           tuple(map(ctx.msg_id, inq)),
+                           tuple((ctx.msg_id(m), d) for m, d in outq)))
+              for boot, hellot, age, nbrs, lsdb, inq, outq in nodes),
+        tuple((s, ctx.msg_id(m), rcpts, res) for s, m, rcpts, res in flights),
+    )
+
+
+def assert_cache_exact(cfg, warm, states):
+    """A warm cache, filled by a whole search, answers every node step
+    of ``states`` exactly as a fresh one does."""
+    def triples(canon, ctx):
+        return [(combo, child and expanded(child, ctx), violations)
+                for combo, child, violations in successors(canon, ctx)]
+
+    for canon in states:
+        fresh = _Ctx(cfg)
+        assert triples(canon, warm) == triples(
+            interned(expanded(canon, warm), fresh), fresh)
+
+
+def test_node_step_cache_is_exact(line3_si2_states):
+    # a key without the node's ip or its inbox fails here
+    assert_cache_exact(LINE3_SI2, *line3_si2_states)
+
+
+def test_node_step_cache_is_exact_while_a_send_is_in_flight():
+    # with one tick per send no node is ever busy; with two, a key
+    # without the busy flag gives a node whose last send is still in
+    # flight the step of one that may start the next
+    cfg = ExploreConfig(topology=line(3), start_interval=2, time_sending=2)
+    ctx, states = reachable(cfg)
+    assert any(res > 0 for canon in states for *_, res in canon[1])
+    assert_cache_exact(cfg, ctx, states)
 
 
 # hand-built successor lists for the final pass: succ[i] lists the
@@ -239,8 +310,9 @@ def test_final_pass_handles_a_long_chain_without_recursion():
 
 def test_state_converged_checks():
     cfg = ExploreConfig(topology=line(2), start_interval=2)
-    root = initial_state(cfg, {1: 2, 2: 0})
-    assert not state_converged(root, cfg.topology)
+    ctx = _Ctx(cfg)
+    root = initial_state(ctx, {1: 2, 2: 0})
+    assert not state_converged(root, ctx)
 
 
 def test_over_scale_topology_refused():
@@ -345,7 +417,7 @@ def test_explorer_requests_on_age_ties_unlike_simple_model():
 
 
 def test_explorer_boots_before_the_deliveries_of_the_boot_tick_unlike_simple_model():
-    # explorer._deliver boots a node and then hands it the tick's
+    # explorer._node_step boots a node and then hands it the tick's
     # deliveries; SimState.tick delivers first and drops what reaches a
     # node that boots later in the same tick.  On line(2) node 1's first
     # hello reaches node 2 in node 2's boot tick.  See
@@ -404,3 +476,24 @@ def test_pinned_star4_counterexample():
         "T T T T", "M M M M", "M M - -", "M M - -", "M M M -", "M - M -",
         "M M M M",
     ]
+
+
+def test_pinned_ring3_p3_counterexample():
+    # with age bound 2 every second own LSA is a jump of half the bound:
+    # each node's install at tick 3 crosses the wrap window
+    cfg = ExploreConfig(topology=ring(3), age_bound=2, start_interval=0)
+    v = explore(cfg)
+    p3 = [Violation("P3", f"origin {ip}: age 1 -> 2 crosses the wrap window",
+                    node=ip) for ip in (1, 2, 3)]
+    ce = Counterexample({1: 0, 2: 0, 3: 0},
+                        [("T", "T", "T"), ("M", "M", "M"), ("M", "M", "M")],
+                        p3[0], 3)
+    assert verdict_fields(v) == (
+        "violation", 3, 3, 2, (1, 1, 1), None, ce, p3[0].detail)
+    assert v.lines()[:2] == [
+        "EXPLORE VIOLATION states=3 max_queue=3 depth=2",
+        "counterexample: P3 at tick 3 (origin 1: age 1 -> 2 crosses the wrap "
+        "window); boot offsets 1:0 2:0 3:0",
+    ]
+    # the replay meets every node's P3 of that tick, in ip order
+    assert replay(cfg, ce)[1] == p3

@@ -164,10 +164,10 @@ def test_explorer_engine_schedule_and_simple_model_end_with_the_same_links(rng):
     # bound of 10 the two disagree on overflow (CHANGES.md).
     topo, boots = random_case(rng, 2, 4)
     cfg = ExploreConfig(topology=topo, queue_bound=10**9)
-    _, canon = engine_schedule_path(cfg, boots)
+    _, nodes = engine_schedule_path(cfg, boots)
     explorer_links = {
         ip: {origin: frozenset(links) for origin, _, links in node[4]}
-        for ip, node in zip(topo.nodes(), canon[0])
+        for ip, node in zip(topo.nodes(), nodes)
     }
     sim, _, verdict = run(EngineConfig(model="simple", boot_offsets=boots), topo)
     assert verdict.kind == "converged", (topo, boots, verdict.line())
