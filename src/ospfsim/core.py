@@ -70,14 +70,16 @@ class Lsdb:
     """A set of advertisements with at most one entry per originator.
 
     Entries are kept sorted by origin so equal databases compare and
-    hash equal.  The constructor rejects inputs with two distinct
-    entries for the same origin.
+    hash equal.  ``Lsdb(...)`` and :meth:`of` validate: they reject two
+    distinct entries for the same origin and sort the rest (a single
+    entry needs no sort).  :meth:`from_index` trusts its input instead.
 
-    An origin -> entry index, built once by the constructor, answers
-    :meth:`get` without a scan.  It is not a dataclass field, so
-    equality, hashing and ``repr`` stay on ``entries``.  :func:`ospfsim.lsdb.install` returns the database it
-    was given when nothing incoming is fresher; the engine's trace diff
-    relies on that identity to skip unchanged databases.
+    ``by_origin``, an origin -> entry dict in origin order, answers
+    :meth:`get` without a scan; read it, never write it.  It is not a
+    dataclass field, so equality, hashing and ``repr`` stay on
+    ``entries``.  :func:`ospfsim.lsdb.install` copies it and returns the
+    database it was given when nothing incoming is fresher; the engine's
+    trace diff relies on that identity to skip unchanged databases.
     """
 
     entries: tuple[Lsa, ...] = ()
@@ -89,16 +91,27 @@ class Lsdb:
             if prev is not None and prev != lsa:
                 raise ValueError(f"duplicate entries for origin {lsa.origin}")
             by_origin[lsa.origin] = lsa
-        ordered = tuple(by_origin[o] for o in sorted(by_origin))
-        object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "_by_origin", by_origin)
+        if len(by_origin) > 1:
+            by_origin = {o: by_origin[o] for o in sorted(by_origin)}
+        object.__setattr__(self, "entries", tuple(by_origin.values()))
+        object.__setattr__(self, "by_origin", by_origin)
 
     @classmethod
     def of(cls, lsas: Iterable[Lsa]) -> "Lsdb":
         return cls(tuple(lsas))
 
+    @classmethod
+    def from_index(cls, by_origin: dict[NodeId, Lsa]) -> "Lsdb":
+        """The database over ``by_origin``, which must map each origin to
+        its entry in ascending origin order; it is kept, not copied, and
+        neither checked nor sorted."""
+        db = object.__new__(cls)
+        object.__setattr__(db, "entries", tuple(by_origin.values()))
+        object.__setattr__(db, "by_origin", by_origin)
+        return db
+
     def get(self, origin: NodeId) -> Optional[Lsa]:
-        return self._by_origin.get(origin)
+        return self.by_origin.get(origin)
 
     def headers(self) -> frozenset[LsaHeader]:
         return frozenset(hdr(lsa) for lsa in self.entries)
@@ -150,7 +163,10 @@ Neighbor = Union[SimpleNeighbor, DetailedNeighbor]
 
 @dataclass(frozen=True)
 class NbrTable:
-    """Neighbour entries of either model, kept sorted by neighbour id."""
+    """Neighbour entries of either model, kept sorted by neighbour id.
+
+    ``NbrTable(...)`` and :meth:`of` reject two entries for one
+    neighbour and sort; :meth:`from_sorted` trusts its input instead."""
 
     entries: tuple[Neighbor, ...] = ()
 
@@ -165,6 +181,14 @@ class NbrTable:
     @classmethod
     def of(cls, entries: Iterable[Neighbor]) -> "NbrTable":
         return cls(tuple(entries))
+
+    @classmethod
+    def from_sorted(cls, entries: tuple[Neighbor, ...]) -> "NbrTable":
+        """The table of ``entries``, which must be in ascending neighbour
+        id with no id twice; neither checked nor sorted."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "entries", entries)
+        return table
 
     def get(self, nip: NodeId) -> Optional[Neighbor]:
         for n in self.entries:
@@ -190,6 +214,19 @@ class NodeState:
     nbrs: NbrTable = NbrTable()
     lsdb: Lsdb = EMPTY_LSDB
     hellot: TimeStamp = 0
+
+    def evolve(self, *, nbrs: Optional[NbrTable] = None,
+               lsdb: Optional[Lsdb] = None,
+               hellot: Optional[TimeStamp] = None) -> "NodeState":
+        """A copy with the given fields changed, equal to
+        ``dataclasses.replace``, or this state itself when each given
+        value is the object already held."""
+        nbrs = self.nbrs if nbrs is None else nbrs
+        lsdb = self.lsdb if lsdb is None else lsdb
+        hellot = self.hellot if hellot is None else hellot
+        if nbrs is self.nbrs and lsdb is self.lsdb and hellot is self.hellot:
+            return self
+        return NodeState(self.ip, nbrs, lsdb, hellot)
 
 
 # --- control messages ---------------------------------------------------

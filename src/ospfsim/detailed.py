@@ -12,7 +12,6 @@ allowed to become adjacent (RFC 2328 §10.4).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .core import (
@@ -64,7 +63,7 @@ def _flood(
     starts now rather than firing on a stale deadline.
     """
     nbrs = upd_rxmts(state.nbrs, lsas, now + cfg.rxmtintvl)
-    st = replace(state, nbrs=nbrs)
+    st = state.evolve(nbrs=nbrs)
     return st, [groupcast(Upd(lsas, st.ip), flood_nips(nbrs))]
 
 
@@ -73,8 +72,8 @@ def _refresh_own_lsa(
 ) -> tuple[NodeState, Emissions]:
     lsa = new_lsa_detailed(state.ip, own_stamp(state.lsdb, state.ip, now),
                            state.nbrs)
-    st = replace(state, lsdb=install(state.lsdb, Lsdb.of([lsa])))
-    return _flood(st, Lsdb.of([lsa]), now, cfg)
+    own = Lsdb.of([lsa])
+    return _flood(state.evolve(lsdb=install(state.lsdb, own)), own, now, cfg)
 
 
 def detailed_timers(
@@ -88,12 +87,12 @@ def detailed_timers(
     st, ems = state, []
 
     if st.hellot <= now:
-        st = replace(st, hellot=now + cfg.hellointvl)
+        st = st.evolve(hellot=now + cfg.hellointvl)
         ems.append(broadcast(Hello(st.nbrs.nips(), st.ip)))
 
     live = drop_dead(st.nbrs, now)
     if live is not st.nbrs:
-        st, more = _refresh_own_lsa(replace(st, nbrs=live), now, cfg)
+        st, more = _refresh_own_lsa(st.evolve(nbrs=live), now, cfg)
         ems.extend(more)
 
     # the lowest-id neighbour whose timer fired, per timer; at Exchange
@@ -112,14 +111,14 @@ def detailed_timers(
             rxmt = n.nip
     rearm = now + cfg.rxmtintvl
     if dd is not None:
-        st = replace(st, nbrs=nbr_set(st.nbrs, dd, dd_deadline=rearm))
+        st = st.evolve(nbrs=nbr_set(st.nbrs, dd, dd_deadline=rearm))
         ems.append(groupcast(gen_dbd(st.nbrs, st.lsdb, dd, st.ip), {dd}))
     if req is not None:
-        st = replace(st, nbrs=nbr_set(st.nbrs, req, req_deadline=rearm))
+        st = st.evolve(nbrs=nbr_set(st.nbrs, req, req_deadline=rearm))
         first = min(st.nbrs.get(req).req_list)
         ems.append(groupcast(ReqDetailed(first, st.ip), {req}))
     if rxmt is not None:
-        st = replace(st, nbrs=nbr_set(st.nbrs, rxmt, rxmt_deadline=rearm))
+        st = st.evolve(nbrs=nbr_set(st.nbrs, rxmt, rxmt_deadline=rearm))
         ems.append(groupcast(Upd(st.nbrs.get(rxmt).rxmt_list, st.ip), {rxmt}))
 
     own = st.lsdb.get(st.ip)
@@ -153,7 +152,7 @@ def handle_hello_detailed(
         start = True
     elif entry.ns < NeighborState.EX_START and not adj.connected(state.ip, sip):
         fields.update(ns=NeighborState.TWO_WAY)
-    st = replace(state, nbrs=nbr_set(nbrs, sip, **fields))
+    st = state.evolve(nbrs=nbr_set(nbrs, sip, **fields))
     if not start:
         return st, []
     return snmis(st, sip, now, cfg)
@@ -271,8 +270,8 @@ def _finish_exchange(
     while requests are pending, otherwise declare the adjacency full and
     flood a fresh own LSA."""
     if state.nbrs.get(sip).req_list:
-        return replace(state, nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.LOADING)), []
-    st = replace(state, nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.FULL))
+        return state.evolve(nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.LOADING)), []
+    st = state.evolve(nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.FULL))
     return _refresh_own_lsa(st, now, cfg)
 
 
@@ -291,7 +290,7 @@ def snmis(
         rxmt_list=EMPTY_LSDB, ddsqn=entry.ddsqn + 1,
         dd_deadline=now + cfg.rxmtintvl,
     )
-    st = replace(state, nbrs=nbrs)
+    st = state.evolve(nbrs=nbrs)
     return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
 
 
@@ -329,7 +328,7 @@ def handle_dbd_detailed(
         return state, []
 
     if branch == "init_non_adjacent":
-        return replace(state, nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.TWO_WAY)), []
+        return state.evolve(nbrs=nbr_set(state.nbrs, sip, ns=NeighborState.TWO_WAY)), []
 
     if branch == "init_adjacent":
         st, ems = snmis(state, sip, now, cfg)
@@ -342,7 +341,7 @@ def handle_dbd_detailed(
         # adopt the master's sequence number; the master, not the slave,
         # re-sends when replies go missing, so the dd timer stays put
         nbrs = nbr_set(state.nbrs, sip, ns=NeighborState.EXCHANGE, ddsqn=sqn)
-        st = replace(state, nbrs=nbrs)
+        st = state.evolve(nbrs=nbrs)
         return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
 
     if branch in ("exchange_duplicate_slave", "load_duplicate_slave"):
@@ -356,20 +355,20 @@ def handle_dbd_detailed(
     if branch == "negotiate_master":
         nbrs = nbr_set(state.nbrs, sip, ns=NeighborState.EXCHANGE, req_list=reqs,
                        ddsqn=entry.ddsqn + 1, dd_deadline=now + cfg.rxmtintvl)
-        st = replace(state, nbrs=nbrs)
+        st = state.evolve(nbrs=nbrs)
         return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
 
     if branch == "exchange_slave":
         nbrs = nbr_set(state.nbrs, sip, req_list=reqs, ddsqn=entry.ddsqn + 1,
                        dd_deadline=now + cfg.rxmtintvl)
-        st = replace(state, nbrs=nbrs)
+        st = state.evolve(nbrs=nbrs)
         ems = [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
         st, more = _finish_exchange(st, sip, now, cfg)
         return st, ems + more
 
     assert branch == "exchange_master"
     nbrs = nbr_set(state.nbrs, sip, req_list=reqs, ddsqn=entry.ddsqn + 1)
-    return _finish_exchange(replace(state, nbrs=nbrs), sip, now, cfg)
+    return _finish_exchange(state.evolve(nbrs=nbrs), sip, now, cfg)
 
 
 def handle_req_detailed(
@@ -398,17 +397,16 @@ def handle_upd_detailed(
     entry = state.nbrs.get(sip)
     if entry is None:
         return state, []
-    ems: Emissions = [
-        groupcast(Ack(frozenset(hdr(l) for l in lsas), state.ip), {sip})
-    ]
-    fresh = Lsdb.of(l for l in lsas if not lsa_exist(state.lsdb, hdr(l)))
+    hdrs = [hdr(l) for l in lsas]
+    ems: Emissions = [groupcast(Ack(frozenset(hdrs), state.ip), {sip})]
+    fresh = Lsdb.of(l for l, h in zip(lsas, hdrs) if not lsa_exist(state.lsdb, h))
     if not fresh and not entry.req_list:
         return state, ems
-    st = replace(state, lsdb=install(state.lsdb, fresh))
+    st = state.evolve(lsdb=install(state.lsdb, fresh))
     # clean the sender's request list on every update, fresh or not: an
     # entry may be outdated by an instance learnt from another neighbour
     # (RFC 2328 §13.3), and nothing this neighbour sends is then fresh
-    st = replace(st, nbrs=clean_reqs(st.nbrs, sip, st.lsdb))
+    st = st.evolve(nbrs=clean_reqs(st.nbrs, sip, st.lsdb))
     if fresh:
         st, more = _flood(st, fresh, now, cfg)
         ems.extend(more)
@@ -421,7 +419,7 @@ def handle_upd_detailed(
 def handle_ack(
     state: NodeState, hdrs: frozenset[LsaHeader], sip: NodeId
 ) -> tuple[NodeState, Emissions]:
-    return replace(state, nbrs=clean_rxmts(state.nbrs, sip, hdrs)), []
+    return state.evolve(nbrs=clean_rxmts(state.nbrs, sip, hdrs)), []
 
 
 def handle_message_detailed(

@@ -119,12 +119,12 @@ def delivery_event(tick: TimeStamp, rcpt: NodeId, sender: NodeId, kind: str,
 
 def send_event(tick: TimeStamp, ip: NodeId, kind: str,
                recipients) -> TraceEvent:
-    """A send record; hellos are always broadcast, everything else is
-    always groupcast."""
+    """A send record, with ``recipients`` given in ascending id; hellos
+    are always broadcast, everything else is always groupcast."""
     return TraceEvent(tick, ip, "send", {
         "type": kind,
         "method": "broadcast" if kind == "hello" else "groupcast",
-        "recipients": sorted(recipients),
+        "recipients": list(recipients),
     })
 
 
@@ -149,7 +149,7 @@ def parse_trace_line(line: str) -> TraceEvent:
 @dataclass
 class InFlight:
     payload: Message
-    recipients: frozenset[NodeId]
+    recipients: list[NodeId]  # ascending id, the delivery order
     deliver_at: TimeStamp
 
 
@@ -227,9 +227,8 @@ class SimState:
             state, msg, now, self.adjacency, self.config
         )
 
-    def _check_capacity(self, ip: NodeId, rt: _NodeRuntime) -> None:
-        cap = self.config.queue_capacity
-        if cap is None or self.overflow is not None:
+    def _check_capacity(self, ip: NodeId, rt: _NodeRuntime, cap: int) -> None:
+        if self.overflow is not None:
             return
         if len(rt.inq) > cap or len(rt.outq) > cap:
             self.overflow = ip
@@ -239,13 +238,15 @@ class SimState:
 
         A neighbour table or database that the transition left as the
         same object has not changed, so it is not scanned; ``install``
-        keeps the object when nothing incoming is fresher.
+        keeps the object when nothing incoming is fresher, and the
+        entries it did not replace, so those are tested by identity
+        before equality.
         """
         if self.config.model == "detailed" and after.nbrs is not before.nbrs:
             prev = {n.nip: n.ns for n in before.nbrs}
             for n in after.nbrs:
                 old = prev.get(n.nip)
-                if old != n.ns:
+                if old is not n.ns:
                     events.append(TraceEvent(
                         self.now, ip, "state_change",
                         {"nbr": n.nip, "ns": n.ns.label(),
@@ -253,9 +254,10 @@ class SimState:
                     ))
         if after.lsdb is before.lsdb:
             return
-        for lsa in after.lsdb:
-            old = before.lsdb.get(lsa.origin)
-            if old != lsa:
+        prev = before.lsdb.by_origin
+        for lsa in after.lsdb.entries:
+            old = prev.get(lsa.origin)
+            if old is not lsa and old != lsa:
                 events.append(TraceEvent(
                     self.now, ip, "lsa_install",
                     {"origin": lsa.origin, "stamp": lsa.stamp,
@@ -267,6 +269,8 @@ class SimState:
     def tick(self) -> list[TraceEvent]:
         events: list[TraceEvent] = []
         now = self.now
+        cfg = self.config
+        loss_prob, cap = cfg.loss_prob, cfg.queue_capacity
 
         # 1. complete due transmissions, in ascending sender id
         for sender, srt in self.nodes.items():
@@ -274,38 +278,40 @@ class SimState:
             if flight is None or flight.deliver_at > now:
                 continue
             kind = flight.payload.kind
-            for rcpt in sorted(flight.recipients):
+            for rcpt in flight.recipients:
                 rt = self.nodes[rcpt]
                 if not rt.booted:
                     events.append(
                         delivery_event(now, rcpt, sender, kind, "not_booted"))
                     continue
-                if self.config.loss_prob > 0 and \
-                        self.rng.random() < self.config.loss_prob:
+                if loss_prob > 0 and self.rng.random() < loss_prob:
                     events.append(delivery_event(now, rcpt, sender, kind, "loss"))
                     continue
                 rt.inq.append(flight.payload)
-                self._check_capacity(rcpt, rt)
+                if cap is not None:
+                    self._check_capacity(rcpt, rt, cap)
                 events.append(delivery_event(now, rcpt, sender, kind))
             srt.sending = None
 
         # 2. node turns: timers, then at most one queued message
         for ip, rt in self.nodes.items():
             if not rt.booted:
-                if self.config.boot_offsets.get(ip, 0) > now:
+                if cfg.boot_offsets.get(ip, 0) > now:
                     continue
                 rt.booted = True
                 events.append(TraceEvent(now, ip, "boot", {}))
             before = rt.state
-            state, ems = self._timers(rt.state, now)
+            state, ems = self._timers(before, now)
             if rt.inq:
                 msg = rt.inq.popleft()
                 state, more = self._handle(state, msg, now)
                 ems = ems + more
-            self._diff_events(ip, before, state, events)
-            rt.state = state
+            if state is not before:
+                self._diff_events(ip, before, state, events)
+                rt.state = state
             rt.outq.extend(ems)
-            self._check_capacity(ip, rt)
+            if cap is not None:
+                self._check_capacity(ip, rt, cap)
 
         # 3/4. start a transmission wherever the sender is idle
         for ip, rt in self.nodes.items():
@@ -316,10 +322,11 @@ class SimState:
                 recipients = self.topology.neighbors(ip)
             else:
                 recipients = ins.dests & self.topology.neighbors(ip)
+            recipients = sorted(recipients)
             rt.sending = InFlight(
                 payload=ins.payload,
                 recipients=recipients,
-                deliver_at=now + self.config.time_sending,
+                deliver_at=now + cfg.time_sending,
             )
             kind = ins.payload.kind
             self.counts[kind] += 1

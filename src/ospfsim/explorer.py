@@ -180,7 +180,9 @@ class ExploreVerdict:
 # The id tables live in ``_Ctx``, for one search.  A node is rebuilt as
 # a ``_Node`` only when the node-step cache misses (see ``_node_step``);
 # its scratch containers hold every piece already in its canonical form,
-# so encoding one only sorts and freezes them.
+# its queues message ids, so encoding one only sorts and freezes them.
+# A message is interned once, when it is queued, and looked up only
+# where ``_handle`` consumes it.
 
 
 class _Ctx:
@@ -240,8 +242,8 @@ class _Node:
         self.age = age
         self.nbrs = nbrs  # dict nip -> inact residue
         self.lsdb = lsdb  # dict origin -> (origin, age, links-tuple)
-        self.inq = inq  # list of messages
-        self.outq = outq  # list of (message, dests-tuple | None)
+        self.inq = inq  # list of message ids
+        self.outq = outq  # list of (message id, dests-tuple | None)
 
     @property
     def booted(self) -> bool:
@@ -250,23 +252,21 @@ class _Node:
 
 def _encode(node: _Node, ctx: _Ctx) -> int:
     """The id of ``node``'s canonical tuple, interned on first sight."""
-    msg_id = ctx.msg_id
     return ctx.node_id((
         node.boot_res,
         node.hellot,
         node.age,
         tuple(sorted(node.nbrs.items())),
         tuple(sorted(node.lsdb.values())),
-        tuple(msg_id(m) for m in node.inq),
-        tuple((msg_id(m), dests) for m, dests in node.outq),
+        tuple(node.inq),
+        tuple(node.outq),
     ))
 
 
 def _decode(nid: int, ctx: _Ctx) -> _Node:
     boot, hellot, age, nbrs, lsdb, inq, outq = ctx.nodes[nid]
-    msgs = ctx.msgs
     return _Node(boot, hellot, age, dict(nbrs), {e[0]: e for e in lsdb},
-                 [msgs[m] for m in inq], [(msgs[m], d) for m, d in outq])
+                 list(inq), list(outq))
 
 
 def initial_state(ctx: _Ctx, boots: dict[int, int]):
@@ -307,27 +307,33 @@ def _originate(node: _Node, ip: int, ctx: _Ctx):
     return (ip, node.age, links)
 
 
+def _send(node: _Node, msg: tuple, dests, ctx: _Ctx):
+    """Queue ``msg``, interned, for ``dests`` (None for a broadcast)."""
+    node.outq.append((ctx.msg_id(msg), dests))
+
+
 def _timer_block(node: _Node, ip: int, ctx: _Ctx):
     if node.hellot <= 0:
         node.hellot = ctx.hellointvl
-        node.outq.append((("hello", (), ip), None))
+        _send(node, ("hello", (), ip), None, ctx)
     dead = [nip for nip, res in node.nbrs.items() if res < 0]
     if dead:
         for nip in dead:
             del node.nbrs[nip]
         lsa = _originate(node, ip, ctx)
-        node.outq.append((("upd", (lsa,), ip), lsa[2]))
+        _send(node, ("upd", (lsa,), ip), lsa[2], ctx)
 
 
 def _discover(node: _Node, ip: int, sip: int, ctx: _Ctx):
     node.nbrs[sip] = ctx.rtdeadintvl
     lsa = _originate(node, ip, ctx)
-    node.outq.append((("upd", (lsa,), ip), lsa[2]))
+    _send(node, ("upd", (lsa,), ip), lsa[2], ctx)
     hdrs = tuple((o, a) for o, a, _ in sorted(node.lsdb.values()))
-    node.outq.append((("dbd", hdrs, ip), (sip,)))
+    _send(node, ("dbd", hdrs, ip), (sip,), ctx)
 
 
-def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
+def _handle(node: _Node, ip: int, mid: int, ctx: _Ctx):
+    msg = ctx.msgs[mid]
     kind = msg[0]
     if kind == "hello":
         sip = msg[2]
@@ -343,7 +349,7 @@ def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
             (o, a) for o, a in hdrs if newer_age(a, _own_age(node, o), ctx.bound)
         )
         if reqs:
-            node.outq.append((("req", reqs, ip), (sip,)))
+            _send(node, ("req", reqs, ip), (sip,), ctx)
     elif kind == "req":
         hdrs, sip = msg[1], msg[2]
         if sip not in node.nbrs:
@@ -353,7 +359,7 @@ def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
             e for e in sorted(node.lsdb.values())
             if e[0] in wanted and newer_age(e[1], wanted[e[0]], ctx.bound)
         )
-        node.outq.append((("upd", lsas, ip), (sip,)))
+        _send(node, ("upd", lsas, ip), (sip,), ctx)
     elif kind == "upd":
         # an entry is fresh only when the stored copy is NOT at least as
         # new; on an age tie the stored copy wins and nothing is
@@ -365,7 +371,7 @@ def _handle(node: _Node, ip: int, msg, ctx: _Ctx):
                 _install(node, ip, o, a, links, ctx)
                 fresh.append(lsa)
         if fresh:
-            node.outq.append((("upd", tuple(fresh), ip), tuple(sorted(node.nbrs))))
+            _send(node, ("upd", tuple(fresh), ip), tuple(sorted(node.nbrs)), ctx)
     else:
         raise ValueError(f"unknown message kind {kind!r}")
 
@@ -421,14 +427,12 @@ def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, busy: bool):
     (label, child id, flight, violations, occupancy), one per label: the
     flight is the one started, residue shrunk, or None; the violations
     are in check order, and when there are any the child is None."""
-    msgs = ctx.msgs
-
     def delivered() -> _Node:
         node = _decode(nid, ctx)
         if node.boot_res == 0:
             node.boot_res = BOOTED
         if node.booted:
-            node.inq.extend(msgs[m] for m in inbox)
+            node.inq.extend(inbox)
         return node
 
     node = delivered()
@@ -442,11 +446,11 @@ def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, busy: bool):
         _apply_choice(node, ip, label, ctx)
         flight = None
         if not busy and node.outq:
-            msg, dests = node.outq.pop(0)
+            mid, dests = node.outq.pop(0)
             reach = ctx.neighbors[ip]
             recipients = (reach if dests is None
                           else tuple(d for d in dests if d in reach))
-            flight = (ip, ctx.msg_id(msg), recipients, ctx.time_sending - 1)
+            flight = (ip, mid, recipients, ctx.time_sending - 1)
         occ = _check_occupancy(node, ip, ctx)
         for o, a, links in node.lsdb.values():
             if not 0 <= a <= ctx.bound or o in links:

@@ -8,7 +8,8 @@ Databases hold one entry per origin (RFC 2328 §12.2), so
 :func:`install` and :func:`lsa_exist` do one origin lookup per header
 instead of comparing against every stored entry.  :func:`install`
 returns its input database unchanged, as the same object, when nothing
-incoming is fresher.
+incoming is fresher, and otherwise rebuilds it from its origin index
+without a second validation.
 """
 
 from __future__ import annotations
@@ -52,17 +53,24 @@ def install(lsdb: Lsdb, lsas: Lsdb) -> Lsdb:
 
     An incoming entry replaces the stored one only when its stamp is
     strictly greater, so on a stamp tie the stored entry wins.  When no
-    incoming entry is fresher, ``lsdb`` itself is returned.
+    incoming entry is fresher, ``lsdb`` itself is returned.  Otherwise
+    the fresher entries are written into a copy of the origin index,
+    which is re-sorted only when a new origin arrived.
     """
-    fresher = []
+    index = None
+    grew = False
     for lsa in lsas:
-        old = lsdb.get(lsa.origin)
+        old = lsdb.by_origin.get(lsa.origin)
         if old is None or old.stamp < lsa.stamp:
-            fresher.append(lsa)
-    if not fresher:
+            if index is None:
+                index = dict(lsdb.by_origin)
+            index[lsa.origin] = lsa
+            grew = grew or old is None
+    if index is None:
         return lsdb
-    replaced = {lsa.origin for lsa in fresher}
-    return Lsdb.of([a for a in lsdb if a.origin not in replaced] + fresher)
+    if grew:
+        index = {o: index[o] for o in sorted(index)}
+    return Lsdb.from_index(index)
 
 
 def lsa_exist(lsdb: Lsdb, h: LsaHeader) -> bool:

@@ -4,11 +4,17 @@ Tables are immutable; an update returns a new table, or the table it
 was given, as the same object, when it targets an absent neighbour or
 changes nothing.  The engine's trace diff relies on that identity to
 skip unchanged tables.
+
+A changed neighbour is always rebuilt through its constructor, so
+``DetailedNeighbor``'s ExStart check runs.  :func:`nbr_set` and
+:func:`upd_rxmts` change neighbours in place, keeping every id and
+position, so they rebuild the table with ``NbrTable.from_sorted``: no
+re-sort and no duplicate check.  :func:`new_nbr` and :func:`drop_dead`
+go through ``NbrTable.of``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .core import (
@@ -34,14 +40,20 @@ def new_nbr(nbrs: NbrTable, entry: Neighbor) -> NbrTable:
     return NbrTable.of(nbrs.entries + (entry,))
 
 
+def _rebuilt(entry: Neighbor, fields: dict) -> Neighbor:
+    """``entry`` with ``fields`` changed, through its constructor."""
+    return type(entry)(**{**entry.__dict__, **fields})
+
+
 def nbr_set(nbrs: NbrTable, nip: NodeId, **fields) -> NbrTable:
     """Apply every field change of one transition to neighbour ``nip``
     in a single rebuild."""
     entry = nbrs.get(nip)
     if entry is None or all(getattr(entry, k) == v for k, v in fields.items()):
         return nbrs
-    changed = replace(entry, **fields)
-    return NbrTable.of(changed if n.nip == nip else n for n in nbrs.entries)
+    changed = _rebuilt(entry, fields)
+    return NbrTable.from_sorted(
+        tuple(changed if n is entry else n for n in nbrs.entries))
 
 
 def drop_dead(nbrs: NbrTable, t: TimeStamp) -> NbrTable:
@@ -67,6 +79,8 @@ def clean_reqs(nbrs: NbrTable, nip: NodeId, lsdb: Lsdb) -> NbrTable:
     if entry is None:
         return nbrs
     reqs = frozenset(h for h in entry.req_list if not lsa_exist(lsdb, h))
+    if len(reqs) == len(entry.req_list):
+        return nbrs
     return nbr_set(nbrs, nip, req_list=reqs)
 
 
@@ -85,19 +99,24 @@ def clean_rxmts(
         l for l in entry.rxmt_list
         if l.origin not in acked or acked[l.origin] < l.stamp
     ]
-    return nbr_set(nbrs, nip, rxmt_list=Lsdb.of(kept))
+    if len(kept) == len(entry.rxmt_list):
+        return nbrs
+    # what is left of an origin-ordered index is still one
+    return nbr_set(nbrs, nip,
+                   rxmt_list=Lsdb.from_index({l.origin: l for l in kept}))
 
 
 def upd_rxmts(nbrs: NbrTable, lsas: Lsdb, deadline: TimeStamp) -> NbrTable:
     """Install ``lsas`` into the retransmission list of every neighbour at
     Exchange or beyond and arm its retransmission timer for ``deadline``;
     earlier neighbours are untouched."""
-    return NbrTable.of(
-        replace(n, rxmt_list=install(n.rxmt_list, lsas), rxmt_deadline=deadline)
+    return NbrTable.from_sorted(tuple(
+        _rebuilt(n, {"rxmt_list": install(n.rxmt_list, lsas),
+                     "rxmt_deadline": deadline})
         if n.ns >= NeighborState.EXCHANGE
         else n
         for n in nbrs.entries
-    )
+    ))
 
 
 def flood_nips(nbrs: NbrTable) -> frozenset[NodeId]:

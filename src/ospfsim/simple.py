@@ -8,8 +8,6 @@ instructions for its output queue.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .core import (
     DbdSimple,
     Hello,
@@ -41,13 +39,14 @@ def simple_timers(
     and advertise the shrunken link set."""
     st, ems = state, []
     if st.hellot <= now:
-        st = replace(st, hellot=now + cfg.hellointvl)
+        st = st.evolve(hellot=now + cfg.hellointvl)
         ems.append(broadcast(Hello(st.nbrs.nips(), st.ip)))
     live = drop_dead(st.nbrs, now)
     if live is not st.nbrs:
         lsa = new_lsa_simple(st.ip, own_stamp(st.lsdb, st.ip, now), live)
-        st = replace(st, nbrs=live, lsdb=install(st.lsdb, Lsdb.of([lsa])))
-        ems.append(groupcast(Upd(Lsdb.of([lsa]), st.ip), live.nips()))
+        own = Lsdb.of([lsa])
+        st = st.evolve(nbrs=live, lsdb=install(st.lsdb, own))
+        ems.append(groupcast(Upd(own, st.ip), live.nips()))
     return st, ems
 
 
@@ -58,10 +57,11 @@ def _discover(
     link to everyone known, and offer the sender a database summary."""
     nbrs = new_nbr(state.nbrs, SimpleNeighbor(sip, now + cfg.rtdeadintvl))
     lsa = new_lsa_simple(state.ip, own_stamp(state.lsdb, state.ip, now), nbrs)
-    lsdb = install(state.lsdb, Lsdb.of([lsa]))
-    st = replace(state, nbrs=nbrs, lsdb=lsdb)
+    own = Lsdb.of([lsa])
+    lsdb = install(state.lsdb, own)
+    st = state.evolve(nbrs=nbrs, lsdb=lsdb)
     return st, [
-        groupcast(Upd(Lsdb.of([lsa]), st.ip), nbrs.nips()),
+        groupcast(Upd(own, st.ip), nbrs.nips()),
         groupcast(DbdSimple(lsdb.headers(), st.ip), {sip}),
     ]
 
@@ -78,7 +78,7 @@ def handle_hello_simple(
     if state.nbrs.get(sip) is None:
         return _discover(state, sip, now, cfg)
     nbrs = nbr_set(state.nbrs, sip, inact_deadline=now + cfg.rtdeadintvl)
-    return replace(state, nbrs=nbrs), []
+    return state.evolve(nbrs=nbrs), []
 
 
 def handle_dbd_simple(
@@ -116,7 +116,7 @@ def handle_upd_simple(
     if not fresh:
         return state, []
     freshdb = Lsdb.of(fresh)
-    st = replace(state, lsdb=install(state.lsdb, freshdb))
+    st = state.evolve(lsdb=install(state.lsdb, freshdb))
     return st, [groupcast(Upd(freshdb, st.ip), st.nbrs.nips())]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -142,6 +143,54 @@ def test_identical_seed_identical_trace():
         _, two, v2 = run(cfg(), line(3))
         assert render_trace(one) == render_trace(two)
         assert v1 == v2
+
+
+def _seeded_boots(seed, n, boot_range):
+    rng = random.Random(seed)
+    return {ip: rng.randrange(boot_range) for ip in range(1, n + 1)}
+
+
+# sha256 of render_trace(trace) + verdict.line(); any change to the
+# engine or either model that moves a record moves a digest
+PINNED_DIGESTS = [
+    ("ring12-simple",
+     EngineConfig(model="simple", boot_offsets=_seeded_boots(1, 12, 10)), ring(12),
+     "230a5a49b095e4b0ec68918023a7d87a07af1d310a6adfccf040c6100a882861"),
+    ("ring12-detailed",
+     EngineConfig(model="detailed", boot_offsets=_seeded_boots(1, 12, 10)), ring(12),
+     "f928adcc7843be3c52a30778becd5e9ecbad22790b03930b6e6845515031a4de"),
+    ("star7-saturation",
+     EngineConfig(model="detailed", boot_offsets=_seeded_boots(1, 7, 2),
+                  max_ticks=600), star(7),
+     "47bf02946f22b57050f4b839da84e3ce89acb29ca7b9de63501157c11b28d16c"),
+    ("line3-loss-seed0",
+     EngineConfig(model="detailed", loss_prob=0.3, seed=0), line(3),
+     "bf27794f67dc9f1d0510754d7a6594d1ad181739fafdba5d48f37666caf11b59"),
+    ("line3-loss-seed1",
+     EngineConfig(model="detailed", loss_prob=0.3, seed=1), line(3),
+     "192cddd5f937dff121108571f262ec70ebedadb85b0398277b9935824722819e"),
+    ("line3-loss-seed2",
+     EngineConfig(model="detailed", loss_prob=0.3, seed=2), line(3),
+     "78ec92f796466165e3838e04837b97d9a1cf4347b7f9369c4b44cdf15bc5627c"),
+    ("star5-simple-cap1",
+     EngineConfig(model="simple", queue_capacity=1), star(5),
+     "d769bf1b77ad104b3384bb3eb969c7b82dd5d76bc44febe1c821018292c25498"),
+    ("star5-simple-cap3",
+     EngineConfig(model="simple", queue_capacity=3), star(5),
+     "d769bf1b77ad104b3384bb3eb969c7b82dd5d76bc44febe1c821018292c25498"),
+    ("star5-simple-cap10",
+     EngineConfig(model="simple", queue_capacity=10), star(5),
+     "8e647d724d75c2884b6349e964e1d487be2bd6cc6eb4b4c60d65f775455ed281"),
+]
+
+
+def test_trace_digests_are_pinned():
+    got = {}
+    for name, config, topo, _ in PINNED_DIGESTS:
+        _, trace, verdict = run(config, topo)
+        text = render_trace(trace) + verdict.line()
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == {name: digest for name, _, _, digest in PINNED_DIGESTS}
 
 
 def test_queue_overflow_verdict():
