@@ -3,9 +3,9 @@ master/slave database exchange, request lists, retransmission and
 acknowledgements.
 
 Handlers are pure transitions, as in the simplified model.  The
-database-description handler is a partition of guards; exactly one
-branch applies to any input (see :func:`dbd_branch`, which the
-exhaustive partition test exercises directly).  The hello and
+database-description guards are one ordered table, from which both
+:func:`dbd_branch` and ``DBD_BRANCHES`` derive; they partition the
+inputs, exactly one branch applying to each.  The hello and
 database-description handlers take ``adj``, the graph of node pairs
 allowed to become adjacent (RFC 2328 §10.4).
 """
@@ -67,6 +67,11 @@ def _flood(
     return st, [groupcast(Upd(lsas, st.ip), flood_nips(nbrs))]
 
 
+def _summary_to(state: NodeState, nip: NodeId) -> SendInstruction:
+    """This node's database summary, sent to ``nip`` alone."""
+    return groupcast(gen_dbd(state.nbrs, state.lsdb, nip, state.ip), {nip})
+
+
 def _refresh_own_lsa(
     state: NodeState, now: TimeStamp, cfg: ProtocolConfig
 ) -> tuple[NodeState, Emissions]:
@@ -112,7 +117,7 @@ def detailed_timers(
     rearm = now + cfg.rxmtintvl
     if dd is not None:
         st = st.evolve(nbrs=nbr_set(st.nbrs, dd, dd_deadline=rearm))
-        ems.append(groupcast(gen_dbd(st.nbrs, st.lsdb, dd, st.ip), {dd}))
+        ems.append(_summary_to(st, dd))
     if req is not None:
         st = st.evolve(nbrs=nbr_set(st.nbrs, req, req_deadline=rearm))
         first = min(st.nbrs.get(req).req_list)
@@ -160,22 +165,45 @@ def handle_hello_detailed(
 
 # --- database description handling ---------------------------------------
 
-DBD_BRANCHES = (
-    "unknown",
-    "init_non_adjacent",
-    "two_way",
-    "init_adjacent",
-    "negotiate_slave",
-    "negotiate_master",
-    "negotiate_others",
-    "exchange_duplicate_slave",
-    "exchange_duplicate_master",
-    "exchange_slave",
-    "exchange_master",
-    "exchange_others",
-    "load_duplicate_slave",
-    "load_duplicate_master",
-    "load_others",
+def _dbd_guards(known, ns, sqn, ddsqn, ibit, is_slave, is_master, dd_deadline, now):
+    """Every database-description branch, in the model's order, next to
+    whether its guard holds (arguments as for :func:`dbd_branch`); each
+    ``*_others`` branch takes what its state's other branches leave."""
+    adjacent = is_slave or is_master
+    init = known and ns == NeighborState.INIT
+    ex_start = known and ns == NeighborState.EX_START
+    exchange = known and ns == NeighborState.EXCHANGE
+    loading = known and ns is not None and ns >= NeighborState.LOADING
+    neg_slave = ex_start and is_slave and ibit
+    neg_master = ex_start and is_master and sqn == ddsqn and not ibit
+    ex_dup_slave = exchange and is_slave and sqn <= ddsqn
+    ex_dup_master = exchange and is_master and sqn < ddsqn
+    ex_slave = exchange and is_slave and sqn == ddsqn + 1 and not ibit
+    ex_master = exchange and is_master and sqn == ddsqn and not ibit
+    ld_dup_slave = loading and is_slave and sqn <= ddsqn and not ibit and dd_deadline >= now
+    ld_dup_master = loading and is_master and sqn < ddsqn and not ibit
+    ex_any = ex_dup_slave or ex_dup_master or ex_slave or ex_master
+    return (
+        ("unknown", not known),
+        ("init_non_adjacent", init and not adjacent),
+        ("two_way", known and ns == NeighborState.TWO_WAY),
+        ("init_adjacent", init and adjacent),
+        ("negotiate_slave", neg_slave),
+        ("negotiate_master", neg_master),
+        ("negotiate_others", ex_start and not (neg_slave or neg_master)),
+        ("exchange_duplicate_slave", ex_dup_slave),
+        ("exchange_duplicate_master", ex_dup_master),
+        ("exchange_slave", ex_slave),
+        ("exchange_master", ex_master),
+        ("exchange_others", exchange and not ex_any),
+        ("load_duplicate_slave", ld_dup_slave),
+        ("load_duplicate_master", ld_dup_master),
+        ("load_others", loading and not (ld_dup_slave or ld_dup_master)),
+    )
+
+
+DBD_BRANCHES = tuple(
+    name for name, _ in _dbd_guards(False, None, 0, 0, False, False, False, 0, 0)
 )
 
 
@@ -190,77 +218,12 @@ def dbd_branch(
     dd_deadline: TimeStamp,
     now: TimeStamp,
 ) -> list[str]:
-    """Evaluate every database-description guard independently.
-
-    Returns all branch names whose guard holds; the handler relies on
-    this being a singleton for every input, and the partition test
-    checks that exhaustively.
-    """
-    adjacent = is_slave or is_master
-    held = []
-    if not known:
-        held.append("unknown")
-    else:
-        if ns == NeighborState.INIT and not adjacent:
-            held.append("init_non_adjacent")
-        if ns == NeighborState.TWO_WAY:
-            held.append("two_way")
-        if ns == NeighborState.INIT and adjacent:
-            held.append("init_adjacent")
-
-        negotiate_slave = ns == NeighborState.EX_START and is_slave and ibit
-        negotiate_master = (
-            ns == NeighborState.EX_START
-            and is_master
-            and sqn == ddsqn
-            and not ibit
-        )
-        if negotiate_slave:
-            held.append("negotiate_slave")
-        if negotiate_master:
-            held.append("negotiate_master")
-        if ns == NeighborState.EX_START and not negotiate_slave and not negotiate_master:
-            held.append("negotiate_others")
-
-        ex_dup_slave = ns == NeighborState.EXCHANGE and is_slave and sqn <= ddsqn
-        ex_dup_master = ns == NeighborState.EXCHANGE and is_master and sqn < ddsqn
-        ex_slave = (
-            ns == NeighborState.EXCHANGE
-            and is_slave
-            and sqn == ddsqn + 1
-            and not ibit
-        )
-        ex_master = (
-            ns == NeighborState.EXCHANGE
-            and is_master
-            and sqn == ddsqn
-            and not ibit
-        )
-        if ex_dup_slave:
-            held.append("exchange_duplicate_slave")
-        if ex_dup_master:
-            held.append("exchange_duplicate_master")
-        if ex_slave:
-            held.append("exchange_slave")
-        if ex_master:
-            held.append("exchange_master")
-        if ns == NeighborState.EXCHANGE and not (
-            ex_dup_slave or ex_dup_master or ex_slave or ex_master
-        ):
-            held.append("exchange_others")
-
-        loading = ns is not None and ns >= NeighborState.LOADING
-        load_dup_slave = (
-            loading and is_slave and sqn <= ddsqn and not ibit and dd_deadline >= now
-        )
-        load_dup_master = loading and is_master and sqn < ddsqn and not ibit
-        if load_dup_slave:
-            held.append("load_duplicate_slave")
-        if load_dup_master:
-            held.append("load_duplicate_master")
-        if loading and not load_dup_slave and not load_dup_master:
-            held.append("load_others")
-    return held
+    """Every branch whose guard holds, each guard evaluated on its own;
+    the handler relies on this being a singleton for every input, and the
+    partition tests check that exhaustively."""
+    guards = _dbd_guards(known, ns, sqn, ddsqn, ibit, is_slave, is_master,
+                         dd_deadline, now)
+    return [name for name, held in guards if held]
 
 
 def _finish_exchange(
@@ -291,7 +254,7 @@ def snmis(
         dd_deadline=now + cfg.rxmtintvl,
     )
     st = state.evolve(nbrs=nbrs)
-    return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
+    return st, [_summary_to(st, sip)]
 
 
 def handle_dbd_detailed(
@@ -342,29 +305,26 @@ def handle_dbd_detailed(
         # re-sends when replies go missing, so the dd timer stays put
         nbrs = nbr_set(state.nbrs, sip, ns=NeighborState.EXCHANGE, ddsqn=sqn)
         st = state.evolve(nbrs=nbrs)
-        return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
+        return st, [_summary_to(st, sip)]
 
     if branch in ("exchange_duplicate_slave", "load_duplicate_slave"):
         # the earlier reply is assumed lost; regenerate it
-        return state, [groupcast(gen_dbd(state.nbrs, state.lsdb, sip, state.ip), {sip})]
+        return state, [_summary_to(state, sip)]
 
     if branch in ("exchange_others", "load_others"):
         return snmis(state, sip, now, cfg)
 
     reqs = add_reqs(entry.req_list, state.lsdb, hdrs)
-    if branch == "negotiate_master":
+    if branch in ("negotiate_master", "exchange_slave"):
+        # the master enters Exchange here; the slave is there already
         nbrs = nbr_set(state.nbrs, sip, ns=NeighborState.EXCHANGE, req_list=reqs,
                        ddsqn=entry.ddsqn + 1, dd_deadline=now + cfg.rxmtintvl)
         st = state.evolve(nbrs=nbrs)
-        return st, [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
-
-    if branch == "exchange_slave":
-        nbrs = nbr_set(state.nbrs, sip, req_list=reqs, ddsqn=entry.ddsqn + 1,
-                       dd_deadline=now + cfg.rxmtintvl)
-        st = state.evolve(nbrs=nbrs)
-        ems = [groupcast(gen_dbd(st.nbrs, st.lsdb, sip, st.ip), {sip})]
-        st, more = _finish_exchange(st, sip, now, cfg)
-        return st, ems + more
+        ems = [_summary_to(st, sip)]
+        if branch == "exchange_slave":
+            st, more = _finish_exchange(st, sip, now, cfg)
+            ems += more
+        return st, ems
 
     assert branch == "exchange_master"
     nbrs = nbr_set(state.nbrs, sip, req_list=reqs, ddsqn=entry.ddsqn + 1)

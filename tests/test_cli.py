@@ -166,6 +166,9 @@ def test_explore_refuses_large_topology(capsys, tmp_path):
     ("rtdeadintvl 0\n", [], "rtdeadintvl must be positive"),
     ("", ["--depth-bound", "-1"], "depth_bound must be non-negative"),
     ("", ["--max-states", "0"], "max_states must be positive"),
+    ("", ["--queue-bound", "0"], "queue_bound must be positive"),
+    ("", ["--start-interval", "-1"], "start_interval must be non-negative"),
+    ("", ["--age-bound", "1"], "age_bound must be at least 2"),
 ])
 def test_explore_rejects_what_run_rejects(capsys, tmp_path, override, flags,
                                           message):

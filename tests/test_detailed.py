@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -133,6 +134,50 @@ def test_dbd_guard_partition_exhaustive():
         )
         assert len(held) == 1, (known, ns, rel, ibit, relation, ddt_off, held)
         assert held[0] in DBD_BRANCHES
+
+
+# sha256 over the partition grid of the branch each input takes and the
+# repr of the handler's (state, emissions) on a two-node state built from
+# it; swapping two guards, or changing what a branch does, changes it
+DBD_GRID_SHA256 = "8eca8eb6759847cbc6f90695d1f5d373d8a70285c64f0f11ff1cd16b4f9dc5df"
+
+
+def test_dbd_branch_and_handler_grid_is_pinned():
+    no_adj = Topology(2, frozenset())
+    records = []
+    for known, ns, rel, ibit, relation, ddt_off in itertools.product(
+        (False, True),
+        list(NS),
+        range(-2, 3),
+        (False, True),
+        ("slave", "master", "non-adjacent"),
+        (-1, 1),
+    ):
+        ddsqn, now = 5, 20
+        [branch] = dbd_branch(
+            known=known,
+            ns=ns if known else None,
+            sqn=ddsqn + rel,
+            ddsqn=ddsqn,
+            ibit=ibit,
+            is_slave=relation == "slave",
+            is_master=relation == "master",
+            dd_deadline=now + ddt_off,
+            now=now,
+        )
+        me, sip = (B, A) if relation == "master" else (A, B)
+        entry = nbr(sip, ns, ddsqn=ddsqn, dd_deadline=now + ddt_off)
+        before = node(ip=me, nbrs=[entry] if known else [],
+                      lsdb=db((me, 1, {sip}), (C, 2, ())))
+        adj = no_adj if relation == "non-adjacent" else ADJ
+        # with no newer header the exchange can finish; with one it loads
+        for hdrs in (frozenset(), frozenset({LsaHeader(C, 3)})):
+            result = handle_dbd_detailed(
+                before, hdrs, ddsqn + rel, ibit, sip, now, adj, CFG
+            )
+            records.append(f"{branch} {result!r}")
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == DBD_GRID_SHA256
 
 
 def test_dbd_negotiate_slave():

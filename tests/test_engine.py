@@ -212,6 +212,11 @@ def test_config_validation():
         EngineConfig(boot_offsets={1: -1}).validate()
     with pytest.raises(ConfigError):
         EngineConfig(model="both").validate()
+    with pytest.raises(ConfigError, match="max_ticks must be positive"):
+        EngineConfig(max_ticks=0).validate()
+    with pytest.raises(ConfigError, match="queue_capacity must be positive"):
+        EngineConfig(queue_capacity=0).validate()
+    EngineConfig(max_ticks=1, queue_capacity=1).validate()
     EngineConfig(model="detailed", loss_prob=0.2).validate()
     # the simple model has no adjacency policy, so a restriction would be
     # silently ignored
@@ -366,6 +371,19 @@ def test_stale_request_list_entry_holds_detailed_model_in_loading():
         cfg = EngineConfig(model="detailed", boot_offsets={1: 0, 2: 9, 3: 0, 4: 7},
                            refreshintvl=refresh)
         assert run(cfg, ring(4))[2].at_tick == 74
+
+
+@pytest.mark.parametrize("n,edges,message", [
+    (0, (), "at least one node"),
+    (2, ((2, 2),), "self-loop on node 2"),
+    (2, ((1, 3),), r"edge \(1,3\) outside nodes 1..2"),
+    (2, ((0, 1),), r"edge \(0,1\) outside nodes 1..2"),
+])
+def test_topology_rejects_bad_graphs(n, edges, message):
+    with pytest.raises(ValueError, match=message):
+        Topology(n, frozenset(edges))
+    Topology(1, frozenset())
+    Topology(2, frozenset({(2, 1)}))
 
 
 # --- topology files --------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 
 from ospfsim.engine import ConfigError, EngineConfig, TraceEvent, run
 from ospfsim.explorer import (
+    BOOTED,
+    IDLE,
     Counterexample,
     ExploreConfig,
     Violation,
@@ -17,6 +19,7 @@ from ospfsim.explorer import (
     _find_unconverged_cycle,
     _install,
     _longest_unconverged_path,
+    _node_step,
     _state_key,
     deterministic_choice,
     explore,
@@ -152,6 +155,21 @@ def test_wrap_window_install_flags_p3():
     # an age jump of exactly half the bound is ambiguous both ways
     assert _install(node, 1, 1, 5, frozenset(), ctx)
     assert ctx.violations and ctx.violations[0].prop == "P3"
+
+
+@pytest.mark.parametrize("entry", ["too old", "self-link"])
+def test_bad_database_entry_flags_p2(entry):
+    cfg = ExploreConfig(topology=line(2))
+    ctx = _Ctx(cfg)
+    lsa = (1, ctx.bound + 1, (2,)) if entry == "too old" else (1, 0, (1,))
+    # booted, no timer due and nothing queued: the node idles, so its
+    # database reaches the P2 check as built
+    node = _Node(BOOTED, 5, 0, {}, {1: lsa}, [], [])
+    _, _, options = _node_step(ctx, 1, _encode(node, ctx), (), False)
+    [(label, child, _, violations, _)] = options
+    assert label == IDLE and child is None
+    assert [(v.prop, v.detail) for v in violations] == [
+        ("P2", "node 1: bad database entry for origin 1")]
 
 
 LINE3_SI2 = ExploreConfig(topology=line(3), start_interval=2)
@@ -335,11 +353,15 @@ def test_config_rejects_timings_the_engine_rejects(key, value):
 @pytest.mark.parametrize("key,value,message", [
     ("depth_bound", -1, "depth_bound must be non-negative"),
     ("max_states", 0, "max_states must be positive"),
+    ("queue_bound", 0, "queue_bound must be positive"),
+    ("start_interval", -1, "start_interval must be non-negative"),
+    ("age_bound", 1, "age_bound must be at least 2"),
 ])
 def test_config_rejects_negative_budgets(key, value, message):
     with pytest.raises(ValueError, match=message):
         ExploreConfig(topology=line(2), **{key: value}).validate()
-    ExploreConfig(topology=line(2), depth_bound=0, max_states=1).validate()
+    ExploreConfig(topology=line(2), depth_bound=0, max_states=1, queue_bound=1,
+                  start_interval=0, age_bound=2).validate()
 
 
 def verdict_fields(v):

@@ -48,6 +48,8 @@ def test_nbr_table_get():
     assert t.get(B) == SimpleNeighbor(B, 50)
     assert t.get(C) is None
     assert NbrTable().get(B) is None
+    with pytest.raises(ValueError, match="duplicate neighbour entries"):
+        NbrTable.of([SimpleNeighbor(B, 50), SimpleNeighbor(B, 60)])
 
 
 def test_new_nbr_duplicate_fault():
