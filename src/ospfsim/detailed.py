@@ -51,6 +51,8 @@ from .topology import Topology
 
 Emissions = list[SendInstruction]
 
+_EX_START, _EXCHANGE = NeighborState.EX_START, NeighborState.EXCHANGE
+
 
 def _flood(
     state: NodeState, lsas: Lsdb, now: TimeStamp, cfg: ProtocolConfig
@@ -105,14 +107,13 @@ def detailed_timers(
     # re-sends its database description
     dd = req = rxmt = None
     for n in st.nbrs.entries:
-        if dd is None and n.dd_deadline < now and (
-            n.ns == NeighborState.EX_START
-            or (n.ns == NeighborState.EXCHANGE and n.nip <= st.ip)
-        ):
-            dd = n.nip
+        if dd is None and n.dd_deadline < now:
+            ns = n.ns
+            if ns == _EX_START or (ns == _EXCHANGE and n.nip <= st.ip):
+                dd = n.nip
         if req is None and n.req_deadline < now and n.req_list:
             req = n.nip
-        if rxmt is None and n.rxmt_deadline < now and n.rxmt_list:
+        if rxmt is None and n.rxmt_deadline < now and n.rxmt_list.entries:
             rxmt = n.nip
     rearm = now + cfg.rxmtintvl
     if dd is not None:

@@ -9,23 +9,26 @@ atomic (hello first, then dead-neighbour removal).
 
 States are canonical: every deadline is stored as a residue relative to
 the current tick, so runs that differ only by elapsed time collide.
-Each node's canonical tuple and each message is interned to an int id
-by exact tuple equality, so a global state is the tuple of its node
-ids and its transmissions in flight, in the style of SPIN's collapse
-compression.  The search holds each state exactly once, as its
-version-2 marshal bytes, the key of the dict that interns it to an int
-id; the bytes are a lossless image of the tuple, so state identity
-stays exact (no hash compaction, no lossy keys).  The frontier holds
-(id, bytes) pairs, and a state is rebuilt as a tuple only while it is
-expanded.  Parent links, choices and the successor graph are
-int-indexed lists.
+Each node's canonical tuple, each message and each transmission in
+flight (a flight) is interned to an int id by exact tuple equality, so
+a global state is a pair of int tuples, its node ids and its flight
+ids, in the style of SPIN's collapse compression.  Within the nodes,
+equal neighbour, database and queue tuples are one shared object.  The
+search holds each state exactly once, as its version-2 marshal bytes,
+the key of the dict that interns it to an int id; the bytes are a
+lossless image of the tuple, so state identity stays exact (no hash
+compaction, no lossy keys).  The frontier holds (id, bytes) pairs, and
+a state is rebuilt as a tuple only while it is expanded.  Parent links
+are an int array, the successor graph one flat list of state ids with
+int-array offsets, and choices an id-indexed list.
 
 A node's tick depends only on its own state, the messages delivered to
 it, whether its last send is still in flight and its choice label, so
 one node step per (ip, node id, inbox, busy) is computed once and
-cached; a global successor is one cached result per node.  The search,
-the engine-schedule choice and the counterexample replay all run
-through that step.
+cached, in one dict per (ip, inbox, busy) keyed by node id alone; a
+global successor is one cached result per node.  The search, the
+engine-schedule choice and the counterexample replay all run through
+that step.
 
 Checked per state:
     P1  queue occupancy stays within the configured bound
@@ -44,6 +47,8 @@ from __future__ import annotations
 
 import itertools
 import marshal
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -174,25 +179,39 @@ class ExploreVerdict:
 #   with hdrs a sorted tuple of (origin, age) and lsas a sorted tuple of
 #   (origin, age, links-tuple).  A hello carries no neighbour list: the
 #   model reads only its sender.
-# Canonical global state: (node ids, flights), node ids in ip order
-#   flights: tuple of (sender, message id, recipients-tuple, res), sorted.
+# Canonical global state: (node ids, flight ids), node ids in ip order,
+#   flight ids in sender order, a flight being
+#   (sender, message id, recipients-tuple, res).
 #
-# The id tables live in ``_Ctx``, for one search.  A node is rebuilt as
-# a ``_Node`` only when the node-step cache misses (see ``_node_step``);
-# its scratch containers hold every piece already in its canonical form,
-# its queues message ids, so encoding one only sorts and freezes them.
+# The id tables live in ``_Ctx``, for one search: nodes, messages and
+# flights.  ``_Ctx.parts`` holds one copy of each distinct nbrs, lsdb,
+# inq and outq tuple, and every stored node refers to that copy.  A
+# node is rebuilt as a ``_Node`` only when the node-step cache misses
+# (see ``_node_step``); its scratch containers hold every piece already
+# in its canonical form, its queues message ids, so encoding one only
+# sorts and freezes them.
 # A message is interned once, when it is queued, and looked up only
 # where ``_handle`` consumes it.
 
 
+def _intern(ids: dict, items: list, item) -> int:
+    """The id of ``item``, its index in ``items``, added on first sight."""
+    i = ids.setdefault(item, len(items))
+    if i == len(items):
+        items.append(item)
+    return i
+
+
 class _Ctx:
-    """What one search shares: the settings, the id tables of nodes and
-    messages, and the caches of node steps and of per-node convergence."""
+    """What one search shares: the settings, the id tables of nodes,
+    messages and flights, the shared node parts, and the caches of node
+    steps and of per-node convergence."""
 
     __slots__ = (
         "ips", "neighbors", "expected", "bound", "hellointvl", "rtdeadintvl",
         "time_sending", "queue_bound", "violations", "max_occ",
-        "nodes", "node_ids", "msgs", "msg_ids", "steps", "converged",
+        "nodes", "node_ids", "msgs", "msg_ids", "flights", "flight_ids",
+        "parts", "steps", "converged",
     )
 
     def __init__(self, config: ExploreConfig):
@@ -217,20 +236,25 @@ class _Ctx:
         self.node_ids: dict[tuple, int] = {}
         self.msgs: list[tuple] = []  # message id -> message
         self.msg_ids: dict[tuple, int] = {}
-        self.steps: dict = {}  # (ip, node id, inbox, busy) -> node step
+        self.flights: list[tuple] = []  # flight id -> flight
+        self.flight_ids: dict[tuple, int] = {}
+        self.parts: dict[tuple, tuple] = {}  # canonical part -> itself
+        # (ip, inbox, busy) -> node id -> node step
+        self.steps: defaultdict = defaultdict(dict)
         self.converged: dict = {}  # (ip, node id) -> per-node clause
 
     def node_id(self, node: tuple) -> int:
-        nid = self.node_ids.setdefault(node, len(self.nodes))
-        if nid == len(self.nodes):
-            self.nodes.append(node)
-        return nid
+        return _intern(self.node_ids, self.nodes, node)
 
     def msg_id(self, msg: tuple) -> int:
-        mid = self.msg_ids.setdefault(msg, len(self.msgs))
-        if mid == len(self.msgs):
-            self.msgs.append(msg)
-        return mid
+        return _intern(self.msg_ids, self.msgs, msg)
+
+    def flight_id(self, flight: tuple) -> int:
+        return _intern(self.flight_ids, self.flights, flight)
+
+    def part(self, part: tuple) -> tuple:
+        """The one stored copy of ``part``: equal parts share one object."""
+        return self.parts.setdefault(part, part)
 
 
 class _Node:
@@ -252,14 +276,15 @@ class _Node:
 
 def _encode(node: _Node, ctx: _Ctx) -> int:
     """The id of ``node``'s canonical tuple, interned on first sight."""
+    part = ctx.part
     return ctx.node_id((
         node.boot_res,
         node.hellot,
         node.age,
-        tuple(sorted(node.nbrs.items())),
-        tuple(sorted(node.lsdb.values())),
-        tuple(node.inq),
-        tuple(node.outq),
+        part(tuple(sorted(node.nbrs.items()))),
+        part(tuple(sorted(node.lsdb.values()))),
+        part(tuple(node.inq)),
+        part(tuple(node.outq)),
     ))
 
 
@@ -423,10 +448,11 @@ def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, busy: bool):
     still in flight), is checked for P3 (while it installs), P1 and P2,
     and every residue shrinks by one.
 
-    Returns (occupancy, P1 violations) after delivery and a tuple of
-    (label, child id, flight, violations, occupancy), one per label: the
-    flight is the one started, residue shrunk, or None; the violations
-    are in check order, and when there are any the child is None."""
+    Returns the occupancy and the P1 violations after delivery, then one
+    option (label, child id, flight id, violations, occupancy) per label,
+    in one flat tuple: the flight is the one started, residue shrunk, or
+    None; the violations are in check order, and when there are any the
+    child is None."""
     def delivered() -> _Node:
         node = _decode(nid, ctx)
         if node.boot_res == 0:
@@ -450,7 +476,7 @@ def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, busy: bool):
             reach = ctx.neighbors[ip]
             recipients = (reach if dests is None
                           else tuple(d for d in dests if d in reach))
-            flight = (ip, mid, recipients, ctx.time_sending - 1)
+            flight = ctx.flight_id((ip, mid, recipients, ctx.time_sending - 1))
         occ = _check_occupancy(node, ip, ctx)
         for o, a, links in node.lsdb.values():
             if not 0 <= a <= ctx.bound or o in links:
@@ -468,7 +494,7 @@ def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, busy: bool):
                     node.nbrs[nip] -= 1
             child = _encode(node, ctx)
         options.append((label, child, flight, tuple(ctx.violations), occ))
-    return after_delivery + (tuple(options),)
+    return after_delivery + tuple(options)
 
 
 def _steps(canon, ctx: _Ctx) -> list:
@@ -479,24 +505,27 @@ def _steps(canon, ctx: _Ctx) -> list:
     nids, flights = canon
     due: dict[int, tuple] = {}
     carried = {}
-    for sender, mid, recipients, res in flights:
+    table = ctx.flights
+    for fid in flights:
+        sender, mid, recipients, res = table[fid]
         if res <= 0:
             for rcpt in recipients:
                 due[rcpt] = due.get(rcpt, ()) + (mid,)
         else:
-            carried[sender] = (sender, mid, recipients, res - 1)
+            carried[sender] = ctx.flight_id((sender, mid, recipients, res - 1))
     cache = ctx.steps
     steps = []
     for ip, nid in zip(ctx.ips, nids):
-        key = (ip, nid, due.get(ip, ()), ip in carried)
-        step = cache.get(key)
+        inbox, busy = due.get(ip, ()), ip in carried
+        by_node = cache[ip, inbox, busy]
+        step = by_node.get(nid)
         if step is None:
-            step = cache[key] = _node_step(ctx, *key)
+            step = by_node[nid] = _node_step(ctx, ip, nid, inbox, busy)
         flight = carried.get(ip)
         if flight is not None:
-            occ, p1, options = step
-            step = occ, p1, tuple((label, child, flight, violations, o)
-                                  for label, child, _, violations, o in options)
+            step = step[:2] + tuple((label, child, flight, violations, occ)
+                                    for label, child, _, violations, occ
+                                    in step[2:])
         steps.append(step)
     return steps
 
@@ -519,8 +548,8 @@ def _outcome(picked, ctx: _Ctx):
 
 def _delivery_violations(steps, ctx: _Ctx) -> list[Violation]:
     """The P1 violations after delivery, in ip order."""
-    ctx.max_occ = max(ctx.max_occ, *(occ for occ, _, _ in steps))
-    return [v for _, p1, _ in steps for v in p1]
+    ctx.max_occ = max(ctx.max_occ, *(step[0] for step in steps))
+    return [v for step in steps for v in step[1]]
 
 
 def successors(canon, ctx: _Ctx):
@@ -531,7 +560,7 @@ def successors(canon, ctx: _Ctx):
     if violations:
         yield None, None, violations
         return
-    for picked in itertools.product(*(options for _, _, options in steps)):
+    for picked in itertools.product(*(step[2:] for step in steps)):
         yield _outcome(picked, ctx)
 
 
@@ -556,8 +585,8 @@ def _node_converged(ctx: _Ctx, ip: int, nid: int) -> bool:
 
 def state_converged(canon, ctx: _Ctx) -> bool:
     nids, flights = canon
-    for _, mid, _, _ in flights:
-        if ctx.msgs[mid][0] != "hello":
+    for fid in flights:
+        if ctx.msgs[ctx.flights[fid][1]][0] != "hello":
             return False
     cache = ctx.converged
     for key in zip(ctx.ips, nids):
@@ -584,7 +613,7 @@ def _state_key(canon) -> bytes:
 
 def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
     """The engine schedule: every node runs timers first, then one message."""
-    return tuple(options[0][0] for _, _, options in _steps(canon, ctx))
+    return tuple(step[2][0] for step in _steps(canon, ctx))
 
 
 def explore(config: ExploreConfig) -> ExploreVerdict:
@@ -597,20 +626,22 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
     tuple is rebuilt with ``marshal.loads`` only to expand it.
     Everything else is indexed by id: the parent id (-1 for a root), the
     choice combo that first led to the state (one tuple per distinct
-    combo), and its unconverged successors as a tuple (None for a
-    converged state), which is all that the cycle check and the
-    longest-path pass at the end read.  Roots keep their boot offsets
-    in ``root_boots``.
+    combo), and its unconverged successors, stored flat (see
+    :func:`_find_unconverged_cycle`), which is all that the cycle check
+    and the longest-path pass at the end read.  States are expanded in
+    id order, so each one's successors are appended after those of the
+    states before it.  Roots keep their boot offsets in ``root_boots``.
     """
     config.validate()
     ctx = _Ctx(config)
     topo = config.topology
 
     ids: dict = {}
-    parent: list[int] = []
+    parent = array("i")
     via: list = []
     combos: dict = {}
-    succ: list = []
+    # kids holds the id objects that ``ids`` holds, so it adds no ints
+    first, last, kids = array("i"), array("i"), []
     root_boots: dict[int, dict[int, int]] = {}
 
     def visit(canon, parent_id, combo, todo) -> int:
@@ -621,10 +652,11 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             parent.append(parent_id)
             via.append(combos.setdefault(combo, combo))
             if state_converged(canon, ctx):
-                succ.append(None)
+                first.append(-1)
             else:
-                succ.append(())  # filled in when the state is expanded
+                first.append(0)  # set when the state is expanded
                 todo.append((sid, key))
+            last.append(0)
         return sid
 
     def verdict(status, message, **rest) -> ExploreVerdict:
@@ -668,9 +700,11 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                     return verdict("violation", violations[0].detail,
                                    counterexample=ce)
                 cid = visit(child, sid, combo, next_frontier)
-                if succ[cid] is not None and cid not in children:
+                if first[cid] >= 0 and cid not in children:
                     children.append(cid)
-            succ[sid] = tuple(children)
+            first[sid] = len(kids)
+            kids.extend(children)
+            last[sid] = len(kids)
             if len(parent) > config.max_states:
                 return verdict(
                     "inconclusive",
@@ -678,7 +712,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
         frontier = next_frontier
         depth += 1
 
-    cycle = _find_unconverged_cycle(succ)
+    cycle = _find_unconverged_cycle(first, last, kids)
     if cycle is not None:
         ce = _build_counterexample(
             parent, via, root_boots, cycle, None,
@@ -688,7 +722,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                        "unconverged cycle: some execution never converges",
                        counterexample=ce)
     return verdict("pass", "every execution reaches a converged state",
-                   longest_path=_longest_unconverged_path(succ))
+                   longest_path=_longest_unconverged_path(first, last, kids))
 
 
 def _build_counterexample(parent, via, root_boots, sid, last_combo, violation):
@@ -709,16 +743,16 @@ def _build_counterexample(parent, via, root_boots, sid, last_combo, violation):
     )
 
 
-def _find_unconverged_cycle(succ):
-    """Any state on a cycle of unconverged states, or None.  ``succ[i]``
-    lists the unconverged successors of state i, or is None when i is
-    converged."""
+def _find_unconverged_cycle(first, last, kids):
+    """Any state on a cycle of unconverged states, or None.  The
+    unconverged successors of state i are ``kids[first[i]:last[i]]``;
+    ``first[i]`` is -1 when i is converged."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = bytearray(len(succ))
-    for start, children in enumerate(succ):
-        if children is None or color[start] != WHITE:
+    color = bytearray(len(first))
+    for start in range(len(first)):
+        if first[start] < 0 or color[start] != WHITE:
             continue
-        stack = [(start, iter(children))]
+        stack = [(start, iter(kids[first[start]:last[start]]))]
         color[start] = GRAY
         while stack:
             node, it = stack[-1]
@@ -728,7 +762,7 @@ def _find_unconverged_cycle(succ):
                     return child
                 if c == WHITE:
                     color[child] = GRAY
-                    stack.append((child, iter(succ[child])))
+                    stack.append((child, iter(kids[first[child]:last[child]])))
                     break
             else:
                 color[node] = BLACK
@@ -736,26 +770,27 @@ def _find_unconverged_cycle(succ):
     return None
 
 
-def _longest_unconverged_path(succ):
+def _longest_unconverged_path(first, last, kids):
     """Longest walk through unconverged states, in ticks; this equals the
-    worst-case time to convergence.  The graph is acyclic here; ``succ``
-    is as for :func:`_find_unconverged_cycle`."""
-    memo = [0] * len(succ)  # 0 until computed, then at least 1
+    worst-case time to convergence.  The graph is acyclic here, and
+    stored as for :func:`_find_unconverged_cycle`."""
+    memo = [0] * len(first)  # 0 until computed, then at least 1
     # iterative post-order to avoid recursion limits on long chains
-    for start, children in enumerate(succ):
-        if children is None:
+    for start in range(len(first)):
+        if first[start] < 0:
             continue
         stack = [start]
         while stack:
             node = stack.pop()
             if memo[node]:
                 continue
-            pending = [c for c in succ[node] if not memo[c]]
+            children = kids[first[node]:last[node]]
+            pending = [c for c in children if not memo[c]]
             if pending:
                 stack.append(node)
                 stack.extend(pending)
             else:
-                memo[node] = 1 + max((memo[c] for c in succ[node]), default=0)
+                memo[node] = 1 + max((memo[c] for c in children), default=0)
     return max(memo, default=0)
 
 
@@ -772,6 +807,7 @@ def replay(config: ExploreConfig, counterexample: Counterexample):
         boot = {ip: ctx.nodes[nid][0] for ip, nid in zip(ctx.ips, nids)}
         events.extend(TraceEvent(tick, ip, "boot", {})
                       for ip, res in boot.items() if res == 0)
+        flights = [ctx.flights[fid] for fid in flights]
         for sender, mid, recipients, res in flights:
             if res <= 0:
                 events.extend(delivery_event(
@@ -783,14 +819,15 @@ def replay(config: ExploreConfig, counterexample: Counterexample):
         if violations or tick == len(counterexample.choices):
             return events, violations
         combo = counterexample.choices[tick]
-        picked = [next((o for o in options if o[0] == label), None)
-                  for label, (_, _, options) in zip(combo, steps)]
+        picked = [next((o for o in step[2:] if o[0] == label), None)
+                  for label, step in zip(combo, steps)]
         if len(combo) != len(steps) or None in picked:
             raise RuntimeError("counterexample does not replay: choice missing")
         _, canon, violations = _outcome(picked, ctx)
         if violations:
             return events, violations
         busy = {f[0] for f in flights if f[3] > 0}
-        events.extend(send_event(tick, ip, ctx.msgs[f[1]][0], f[2])
-                      for ip, (_, _, f, _, _) in zip(ctx.ips, picked)
-                      if f is not None and ip not in busy)
+        started = (ctx.flights[o[2]] for o in picked if o[2] is not None)
+        events.extend(send_event(tick, sender, ctx.msgs[mid][0], recipients)
+                      for sender, mid, recipients, _ in started
+                      if sender not in busy)

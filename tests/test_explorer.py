@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import marshal
+from array import array
 from collections import Counter
 
 import pytest
@@ -165,8 +166,8 @@ def test_bad_database_entry_flags_p2(entry):
     # booted, no timer due and nothing queued: the node idles, so its
     # database reaches the P2 check as built
     node = _Node(BOOTED, 5, 0, {}, {1: lsa}, [], [])
-    _, _, options = _node_step(ctx, 1, _encode(node, ctx), (), False)
-    [(label, child, _, violations, _)] = options
+    _, _, (label, child, _, violations, _) = _node_step(
+        ctx, 1, _encode(node, ctx), (), False)
     assert label == IDLE and child is None
     assert [(v.prop, v.detail) for v in violations] == [
         ("P2", "node 1: bad database entry for origin 1")]
@@ -217,6 +218,23 @@ def test_storage_round_trips_and_keeps_the_lsdb_layout(line3_si2_states):
                 assert isinstance(links, tuple) and list(links) == sorted(links)
 
 
+def test_equal_parts_are_one_object(line3_si2_states):
+    # equal neighbour, database and queue tuples of the stored nodes are
+    # one object; flights are interned to ids instead, so each is held
+    # once, in its table, and states and node steps hold only its id
+    ctx, states = line3_si2_states
+    first = {}
+    for node in ctx.nodes:
+        for part in node[3:]:
+            assert first.setdefault(part, part) is part
+    assert len(set(ctx.flights)) == len(ctx.flights)
+    started = {flight for by_node in ctx.steps.values()
+               for step in by_node.values()
+               for _, _, flight, _, _ in step[2:]} - {None}
+    carried = {fid for canon in states for fid in canon[1]}
+    assert started <= carried == set(range(len(ctx.flights)))
+
+
 def rebuilt(x):
     """An equal copy of ``x`` built from new objects where Python allows:
     fresh tuples, ints parsed from text and strings that are not
@@ -259,7 +277,8 @@ def expanded(canon, ctx):
 
     nids, flights = canon
     return (tuple(map(node, nids)),
-            tuple((s, msgs[m], rcpts, res) for s, m, rcpts, res in flights))
+            tuple((s, msgs[m], rcpts, res)
+                  for s, m, rcpts, res in (ctx.flights[f] for f in flights)))
 
 
 def interned(state, ctx):
@@ -270,7 +289,8 @@ def interned(state, ctx):
                            tuple(map(ctx.msg_id, inq)),
                            tuple((ctx.msg_id(m), d) for m, d in outq)))
               for boot, hellot, age, nbrs, lsdb, inq, outq in nodes),
-        tuple((s, ctx.msg_id(m), rcpts, res) for s, m, rcpts, res in flights),
+        tuple(ctx.flight_id((s, ctx.msg_id(m), rcpts, res))
+              for s, m, rcpts, res in flights),
     )
 
 
@@ -298,32 +318,42 @@ def test_node_step_cache_is_exact_while_a_send_is_in_flight():
     # flight the step of one that may start the next
     cfg = ExploreConfig(topology=line(3), start_interval=2, time_sending=2)
     ctx, states = reachable(cfg)
-    assert any(res > 0 for canon in states for *_, res in canon[1])
+    assert any(ctx.flights[fid][3] > 0 for canon in states for fid in canon[1])
     assert_cache_exact(cfg, ctx, states)
 
 
-# hand-built successor lists for the final pass: succ[i] lists the
-# unconverged successors of state i, None marks a converged state
+def flat(succ):
+    """Hand-built successor lists in the flat form of the final pass:
+    ``succ[i]`` lists the unconverged successors of state i, None marks a
+    converged state."""
+    first, last, kids = array("i"), array("i"), []
+    for children in succ:
+        first.append(-1 if children is None else len(kids))
+        kids.extend(children or ())
+        last.append(len(kids))
+    return first, last, kids
+
+
 def test_final_pass_finds_a_state_on_a_cycle():
-    succ = [[1], [2, 4], [3], [1], None]
-    assert _find_unconverged_cycle(succ) in {1, 2, 3}
-    assert _find_unconverged_cycle([[1], [2], []]) is None
+    succ = flat([[1], [2, 4], [3], [1], None])
+    assert _find_unconverged_cycle(*succ) in {1, 2, 3}
+    assert _find_unconverged_cycle(*flat([[1], [2], []])) is None
 
 
 def test_final_pass_longest_path_through_a_diamond():
     # 0 -> {1, 2} -> 3 -> 4, with a shortcut 0 -> 4 listed first and a
     # converged 5
-    succ = [[4, 1, 2], [3], [3], [4], [], None]
-    assert _find_unconverged_cycle(succ) is None
-    assert _longest_unconverged_path(succ) == 4
-    assert _longest_unconverged_path([None, None]) == 0
+    succ = flat([[4, 1, 2], [3], [3], [4], [], None])
+    assert _find_unconverged_cycle(*succ) is None
+    assert _longest_unconverged_path(*succ) == 4
+    assert _longest_unconverged_path(*flat([None, None])) == 0
 
 
 def test_final_pass_handles_a_long_chain_without_recursion():
     n = 10_000
-    succ = [[i + 1] for i in range(n - 1)] + [[]]
-    assert _find_unconverged_cycle(succ) is None
-    assert _longest_unconverged_path(succ) == n
+    succ = flat([[i + 1] for i in range(n - 1)] + [[]])
+    assert _find_unconverged_cycle(*succ) is None
+    assert _longest_unconverged_path(*succ) == n
 
 
 def test_state_converged_checks():
@@ -467,25 +497,40 @@ def test_explorer_boots_before_the_deliveries_of_the_boot_tick_unlike_simple_mod
 
 # verdicts of the explorer as it stands, pinned so that a change to its
 # storage or its search cannot move them:
-# (status, states, max_queue_occupancy, depth_reached, longest_path)
+# (status, states, max_queue_occupancy, depth_reached, longest_path),
+# then the frontier size per depth, which fingerprints the breadth-first
+# visit order
 PINNED_VERDICTS = [
-    ("line3-si10", line(3), 10, 10, ("pass", 11590, 7, 27, 28)),
-    ("ring3-si3", ring(3), 3, 10, ("pass", 3378, 9, 24, 24)),
-    ("star3-si3", star(3), 3, 10, ("pass", 1765, 7, 20, 20)),
-    ("ring4-si1", ring(4), 1, 10, ("pass", 5197, 10, 27, 27)),
-    ("line2-si5-qb2", line(2), 5, 2, ("pass", 156, 2, 14, 14)),
-    ("line4-si3", line(4), 3, 10, ("pass", 23381, 9, 27, 27)),
+    ("line3-si10", line(3), 10, 10, ("pass", 11590, 7, 27, 28),
+     (331, 331, 375, 379, 383, 389, 393, 397, 401, 405, 409, 536, 586, 593,
+      620, 646, 648, 624, 590, 519, 431, 338, 217, 152, 88, 38, 8)),
+    ("ring3-si3", ring(3), 3, 10, ("pass", 3378, 9, 24, 24),
+     (37, 37, 61, 67, 73, 73, 73, 73, 73, 73, 73, 125, 177, 223, 242, 242,
+      242, 242, 242, 242, 236, 182, 37, 1)),
+    ("star3-si3", star(3), 3, 10, ("pass", 1765, 7, 20, 20),
+     (37, 37, 53, 57, 61, 61, 61, 61, 61, 61, 61, 104, 127, 134, 160, 154,
+      134, 102, 62, 31)),
+    ("ring4-si1", ring(4), 1, 10, ("pass", 5197, 10, 27, 27),
+     (15, 15, 49, 49, 49, 49, 49, 49, 49, 49, 49, 120, 344, 344, 344, 344,
+      344, 344, 344, 344, 344, 360, 360, 340, 180, 20, 4)),
+    ("line2-si5-qb2", line(2), 5, 2, ("pass", 156, 2, 14, 14),
+     (11, 11, 13, 13, 13, 13, 13, 12, 8, 8, 6, 8, 6, 4)),
+    ("line4-si3", line(4), 3, 10, ("pass", 23381, 9, 27, 27),
+     (175, 175, 273, 323, 373, 373, 373, 373, 373, 373, 373, 738, 1152, 1472,
+      1778, 1773, 1768, 1767, 1757, 1734, 1656, 1560, 889, 367, 125, 11, 1)),
 ]
 
 
 @pytest.mark.parametrize(
-    "topo,start_interval,queue_bound,expected",
+    "topo,start_interval,queue_bound,expected,frontier_sizes",
     [p[1:] for p in PINNED_VERDICTS], ids=[p[0] for p in PINNED_VERDICTS])
-def test_pinned_verdicts(topo, start_interval, queue_bound, expected):
+def test_pinned_verdicts(topo, start_interval, queue_bound, expected,
+                         frontier_sizes):
     v = explore(ExploreConfig(topology=topo, start_interval=start_interval,
                               queue_bound=queue_bound))
     assert (v.status, v.states, v.max_queue_occupancy, v.depth_reached,
             v.longest_path) == expected
+    assert v.frontier_sizes == frontier_sizes
 
 
 def test_pinned_star4_counterexample():
