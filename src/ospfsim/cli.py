@@ -21,7 +21,6 @@ from .engine import (
     render_trace,
     run,
 )
-from .explorer import ExploreConfig, explore, replay
 from .topology import TopologyError, load_topology
 
 
@@ -73,6 +72,9 @@ _EXPLORE_KEYS = ("hellointvl", "rtdeadintvl", "time_sending")
 
 
 def cmd_explore(args) -> int:
+    # imported here, so that run and summarize never load the explorer
+    from .explorer import ExploreConfig, explore, replay
+
     try:
         tf = load_topology(args.topology)
     except (TopologyError, OSError) as exc:
@@ -117,20 +119,17 @@ def cmd_summarize(args) -> int:
     except OSError as exc:
         return _die(str(exc))
 
-    events = []
-    for idx, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(parse_trace_line(line))
-        except ValueError:
-            return _die(f"record {idx}: malformed trace record")
-
     per_node: dict[int, Counter] = defaultdict(Counter)
     totals: Counter = Counter()
     converged_tick = None
     timeline: dict[int, list] = defaultdict(list)
-    for ev in events:
+    for idx, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            ev = parse_trace_line(line)
+        except ValueError:
+            return _die(f"record {idx}: malformed trace record")
         if ev.kind == "send":
             kind = ev.detail.get("type")
             per_node[ev.node][kind] += 1

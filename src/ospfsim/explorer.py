@@ -58,7 +58,8 @@ from .topology import Topology
 
 BOOTED = -1
 
-# per-node action labels; the first eligible option is the engine schedule
+# per-node action labels, which spell their actions in order (T the timer
+# block, M one queued message); the first eligible one is the engine schedule
 TIMER_THEN_MSG = "TM"
 MSG_THEN_TIMER = "MT"
 TIMER_ONLY = "T"
@@ -124,11 +125,7 @@ class Counterexample:
     at_tick: int
 
     def is_deterministic_schedule(self) -> bool:
-        return all(
-            label in (TIMER_THEN_MSG, TIMER_ONLY, MSG_ONLY, IDLE)
-            for combo in self.choices
-            for label in combo
-        )
+        return all(MSG_THEN_TIMER not in combo for combo in self.choices)
 
 
 @dataclass
@@ -324,12 +321,12 @@ def _install(node: _Node, ip: int, o: int, a: int, links, ctx: _Ctx) -> bool:
 
 
 def _originate(node: _Node, ip: int, ctx: _Ctx):
-    """Install a fresh own LSA; its links, the sorted neighbour ips, are
-    also the destinations of the update that announces it."""
+    """Install a fresh own LSA and queue the update that announces it to
+    its links, the sorted neighbour ips."""
     node.age = next_age(node.age, ctx.bound)
     links = tuple(sorted(node.nbrs))
     _install(node, ip, ip, node.age, links, ctx)
-    return (ip, node.age, links)
+    _send(node, ("upd", ((ip, node.age, links),), ip), links, ctx)
 
 
 def _send(node: _Node, msg: tuple, dests, ctx: _Ctx):
@@ -345,14 +342,12 @@ def _timer_block(node: _Node, ip: int, ctx: _Ctx):
     if dead:
         for nip in dead:
             del node.nbrs[nip]
-        lsa = _originate(node, ip, ctx)
-        _send(node, ("upd", (lsa,), ip), lsa[2], ctx)
+        _originate(node, ip, ctx)
 
 
 def _discover(node: _Node, ip: int, sip: int, ctx: _Ctx):
     node.nbrs[sip] = ctx.rtdeadintvl
-    lsa = _originate(node, ip, ctx)
-    _send(node, ("upd", (lsa,), ip), lsa[2], ctx)
+    _originate(node, ip, ctx)
     hdrs = tuple((o, a) for o, a, _ in sorted(node.lsdb.values()))
     _send(node, ("dbd", hdrs, ip), (sip,), ctx)
 
@@ -412,18 +407,11 @@ def _options(node: _Node) -> tuple[str, ...]:
 
 
 def _apply_choice(node: _Node, ip: int, label: str, ctx: _Ctx):
-    if label == TIMER_THEN_MSG:
-        _timer_block(node, ip, ctx)
-        _handle(node, ip, node.inq.pop(0), ctx)
-    elif label == MSG_THEN_TIMER:
-        _handle(node, ip, node.inq.pop(0), ctx)
-        _timer_block(node, ip, ctx)
-    elif label == TIMER_ONLY:
-        _timer_block(node, ip, ctx)
-    elif label == MSG_ONLY:
-        _handle(node, ip, node.inq.pop(0), ctx)
-    elif label != IDLE:
-        raise ValueError(f"unknown choice {label!r}")
+    for action in label:
+        if action == "T":
+            _timer_block(node, ip, ctx)
+        elif action == "M":
+            _handle(node, ip, node.inq.pop(0), ctx)
 
 
 def _check_occupancy(node: _Node, ip: int, ctx: _Ctx) -> int:

@@ -58,18 +58,9 @@ class Topology:
             self, "_adj", {ip: frozenset(out) for ip, out in adj.items()})
         comp = {}
         for ip in self.nodes():
-            if ip in comp:
-                continue
-            seen = {ip}
-            frontier = [ip]
-            while frontier:
-                for nxt in adj[frontier.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            members = frozenset(seen)
-            for member in members:
-                comp[member] = members
+            if ip not in comp:
+                members = frozenset(self._distances(ip))
+                comp.update(dict.fromkeys(members, members))
         object.__setattr__(self, "_comp", comp)
 
     def nodes(self) -> range:
@@ -86,20 +77,18 @@ class Topology:
 
     def diameter(self) -> int:
         """Longest shortest path over all connected pairs."""
-        best = 0
-        for src in self.nodes():
-            dist = {src: 0}
-            frontier = [src]
-            while frontier:
-                nxt_frontier = []
-                for cur in frontier:
-                    for nxt in self.neighbors(cur):
-                        if nxt not in dist:
-                            dist[nxt] = dist[cur] + 1
-                            nxt_frontier.append(nxt)
-                frontier = nxt_frontier
-            best = max(best, max(dist.values()))
-        return best
+        return max(max(self._distances(src).values()) for src in self.nodes())
+
+    def _distances(self, src: NodeId) -> dict[NodeId, int]:
+        """Hops from ``src`` to each node it reaches."""
+        dist = {src: 0}
+        order = [src]
+        for cur in order:  # appending while iterating visits in BFS order
+            for nxt in self._adj[cur]:
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    order.append(nxt)
+        return dist
 
 
 def line(n: int) -> Topology:

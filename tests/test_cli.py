@@ -98,11 +98,13 @@ def test_trace_roundtrip_through_summarize(capsys, tmp_path, line3_path):
 
 def test_summarize_empty_trace(capsys, tmp_path):
     p = tmp_path / "empty.trace"
-    p.write_text("")
-    assert main(["summarize", str(p)]) == 0
-    out = capsys.readouterr().out
-    assert "messages total=0" in out
-    assert "no convergence recorded" in out
+    # blank lines are skipped, so a trace of them is empty
+    for text in ("", "\n  \n\n"):
+        p.write_text(text)
+        assert main(["summarize", str(p)]) == 0, repr(text)
+        out = capsys.readouterr().out
+        assert "messages total=0" in out
+        assert "no convergence recorded" in out
 
 
 # second records that summarize must refuse: truncated, not an object,
@@ -133,6 +135,13 @@ def test_summarize_truncated_record(capsys, tmp_path):
         assert main(["summarize", str(p)]) == 2, record
         err = capsys.readouterr().err
         assert "record 2: malformed trace record" in err, record
+
+
+@pytest.mark.parametrize("command", ["run", "explore", "summarize"])
+def test_commands_refuse_a_file_they_cannot_read(capsys, tmp_path, command):
+    assert main([command, str(tmp_path / "missing")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "No such file" in captured.err
 
 
 def test_explore_pass_and_violation(capsys, tmp_path, line3_path):
@@ -252,3 +261,30 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("CONVERGED")
+
+
+# a fresh process: what ``import ospfsim`` loads, then whether run and
+# summarize, called through ``main``, load the explorer
+LOADING = """
+import json, sys
+import ospfsim
+loaded = sorted(m for m in sys.modules if m.startswith("ospfsim."))
+from ospfsim.cli import main
+top, trace = sys.argv[1:]
+codes = [main(["run", top, "--trace", trace]), main(["summarize", trace])]
+print(json.dumps({"import": loaded, "codes": codes,
+                  "explorer": "ospfsim.explorer" in sys.modules}),
+      file=sys.stderr)
+"""
+
+
+def test_import_and_cli_load_only_what_they_use(tmp_path):
+    p = tmp_path / "two.top"
+    p.write_text(LINE2)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADING, str(p), str(tmp_path / "two.trace")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == {
+        "import": [], "codes": [0, 0], "explorer": False}

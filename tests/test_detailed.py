@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 from ospfsim.core import (
     Ack,
     DbdDetailed,
+    DbdSimple,
     DetailedNeighbor,
     Hello,
     Lsa,
@@ -14,6 +17,7 @@ from ospfsim.core import (
     NodeState,
     ProtocolConfig,
     ReqDetailed,
+    ReqSimple,
     Upd,
 )
 from ospfsim.detailed import (
@@ -23,6 +27,7 @@ from ospfsim.detailed import (
     handle_ack,
     handle_dbd_detailed,
     handle_hello_detailed,
+    handle_message_detailed,
     handle_req_detailed,
     handle_upd_detailed,
     snmis,
@@ -294,6 +299,15 @@ def test_req_dropped_in_premature_state_or_unknown():
     assert handle_req_detailed(premature, LsaHeader(C, 4), B) == (premature, [])
     unknown = node(ip=A, lsdb=db((C, 6, ())))
     assert handle_req_detailed(unknown, LsaHeader(C, 4), B) == (unknown, [])
+
+
+@pytest.mark.parametrize("msg", [
+    DbdSimple(frozenset(), B), ReqSimple(frozenset({LsaHeader(C, 4)}), B)],
+    ids=lambda m: type(m).__name__)
+def test_simple_messages_are_refused(msg):
+    before = node(ip=A, nbrs=[nbr(B, NS.FULL)])
+    with pytest.raises(TypeError, match="detailed model cannot handle"):
+        handle_message_detailed(before, msg, 7, ADJ, CFG)
 
 
 def test_req_dropped_when_requested_is_newer_than_stored():

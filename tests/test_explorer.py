@@ -18,6 +18,7 @@ from ospfsim.explorer import (
     _decode,
     _encode,
     _find_unconverged_cycle,
+    _handle,
     _install,
     _longest_unconverged_path,
     _node_step,
@@ -171,6 +172,19 @@ def test_bad_database_entry_flags_p2(entry):
     assert label == IDLE and child is None
     assert [(v.prop, v.detail) for v in violations] == [
         ("P2", "node 1: bad database entry for origin 1")]
+
+
+def test_request_is_served_only_to_a_known_sender():
+    ctx = _Ctx(ExploreConfig(topology=line(2)))
+    node = _Node(BOOTED, 5, 1, {}, {1: (1, 1, ())}, [], [])
+    req = ctx.msg_id(("req", ((1, 0),), 2))
+    _handle(node, 1, req, ctx)
+    assert node.nbrs == {} and node.outq == []
+    node.nbrs[2] = ctx.rtdeadintvl
+    _handle(node, 1, req, ctx)
+    assert [ctx.msgs[mid] for mid, _ in node.outq] == [
+        ("upd", ((1, 1, ()),), 1)]
+    assert node.outq[0][1] == (2,)
 
 
 LINE3_SI2 = ExploreConfig(topology=line(3), start_interval=2)

@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
 from ospfsim.core import (
+    Ack,
+    DbdDetailed,
     DbdSimple,
     Hello,
     Lsa,
@@ -8,6 +12,7 @@ from ospfsim.core import (
     Lsdb,
     NodeState,
     ProtocolConfig,
+    ReqDetailed,
     ReqSimple,
     SimpleNeighbor,
     Upd,
@@ -153,6 +158,14 @@ def test_handlers_are_pure():
     first = handle_message_simple(before, msg, 7, CFG)
     second = handle_message_simple(before, msg, 7, CFG)
     assert first == second
+
+
+@pytest.mark.parametrize("msg", [
+    DbdDetailed(frozenset(), 1, True, B), ReqDetailed(LsaHeader(C, 4), B),
+    Ack(frozenset(), B)], ids=lambda m: type(m).__name__)
+def test_detailed_messages_are_refused(msg):
+    with pytest.raises(TypeError, match="simple model cannot handle"):
+        handle_message_simple(node(nbrs=[(B, 50)]), msg, 7, CFG)
 
 
 def test_stamps_never_decrease_and_methods_match():
