@@ -14,13 +14,14 @@ flight (a flight) is interned to an int id by exact tuple equality, so
 a global state is a pair of int tuples, its node ids and its flight
 ids, in the style of SPIN's collapse compression.  Within the nodes,
 equal neighbour, database and queue tuples are one shared object.  The
-search holds each state exactly once, as its version-2 marshal bytes,
-the key of the dict that interns it to an int id; the bytes are a
-lossless image of the tuple, so state identity stays exact (no hash
-compaction, no lossy keys).  The frontier holds (id, bytes) pairs, and
-a state is rebuilt as a tuple only while it is expanded.  Parent links
-are an int array, the successor graph one flat list of state ids with
-int-array offsets, and choices an id-indexed list.
+search holds each state exactly once, as one fixed-width record of
+uint32 in a bytearray (its node ids, its flight count and its flight
+ids, zero padded), found through an open-addressing int-array index;
+a lookup matches only an equal record, so state identity stays exact
+(no hash compaction, no lossy keys).  The frontier is an int array of
+state ids, and a state is unpacked as a tuple only while it is
+expanded.  Parent links and the successor graph are int arrays, and
+choices an id-indexed list.
 
 A node's tick depends only on its own state, the messages delivered to
 it, whether its last send is still in flight and its choice label, so
@@ -46,7 +47,7 @@ deterministic engine schedule replay directly in the engine.
 from __future__ import annotations
 
 import itertools
-import marshal
+import struct
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -178,7 +179,9 @@ class ExploreVerdict:
 #   model reads only its sender.
 # Canonical global state: (node ids, flight ids), node ids in ip order,
 #   flight ids in sender order, a flight being
-#   (sender, message id, recipients-tuple, res).
+#   (sender, message id, recipients-tuple, res).  A node has at most one
+#   flight, its last send, so ``_States`` stores a state as 2n + 1 uint32:
+#   n node ids, the flight count, and the flight ids padded with zeros.
 #
 # The id tables live in ``_Ctx``, for one search: nodes, messages and
 # flights.  ``_Ctx.parts`` holds one copy of each distinct nbrs, lsdb,
@@ -586,17 +589,63 @@ def state_converged(canon, ctx: _Ctx) -> bool:
     return True
 
 
-def _state_key(canon) -> bytes:
-    """The interning key of a canonical state: its marshal bytes, from
-    which ``marshal.loads`` rebuilds an equal tuple.
+class _States:
+    """The states of one search, each held once as a record of the
+    canonical form above, with ids in the order of first sight.
+    ``table`` indexes the ids by open addressing, probed linearly and
+    grown 4x at load 1/2 from ``hashes``; a probe matches only an equal
+    record, so identity never rests on the hash."""
 
-    Version 2 is pinned.  Versions 3 and up write a back-reference for
-    any object that occurs twice (a shared recipients tuple, a small
-    int), so two equal states built from different objects would get
-    different bytes and be interned twice; version 2 writes every object
-    out in full, so equal states give equal bytes.
-    """
-    return marshal.dumps(canon, 2)
+    __slots__ = ("n", "packs", "unpack_from", "size", "records", "hashes",
+                 "table")
+
+    def __init__(self, n: int):
+        self.n = n
+        # the pack of a state with k flights; "x" packs zero bytes
+        self.packs = [struct.Struct(f"={n + 1 + k}I{4 * (n - k)}x").pack
+                      for k in range(n + 1)]
+        record = struct.Struct(f"={2 * n + 1}I")
+        self.unpack_from, self.size = record.unpack_from, record.size
+        self.records = bytearray()
+        self.hashes = array("q")
+        self.table = array("i", [-1]) * 16
+
+    def add(self, canon) -> int:
+        """The id of ``canon``, added on first sight."""
+        nids, flights = canon
+        k = len(flights)
+        rec = self.packs[k](*nids, k, *flights)
+        h = hash(rec)
+        table, hashes, size = self.table, self.hashes, self.size
+        mask = len(table) - 1
+        i = h & mask
+        while (sid := table[i]) >= 0:
+            if (hashes[sid] == h
+                    and self.records[sid * size:(sid + 1) * size] == rec):
+                return sid
+            i = (i + 1) & mask
+        table[i] = sid = len(hashes)
+        hashes.append(h)
+        self.records += rec
+        if 2 * sid >= mask:  # more than half full
+            self._grow(4 * len(table))
+        return sid
+
+    def _grow(self, slots: int) -> None:
+        table = array("i", [-1]) * slots
+        mask = slots - 1
+        for sid, h in enumerate(self.hashes):
+            i = h & mask
+            while table[i] >= 0:
+                i = (i + 1) & mask
+            table[i] = sid
+        self.table = table
+
+    def load(self, sid: int) -> tuple:
+        """The canonical state of id ``sid``."""
+        rec = self.unpack_from(self.records, sid * self.size)
+        n = self.n
+        return rec[:n], rec[n + 1:n + 1 + rec[n]]
 
 
 def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
@@ -607,35 +656,33 @@ def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
 def explore(config: ExploreConfig) -> ExploreVerdict:
     """Breadth-first enumeration over boot offsets and interleavings.
 
-    Each canonical state is held once, as its version-2 marshal bytes
-    (see :func:`_state_key`), the key of ``ids``, which interns it to an
-    int id in discovery order; identity stays exact.  The frontier holds
-    (id, key) pairs whose key is the object ``ids`` holds, and a state's
-    tuple is rebuilt with ``marshal.loads`` only to expand it.
-    Everything else is indexed by id: the parent id (-1 for a root), the
-    choice combo that first led to the state (one tuple per distinct
-    combo), and its unconverged successors, stored flat (see
-    :func:`_find_unconverged_cycle`), which is all that the cycle check
-    and the longest-path pass at the end read.  States are expanded in
-    id order, so each one's successors are appended after those of the
-    states before it.  Roots keep their boot offsets in ``root_boots``.
+    Each canonical state is held once, as one fixed-width record of a
+    :class:`_States` store, which gives it an int id in discovery order;
+    records are compared whole, so identity stays exact.  The frontier
+    is an int array of ids, and a state's tuple is unpacked from its
+    record only to expand it.  Everything else is indexed by id: the
+    parent id (-1 for a root), the choice combo that first led to the
+    state (one tuple per distinct combo), and its unconverged successors,
+    stored flat in int arrays (see :func:`_find_unconverged_cycle`),
+    which is all that the cycle check and the longest-path pass at the
+    end read.  States are expanded in id order, so each one's successors
+    are appended after those of the states before it.  Roots keep their
+    boot offsets in ``root_boots``.
     """
     config.validate()
     ctx = _Ctx(config)
     topo = config.topology
 
-    ids: dict = {}
+    store = _States(topo.n)
     parent = array("i")
     via: list = []
     combos: dict = {}
-    # kids holds the id objects that ``ids`` holds, so it adds no ints
-    first, last, kids = array("i"), array("i"), []
+    first, last, kids = array("i"), array("i"), array("i")
     root_boots: dict[int, dict[int, int]] = {}
 
     def visit(canon, parent_id, combo, todo) -> int:
         """The id of ``canon``; a new unconverged state joins ``todo``."""
-        key = _state_key(canon)
-        sid = ids.setdefault(key, len(parent))
+        sid = store.add(canon)
         if sid == len(parent):  # first visit
             parent.append(parent_id)
             via.append(combos.setdefault(combo, combo))
@@ -643,7 +690,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                 first.append(-1)
             else:
                 first.append(0)  # set when the state is expanded
-                todo.append((sid, key))
+                todo.append(sid)
             last.append(0)
         return sid
 
@@ -655,7 +702,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                               frontier_sizes=tuple(frontier_sizes),
                               message=message, **rest)
 
-    frontier: list = []
+    frontier = array("i")
     for combo in itertools.product(
         range(config.start_interval + 1), repeat=topo.n
     ):
@@ -676,11 +723,10 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                 "inconclusive",
                 f"depth bound {config.depth_bound} reached with "
                 f"{len(frontier)} unconverged states on the frontier")
-        next_frontier: list = []
-        for sid, key in frontier:
+        next_frontier = array("i")
+        for sid in frontier:
             children: list[int] = []
-            for combo, child, violations in successors(marshal.loads(key),
-                                                       ctx):
+            for combo, child, violations in successors(store.load(sid), ctx):
                 if violations:
                     ce = _build_counterexample(
                         parent, via, root_boots, sid, combo, violations[0]

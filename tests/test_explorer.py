@@ -1,11 +1,11 @@
 import dataclasses
 import itertools
-import marshal
 from array import array
 from collections import Counter
 
 import pytest
 
+from ospfsim import explorer
 from ospfsim.engine import ConfigError, EngineConfig, TraceEvent, run
 from ospfsim.explorer import (
     BOOTED,
@@ -15,6 +15,7 @@ from ospfsim.explorer import (
     Violation,
     _Ctx,
     _Node,
+    _States,
     _decode,
     _encode,
     _find_unconverged_cycle,
@@ -22,7 +23,6 @@ from ospfsim.explorer import (
     _install,
     _longest_unconverged_path,
     _node_step,
-    _state_key,
     deterministic_choice,
     explore,
     initial_state,
@@ -30,7 +30,7 @@ from ospfsim.explorer import (
     state_converged,
     successors,
 )
-from ospfsim.topology import line, ring, star
+from ospfsim.topology import Topology, line, ring, star
 
 
 def engine_schedule_path(cfg, boots):
@@ -263,20 +263,24 @@ def rebuilt(x):
     return x
 
 
-def test_state_key_is_exact(line3_si2_states):
-    # the interning key loses nothing, and equal states give equal keys
-    # whichever objects they are built from; marshal versions 3 and 4
-    # write back-references for shared objects and fail the second check
+def test_store_round_trips_and_adds_equal_states_once(line3_si2_states):
+    # a record loses nothing, and an equal state built from other objects
+    # gets the id of the first, whatever the index positions
     ctx, states = line3_si2_states
-    for canon in states:
-        key = _state_key(canon)
-        assert marshal.loads(key) == canon
+    store = _States(LINE3_SI2.topology.n)
+    sids = [store.add(canon) for canon in states]
+    assert sids == list(range(len(states)))
+    for sid, canon in zip(sids, states):
+        assert store.load(sid) == canon
         copy = rebuilt(canon)
         assert copy == canon
-        assert _state_key(copy) == key
+        assert store.add(copy) == sid
         # node ids are exact too: an equal node gets the same id
         for nid in canon[0]:
             assert ctx.node_id(rebuilt(ctx.nodes[nid])) == nid
+    # the equal copies added nothing
+    assert len(store.hashes) == len(states)
+    assert len(store.records) == store.size * len(states)
 
 
 def expanded(canon, ctx):
@@ -578,3 +582,36 @@ def test_pinned_ring3_p3_counterexample():
     ]
     # the replay meets every node's P3 of that tick, in ip order
     assert replay(cfg, ce)[1] == p3
+
+
+@pytest.mark.parametrize("cfg", [
+    LINE3_SI2,
+    ExploreConfig(topology=ring(3), start_interval=3),
+], ids=["line3-si2", "ring3-si3"])
+def test_store_identity_does_not_rest_on_the_hash(cfg, monkeypatch):
+    # with every record hashed alike, every probe meets every state, so
+    # only the whole-record comparison tells states apart
+    expected = verdict_fields(explore(cfg))
+    monkeypatch.setattr(explorer, "hash", lambda rec: 0, raising=False)
+    assert verdict_fields(explore(cfg)) == expected
+
+
+def test_store_counterexample_does_not_rest_on_the_hash(monkeypatch):
+    cfg = ExploreConfig(topology=star(4), start_interval=2)
+    expected = explore(cfg)
+    monkeypatch.setattr(explorer, "hash", lambda rec: 0, raising=False)
+    v = explore(cfg)
+    assert verdict_fields(v) == verdict_fields(expected)
+    assert replay(cfg, v.counterexample) == replay(cfg, expected.counterexample)
+
+
+def test_store_width_edge_cases():
+    # on one node the root's record is all zeros and the next state has
+    # one flight, of id 0, which only the flight count tells from the
+    # padding; a budget stop leaves the store part-filled
+    v = explore(ExploreConfig(topology=Topology(1, frozenset()),
+                              start_interval=2))
+    assert (v.status, v.states, v.longest_path, v.frontier_sizes) == (
+        "pass", 2, 1, (1,))
+    v = explore(dataclasses.replace(LINE3_SI2, max_states=500))
+    assert (v.status, v.states, v.depth_reached) == ("inconclusive", 501, 12)
