@@ -18,7 +18,6 @@ from .engine import (
     EngineConfig,
     format_counts,
     parse_trace_line,
-    render_trace,
     run,
 )
 from .topology import TopologyError, load_topology
@@ -27,6 +26,12 @@ from .topology import TopologyError, load_topology
 def _die(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _write_trace(fh, trace) -> None:
+    """Write the records one rendered line at a time."""
+    for ev in trace:
+        fh.write(ev.render() + "\n")
 
 
 def _merged(file_settings: dict, args, flags) -> dict:
@@ -54,10 +59,10 @@ def cmd_run(args) -> int:
         return _die(str(exc))
 
     if args.trace == "-":
-        sys.stdout.write(render_trace(trace))
+        _write_trace(sys.stdout, trace)
     elif args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(render_trace(trace))
+            _write_trace(fh, trace)
     print(verdict.line())
     if verdict.kind == "converged":
         return 0
@@ -104,7 +109,7 @@ def cmd_explore(args) -> int:
         if args.trace:
             events, _ = replay(cfg, ce)
             with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(render_trace(events))
+                _write_trace(fh, events)
     if verdict.status == "pass":
         return 0
     if verdict.status == "violation":
@@ -114,8 +119,7 @@ def cmd_explore(args) -> int:
 
 def cmd_summarize(args) -> int:
     try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        fh = open(args.trace, "r", encoding="utf-8")
     except OSError as exc:
         return _die(str(exc))
 
@@ -123,23 +127,24 @@ def cmd_summarize(args) -> int:
     totals: Counter = Counter()
     converged_tick = None
     timeline: dict[int, list] = defaultdict(list)
-    for idx, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            ev = parse_trace_line(line)
-        except ValueError:
-            return _die(f"record {idx}: malformed trace record")
-        if ev.kind == "send":
-            kind = ev.detail.get("type")
-            per_node[ev.node][kind] += 1
-            totals[kind] += 1
-        elif ev.kind == "converged":
-            converged_tick = ev.tick
-        elif ev.kind == "state_change":
-            timeline[ev.node].append(
-                (ev.tick, ev.detail.get("nbr"), ev.detail.get("ns"))
-            )
+    with fh:
+        for idx, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                ev = parse_trace_line(line)
+            except ValueError:
+                return _die(f"record {idx}: malformed trace record")
+            if ev.kind == "send":
+                kind = ev.detail.get("type")
+                per_node[ev.node][kind] += 1
+                totals[kind] += 1
+            elif ev.kind == "converged":
+                converged_tick = ev.tick
+            elif ev.kind == "state_change":
+                timeline[ev.node].append(
+                    (ev.tick, ev.detail.get("nbr"), ev.detail.get("ns"))
+                )
 
     total = sum(totals.values())
     print(f"messages total={total} " + format_counts(totals))

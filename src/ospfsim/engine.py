@@ -92,40 +92,82 @@ _KIND_RANK = {
 }
 
 
-@dataclass
 class TraceEvent:
-    tick: TimeStamp
-    node: NodeId
-    kind: str
-    detail: dict
+    """One trace record.  A record that the engine builds keeps the raw
+    values it was given and builds ``detail`` from them on first read;
+    ``TraceEvent(tick, node, kind, detail)`` keeps the dict it is given."""
+
+    # the raw values _a, _b, _c: sender, message kind and drop reason of
+    # a deliver or drop; message kind and recipients of a send; neighbour,
+    # new and previous NeighborState of a state change; the installed Lsa
+    __slots__ = ("tick", "node", "kind", "order", "_detail", "_a", "_b", "_c")
+    __hash__ = None
+
+    def __init__(self, tick: TimeStamp, node: NodeId, kind: str,
+                 detail: Optional[dict] = None, a=None, b=None, c=None):
+        self.tick = tick
+        self.node = node
+        self.kind = kind
+        # within a tick, records sort by this: by node, then by phase
+        self.order = node * 8 + _KIND_RANK.get(kind, 6)
+        self._detail = detail
+        self._a, self._b, self._c = a, b, c
+
+    @property
+    def detail(self) -> dict:
+        if self._detail is None:
+            self._detail = self._shown()
+        return self._detail
+
+    def _shown(self) -> dict:
+        """The detail, without keeping it when it had to be built."""
+        if self._detail is not None:
+            return self._detail
+        kind, a, b, c = self.kind, self._a, self._b, self._c
+        if kind == "send":
+            return {"type": a,
+                    "method": "broadcast" if a == "hello" else "groupcast",
+                    "recipients": list(b)}
+        if kind == "deliver":
+            return {"from": a, "type": b}
+        if kind == "drop":
+            return {"from": a, "type": b, "reason": c}
+        if kind == "state_change":
+            return {"nbr": a, "ns": b.label(),
+                    "prev": c.label() if c is not None else None}
+        return {"origin": a.origin, "stamp": a.stamp, "links": sorted(a.links)}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.tick, self.node, self.kind, self._shown())
+                == (other.tick, other.node, other.kind, other._shown()))
+
+    def __repr__(self) -> str:
+        return (f"TraceEvent(tick={self.tick!r}, node={self.node!r}, "
+                f"kind={self.kind!r}, detail={self._shown()!r})")
 
     def render(self) -> str:
-        return json.dumps(
-            {"tick": self.tick, "node": self.node, "kind": self.kind,
-             "detail": self.detail},
-            separators=(",", ":"),
-        )
+        return _JSON.encode({"tick": self.tick, "node": self.node,
+                             "kind": self.kind, "detail": self._shown()})
+
+
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def delivery_event(tick: TimeStamp, rcpt: NodeId, sender: NodeId, kind: str,
                    drop_reason: Optional[str] = None) -> TraceEvent:
     """A deliver record, or a drop record when ``drop_reason`` is given."""
-    detail = {"from": sender, "type": kind}
-    if drop_reason is None:
-        return TraceEvent(tick, rcpt, "deliver", detail)
-    detail["reason"] = drop_reason
-    return TraceEvent(tick, rcpt, "drop", detail)
+    return TraceEvent(tick, rcpt, "deliver" if drop_reason is None else "drop",
+                      None, sender, kind, drop_reason)
 
 
 def send_event(tick: TimeStamp, ip: NodeId, kind: str,
                recipients) -> TraceEvent:
     """A send record, with ``recipients`` given in ascending id; hellos
-    are always broadcast, everything else is always groupcast."""
-    return TraceEvent(tick, ip, "send", {
-        "type": kind,
-        "method": "broadcast" if kind == "hello" else "groupcast",
-        "recipients": list(recipients),
-    })
+    are always broadcast, everything else is always groupcast.  The
+    record keeps ``recipients``, so the caller must not change it."""
+    return TraceEvent(tick, ip, "send", None, kind, recipients)
 
 
 def parse_trace_line(line: str) -> TraceEvent:
@@ -247,22 +289,16 @@ class SimState:
             for n in after.nbrs:
                 old = prev.get(n.nip)
                 if old is not n.ns:
-                    events.append(TraceEvent(
-                        self.now, ip, "state_change",
-                        {"nbr": n.nip, "ns": n.ns.label(),
-                         "prev": old.label() if old is not None else None},
-                    ))
+                    events.append(TraceEvent(self.now, ip, "state_change",
+                                             None, n.nip, n.ns, old))
         if after.lsdb is before.lsdb:
             return
         prev = before.lsdb.by_origin
         for lsa in after.lsdb.entries:
             old = prev.get(lsa.origin)
             if old is not lsa and old != lsa:
-                events.append(TraceEvent(
-                    self.now, ip, "lsa_install",
-                    {"origin": lsa.origin, "stamp": lsa.stamp,
-                     "links": sorted(lsa.links)},
-                ))
+                events.append(
+                    TraceEvent(self.now, ip, "lsa_install", None, lsa))
 
     # -- one global tick ----------------------------------------------
 
@@ -334,7 +370,7 @@ class SimState:
 
         self.now += 1
         # within a tick, events are presented per node in phase order
-        events.sort(key=lambda e: (e.node, _KIND_RANK[e.kind]))
+        events.sort(key=lambda e: e.order)
         return events
 
 
