@@ -10,6 +10,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter, defaultdict
 
@@ -54,16 +55,24 @@ def cmd_run(args) -> int:
     cfg = EngineConfig(**_merged(file_settings, args, (
         "model", "seed", "max_ticks", "loss_prob", "queue_capacity")))
     try:
-        sim, trace, verdict = run(cfg, tf.topology)
+        sim, trace, verdict = run(cfg, tf.topology, trace=bool(args.trace))
     except ConfigError as exc:
         return _die(str(exc))
 
-    if args.trace == "-":
-        _write_trace(sys.stdout, trace)
-    elif args.trace:
+    if args.trace and args.trace != "-":
         with open(args.trace, "w", encoding="utf-8") as fh:
             _write_trace(fh, trace)
-    print(verdict.line())
+    try:
+        if args.trace == "-":
+            _write_trace(sys.stdout, trace)
+        print(verdict.line())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: write no more, and point stdout at the
+        # null device so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if verdict.kind == "converged":
         return 0
     if verdict.kind == "timed_out":

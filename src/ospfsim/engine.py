@@ -420,29 +420,36 @@ def converged(sim: SimState) -> bool:
 def run(
     config: EngineConfig,
     topology: Topology,
-) -> tuple[SimState, list[TraceEvent], Verdict]:
+    trace: bool = False,
+) -> tuple[SimState, Optional[list[TraceEvent]], Verdict]:
     """Tick until converged, a queue overflows or out of budget.
 
     Message counts tally send events from boot up to and including the
     first tick at which the convergence predicate holds, or the tick in
     which a queue outgrew ``queue_capacity``.
+
+    The records are kept only with ``trace``; else the trace is None.
+    ``tick`` builds them anyway, as ``bench/layertrace.py`` reads them.
     """
     sim = SimState(config, topology)
-    trace: list[TraceEvent] = []
+    records: Optional[list[TraceEvent]] = [] if trace else None
     while sim.now < config.max_ticks:
-        trace.extend(sim.tick())
+        events = sim.tick()
+        if records is not None:
+            records.extend(events)
         if sim.overflow is not None:
-            return sim, trace, Verdict("queue_overflow", at_tick=sim.now - 1,
-                                       node=sim.overflow,
-                                       counts=dict(sim.counts))
+            return sim, records, Verdict("queue_overflow", at_tick=sim.now - 1,
+                                         node=sim.overflow,
+                                         counts=dict(sim.counts))
         if converged(sim):
             at = sim.now - 1
-            trace.append(TraceEvent(at, 0, "converged",
-                                    {"counts": dict(sim.counts)}))
-            return sim, trace, Verdict("converged", at_tick=at,
-                                       counts=dict(sim.counts))
-    return sim, trace, Verdict("timed_out", at_tick=sim.now,
-                               counts=dict(sim.counts))
+            if records is not None:
+                records.append(TraceEvent(at, 0, "converged",
+                                          {"counts": dict(sim.counts)}))
+            return sim, records, Verdict("converged", at_tick=at,
+                                         counts=dict(sim.counts))
+    return sim, records, Verdict("timed_out", at_tick=sim.now,
+                                 counts=dict(sim.counts))
 
 
 def render_trace(trace: list[TraceEvent]) -> str:

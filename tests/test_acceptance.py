@@ -48,7 +48,8 @@ def _report(num, name, ok):
 
 def test_criterion_1_two_node_steady_state():
     started = time.time()
-    sim, trace, verdict = run(EngineConfig(model="detailed"), line(2))
+    sim, trace, verdict = run(EngineConfig(model="detailed"), line(2),
+                              trace=True)
     elapsed = time.time() - started
     total = verdict.total_messages
     ok = verdict.kind == "converged" and elapsed < 1.0
@@ -104,7 +105,7 @@ def check_criterion_2(name, topo, model):
     """Run one convergence case; print its report line and return
     ``(ok, detail)``."""
     cfg = EngineConfig(model=model, max_ticks=4000)
-    sim, trace, verdict = run(cfg, topo)
+    sim, trace, verdict = run(cfg, topo, trace=True)
     bound = 5 * topo.diameter() * cfg.hellointvl
     dbs, lsdb_at, link_changes = replay_lsdbs(topo, trace, verdict.at_tick)
     ok = verdict.kind == "converged" and lsdb_at is not None and lsdb_at <= bound
@@ -175,7 +176,7 @@ def test_criterion_3_loss_tolerance():
     for seed in range(20):
         cfg = EngineConfig(model="detailed", loss_prob=0.2, seed=seed,
                            max_ticks=budget + 1)
-        sim, trace, verdict = run(cfg, line(3))
+        _, _, verdict = run(cfg, line(3))
         if verdict.kind != "converged" or verdict.at_tick > budget:
             failures.append((seed, verdict.kind, verdict.at_tick))
     with pytest.raises(ConfigError):
@@ -306,7 +307,7 @@ def test_criterion_7_engine_schedule_inclusion():
 def test_criterion_8_model_agreement(name, topo):
     finals = {}
     for model in ("simple", "detailed"):
-        sim, trace, verdict = run(EngineConfig(model=model, max_ticks=4000), topo)
+        sim, _, verdict = run(EngineConfig(model=model, max_ticks=4000), topo)
         assert verdict.kind == "converged", f"{name}/{model} did not converge"
         finals[model] = {
             ip: {lsa.origin: lsa.links for lsa in sim.nodes[ip].state.lsdb}
@@ -322,8 +323,8 @@ def test_criterion_9_determinism():
     for name, topo in TOPOLOGIES:
         for model in ("simple", "detailed"):
             cfg = lambda: EngineConfig(model=model, seed=5, max_ticks=4000)
-            _, one, _ = run(cfg(), topo)
-            _, two, _ = run(cfg(), topo)
+            _, one, _ = run(cfg(), topo, trace=True)
+            _, two, _ = run(cfg(), topo, trace=True)
             if render_trace(one) != render_trace(two):
                 ok = False
     _report(9, "determinism", ok)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -242,7 +243,8 @@ def test_each_command_honours_or_refuses_every_file_directive(
         # a violation adds the counterexample's choices after these lines
         assert out.startswith("".join(l + "\n" for l in verdict.lines()))
     else:
-        _, trace, verdict = run(EngineConfig(model=model, **fields), line(3))
+        _, trace, verdict = run(EngineConfig(model=model, **fields), line(3),
+                                trace=True)
         assert out == render_trace(trace) + verdict.line() + "\n"
 
 
@@ -261,6 +263,26 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("CONVERGED")
+
+
+def test_run_stops_writing_when_the_reader_closes_the_pipe(tmp_path):
+    # the ring(10) trace, about 190 kB, is larger than a pipe holds, so
+    # the writer is still writing when the reader goes
+    p = tmp_path / "ring10.top"
+    p.write_text("nodes 10\n" + "".join(f"edge {i} {i % 10 + 1}\n"
+                                        for i in range(1, 11)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ospfsim.cli", "run", str(p), "--trace", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == ""
+    assert all(json.loads(line)["tick"] == 0 for line in lines)
 
 
 # a fresh process: what ``import ospfsim`` loads, then whether run and

@@ -550,7 +550,7 @@ def test_ns_transitions_follow_documented_edges():
          line(3)),
     ]
     for cfg, topo in runs:
-        _, trace, _ = run(cfg, topo)
+        _, trace, _ = run(cfg, topo, trace=True)
         for ev in trace:
             if ev.kind == "state_change":
                 prev = ev.detail["prev"]

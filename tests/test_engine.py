@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ from ospfsim.engine import (
     ConfigError,
     EngineConfig,
     SimState,
+    TraceEvent,
     converged,
     parse_trace_line,
     render_trace,
@@ -32,7 +34,7 @@ def test_two_node_hello_exchange_timing():
 
 def test_total_loss_means_no_discovery():
     cfg = EngineConfig(model="detailed", loss_prob=1.0, max_ticks=60)
-    sim, trace, verdict = run(cfg, line(2))
+    sim, trace, verdict = run(cfg, line(2), trace=True)
     assert verdict.kind == "timed_out"
     assert all(e.kind != "deliver" for e in trace)
     assert all(len(sim.nodes[ip].state.nbrs) == 0 for ip in (1, 2))
@@ -40,7 +42,8 @@ def test_total_loss_means_no_discovery():
 
 def test_isolated_node_broadcasts_to_nobody():
     topo = Topology(1, frozenset())
-    sim, trace, verdict = run(EngineConfig(model="simple", max_ticks=30), topo)
+    _, trace, verdict = run(EngineConfig(model="simple", max_ticks=30), topo,
+                            trace=True)
     assert verdict.kind == "converged"
     assert all(e.kind != "deliver" for e in trace)
     sends = [e for e in trace if e.kind == "send"]
@@ -48,14 +51,14 @@ def test_isolated_node_broadcasts_to_nobody():
 
 
 def test_two_node_detailed_documented_trace():
-    sim, trace, verdict = run(EngineConfig(model="detailed"), line(2))
+    _, _, verdict = run(EngineConfig(model="detailed"), line(2))
     assert verdict.kind == "converged"
     assert verdict.at_tick == 19
     assert verdict.counts == {"hello": 4, "dbd": 5, "req": 0, "upd": 4, "ack": 4}
 
 
 def test_two_node_simple_final_databases():
-    sim, trace, verdict = run(EngineConfig(model="simple"), line(2))
+    sim, _, verdict = run(EngineConfig(model="simple"), line(2))
     assert verdict.kind == "converged"
     assert sim.nodes[1].state.lsdb.get(2).links == {1}
     assert sim.nodes[1].state.lsdb.get(1).links == {2}
@@ -63,7 +66,7 @@ def test_two_node_simple_final_databases():
 
 
 def test_three_node_line_middle_links_both_ends():
-    sim, trace, verdict = run(EngineConfig(model="simple"), line(3))
+    sim, _, verdict = run(EngineConfig(model="simple"), line(3))
     assert verdict.kind == "converged"
     for ip in (1, 2, 3):
         assert sim.nodes[ip].state.lsdb.get(2).links == {1, 3}
@@ -89,7 +92,7 @@ def test_converged_predicate():
 
 def test_guaranteed_receipt_and_fifo():
     cfg = EngineConfig(model="detailed")
-    sim, trace, verdict = run(cfg, line(3))
+    _, trace, verdict = run(cfg, line(3), trace=True)
     assert verdict.kind == "converged"
     sends = [e for e in trace if e.kind == "send"]
     delivers = [e for e in trace if e.kind == "deliver"]
@@ -142,8 +145,8 @@ def test_identical_seed_identical_trace():
     for loss, model in ((0.0, "simple"), (0.3, "detailed")):
         cfg = lambda: EngineConfig(model=model, loss_prob=loss, seed=42,
                                    max_ticks=400)
-        _, one, v1 = run(cfg(), line(3))
-        _, two, v2 = run(cfg(), line(3))
+        _, one, v1 = run(cfg(), line(3), trace=True)
+        _, two, v2 = run(cfg(), line(3), trace=True)
         assert render_trace(one) == render_trace(two)
         assert v1 == v2
 
@@ -190,7 +193,7 @@ PINNED_DIGESTS = [
 def test_trace_digests_are_pinned():
     got = {}
     for name, config, topo, _ in PINNED_DIGESTS:
-        _, trace, verdict = run(config, topo)
+        _, trace, verdict = run(config, topo, trace=True)
         text = render_trace(trace) + verdict.line()
         got[name] = hashlib.sha256(text.encode()).hexdigest()
     assert got == {name: digest for name, _, _, digest in PINNED_DIGESTS}
@@ -198,7 +201,7 @@ def test_trace_digests_are_pinned():
 
 def test_queue_overflow_verdict():
     cfg = EngineConfig(model="simple", queue_capacity=1)
-    sim, trace, verdict = run(cfg, line(3))
+    _, trace, verdict = run(cfg, line(3), trace=True)
     assert verdict.kind == "queue_overflow"
     assert verdict.node == 2 and verdict.at_tick == 1
     assert verdict.line() == "OVERFLOW node=2 tick=1"
@@ -270,7 +273,8 @@ def test_simple_short_dead_intervals_converge_with_a_newer_own_stamp_each_time()
     # all of which timed out before, converge
     runs = {
         (name, dead): run(EngineConfig(model="simple", hellointvl=10,
-                                       rtdeadintvl=dead, max_ticks=3000), topo)
+                                       rtdeadintvl=dead, max_ticks=3000), topo,
+                            trace=True)
         for name, topo in (("star4", star(4)), ("ring4", ring(4)))
         for dead in ((17, 18, 19) if name == "star4" else (11, 14, 15))
     }
@@ -298,7 +302,7 @@ def test_detailed_exchange_ignores_a_restart_below_its_sequence_number():
     # node 4 sent before the drop, takes node 4's new restart at sequence 1
     # for a duplicate, and node 4 drops node 3's re-sent reply
     cfg = EngineConfig(hellointvl=10, rtdeadintvl=14, max_ticks=3000)
-    sim, trace, verdict = run(cfg, ring(4))
+    sim, trace, verdict = run(cfg, ring(4), trace=True)
     assert verdict.line() == "TIMEOUT"
     assert max(e.tick for e in trace if e.kind == "state_change") == 115
     to_3, to_4 = sim.nodes[4].state.nbrs.get(3), sim.nodes[3].state.nbrs.get(4)
@@ -324,7 +328,7 @@ def test_records_come_in_node_then_phase_order(topo):
         boots = {ip: rng.randint(0, 4) for ip in topo.nodes()}
         cfg = EngineConfig(model="detailed", loss_prob=0.3, seed=seed,
                            boot_offsets=boots, max_ticks=2000)
-        _, trace, verdict = run(cfg, topo)
+        _, trace, verdict = run(cfg, topo, trace=True)
         assert verdict.kind == "converged"
         keys = [(ev.tick, ev.node, PHASES.index(ev.kind),
                  ev.detail.get(ORDER_FIELD.get(ev.kind), 0))
@@ -340,8 +344,8 @@ def test_records_round_trip_and_render_the_same_once_read():
     boots = {1: 0, 2: 3, 3: 1, 4: 6}
     lossy = EngineConfig(model="detailed", loss_prob=0.3, seed=2,
                          boot_offsets=boots, max_ticks=2000)
-    _, detailed, _ = run(lossy, ring(4))
-    _, simple, _ = run(EngineConfig(model="simple"), line(3))
+    _, detailed, _ = run(lossy, ring(4), trace=True)
+    _, simple, _ = run(EngineConfig(model="simple"), line(3), trace=True)
     cfg = ExploreConfig(topology=line(3), start_interval=2, queue_bound=1)
     replayed, _ = replay(cfg, explore(cfg).counterexample)
     assert {ev.kind for ev in detailed} == {*PHASES, "converged"}
@@ -364,7 +368,7 @@ def test_retained_record_memory_is_bounded():
     cfg = EngineConfig(model="detailed", boot_offsets=_seeded_boots(1, 30, 10))
     tracemalloc.start()
     try:
-        _, trace, verdict = run(cfg, ring(30))
+        _, trace, verdict = run(cfg, ring(30), trace=True)
         held = tracemalloc.get_traced_memory()[0]
         records = len(trace)
         del trace
@@ -375,9 +379,33 @@ def test_retained_record_memory_is_bounded():
     assert per_record < 160, per_record
 
 
+def _live_records():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is TraceEvent)
+
+
+def test_untraced_run_keeps_no_records():
+    """Only a traced run keeps its records; an untraced one drops each
+    tick's records once the tick is over.  Both models on ring(30) with
+    seed-1 boots, as the benchmark's ring30 workload runs them, make
+    22,208 records."""
+    boots = _seeded_boots(1, 30, 10)
+    configs = [EngineConfig(model=model, boot_offsets=boots)
+               for model in ("simple", "detailed")]
+    before = _live_records()
+    traced = [run(cfg, ring(30), trace=True) for cfg in configs]
+    assert _live_records() - before >= 18_000
+    del traced
+    before = _live_records()
+    untraced = [run(cfg, ring(30)) for cfg in configs]
+    assert all(trace is None and verdict.kind == "converged"
+               for _, trace, verdict in untraced)
+    assert _live_records() == before
+
+
 def test_boot_offsets_delay_boot():
     cfg = EngineConfig(model="simple", boot_offsets={2: 5})
-    sim, trace, verdict = run(cfg, line(2))
+    _, trace, verdict = run(cfg, line(2), trace=True)
     boots = {e.node: e.tick for e in trace if e.kind == "boot"}
     assert boots == {1: 0, 2: 5}
     drops = [e for e in trace if e.kind == "drop"]

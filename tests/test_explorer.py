@@ -104,7 +104,8 @@ def test_counterexample_traces_use_the_engine_record_format():
     choices, _ = engine_schedule_path(roomy, late)
     path = Counterexample(late, choices, Violation("none", ""), len(choices))
     explored = _detail_keys(replay(cfg, ce)[0] + replay(roomy, path)[0])
-    _, trace, _ = run(EngineConfig(model="simple", boot_offsets=late), line(3))
+    _, trace, _ = run(EngineConfig(model="simple", boot_offsets=late), line(3),
+                      trace=True)
     engine = _detail_keys(trace)
     for kind in ("boot", "deliver", "drop", "send"):
         assert engine.get(kind) and explored.get(kind) == engine[kind], kind
@@ -498,7 +499,8 @@ def test_explorer_boots_before_the_deliveries_of_the_boot_tick_unlike_simple_mod
     choices, _ = engine_schedule_path(cfg, boots)
     path = Counterexample(boots, choices, Violation("none", ""), len(choices))
     explored, _ = replay(cfg, path)
-    _, engine, _ = run(EngineConfig(model="simple", boot_offsets=boots), topo)
+    _, engine, _ = run(EngineConfig(model="simple", boot_offsets=boots), topo,
+                       trace=True)
 
     def first_hello(trace):
         return [ev for ev in trace

@@ -23,6 +23,9 @@ stays here as an oracle, on graphs that may be disconnected.
 
 On connected graphs of 2 to 4 nodes the explorer, following the engine
 schedule, and the engine's simple model must end with the same links.
+
+On connected graphs of 2 to 6 nodes a run that keeps no trace must end
+with the verdict and node states of the same run with its trace kept.
 """
 
 import random
@@ -62,7 +65,7 @@ def final_lsdbs(sim, topo):
 def test_simple_model_lsdbs_exact_within_the_criterion_2_bound(rng):
     topo, boots = random_case(rng)
     cfg = EngineConfig(model="simple", boot_offsets=boots, max_ticks=3000)
-    sim, trace, verdict = run(cfg, topo)
+    _, trace, verdict = run(cfg, topo, trace=True)
     assert verdict.kind == "converged", (topo, boots, verdict.line())
     _, exact_from, _ = replay_lsdbs(topo, trace, verdict.at_tick)
     bound = 5 * topo.diameter() * cfg.hellointvl
@@ -76,7 +79,7 @@ def test_replayed_installs_equal_the_final_lsdbs(rng, model):
     # change would show here as a replay that falls behind the state
     topo, boots = random_case(rng)
     cfg = EngineConfig(model=model, boot_offsets=boots, max_ticks=300)
-    sim, trace, verdict = run(cfg, topo)
+    sim, trace, verdict = run(cfg, topo, trace=True)
     dbs, _, _ = replay_lsdbs(topo, trace, sim.now)
     assert dbs == final_lsdbs(sim, topo), (topo, boots, model)
 
@@ -93,7 +96,7 @@ def check_detailed_verdict_before_refresh(topo, boots):
         return
     cfg = EngineConfig(model="detailed", boot_offsets=boots,
                        max_ticks=EngineConfig.refreshintvl)
-    sim, trace, verdict = run(cfg, topo)
+    _, _, verdict = run(cfg, topo)
     assert verdict.kind == "converged", (topo, boots, verdict.line())
 
 
@@ -176,3 +179,20 @@ def test_explorer_engine_schedule_and_simple_model_end_with_the_same_links(rng):
         for ip in topo.nodes()
     }
     assert explorer_links == engine_links, (topo, boots)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(RNGS, st.sampled_from(["simple", "detailed"]),
+       st.one_of(st.none(), st.integers(1, 8)), st.integers(20, 300))
+def test_untraced_run_agrees_with_traced_run(rng, model, capacity, max_ticks):
+    # boot offsets lie in [0, hellointvl); small capacities end some
+    # runs in a queue overflow and short budgets end some in a timeout
+    topo, boots = random_case(rng, 2, 6)
+    cfg = EngineConfig(model=model, boot_offsets=boots, queue_capacity=capacity,
+                       max_ticks=max_ticks)
+    sim, trace, verdict = run(cfg, topo)
+    traced_sim, records, traced_verdict = run(cfg, topo, trace=True)
+    assert trace is None and records
+    assert verdict == traced_verdict, (topo, boots, model, capacity, max_ticks)
+    assert {ip: rt.state for ip, rt in sim.nodes.items()} == {
+        ip: rt.state for ip, rt in traced_sim.nodes.items()}
