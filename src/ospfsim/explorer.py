@@ -24,12 +24,11 @@ expanded.  Parent links and the successor graph are int arrays, and
 choices an id-indexed list.
 
 A node's tick depends only on its own state, the messages delivered to
-it, whether its last send is still in flight and its choice label, so
-one node step per (ip, node id, inbox, busy) is computed once and
-cached, in one dict per (ip, inbox, busy) keyed by node id alone; a
-global successor is one cached result per node.  The search, the
-engine-schedule choice and the counterexample replay all run through
-that step.
+it, the send it still has in flight and its choice label, so one node
+step per (ip, node id, inbox, carried flight) is computed once and
+cached as one flat row, in one dict per (ip, inbox, carried flight)
+keyed by the interned node id; a global successor is one row per node.
+The search, the engine-schedule choice and the replay all use them.
 
 Checked per state:
     P1  queue occupancy stays within the configured bound
@@ -186,12 +185,15 @@ class ExploreVerdict:
 # The id tables live in ``_Ctx``, for one search: nodes, messages and
 # flights.  ``_Ctx.parts`` holds one copy of each distinct nbrs, lsdb,
 # inq and outq tuple, and every stored node refers to that copy.  A
-# node is rebuilt as a ``_Node`` only when the node-step cache misses
-# (see ``_node_step``); its scratch containers hold every piece already
-# in its canonical form, its queues message ids, so encoding one only
-# sorts and freezes them.
+# node is rebuilt as a ``_Node`` only when the node-step cache misses;
+# its scratch containers hold every piece already in its canonical form,
+# its queues message ids, so encoding one only sorts and freezes them.
 # A message is interned once, when it is queued, and looked up only
 # where ``_handle`` consumes it.
+# A cached node step is one flat row with no tuple per label: its top
+# occupancy, then label, child node id and flight id (or None) per label
+# (full rows: see ``_node_step``).  Both node caches key a node by the
+# int that ``_Ctx.node_ids`` holds, not by an equal one from a record.
 
 
 def _intern(ids: dict, items: list, item) -> int:
@@ -239,9 +241,9 @@ class _Ctx:
         self.flights: list[tuple] = []  # flight id -> flight
         self.flight_ids: dict[tuple, int] = {}
         self.parts: dict[tuple, tuple] = {}  # canonical part -> itself
-        # (ip, inbox, busy) -> node id -> node step
+        # (ip, inbox, carried flight) -> node id -> row (see ``_steps``)
         self.steps: defaultdict = defaultdict(dict)
-        self.converged: dict = {}  # (ip, node id) -> per-node clause
+        self.converged = {ip: {} for ip in self.ips}  # ip -> node id -> clause
 
     def node_id(self, node: tuple) -> int:
         return _intern(self.node_ids, self.nodes, node)
@@ -431,19 +433,16 @@ def _check_occupancy(node: _Node, ip: int, ctx: _Ctx) -> int:
     return occ
 
 
-def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, busy: bool):
+def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, carried):
     """One tick of node ``ip`` in state ``nid``: it boots if due, and if
     booted receives ``inbox`` (message ids, in sender order); P1 is
     checked.  Then, per label of :func:`_options`, it runs the label,
-    starts the head of its output queue unless ``busy`` (its last send
-    still in flight), is checked for P3 (while it installs), P1 and P2,
-    and every residue shrinks by one.
-
-    Returns the occupancy and the P1 violations after delivery, then one
-    option (label, child id, flight id, violations, occupancy) per label,
-    in one flat tuple: the flight is the one started, residue shrunk, or
-    None; the violations are in check order, and when there are any the
-    child is None."""
+    starts the head of its output queue unless it carries a flight
+    (``carried``, else None), is checked for P3 (while it installs), P1
+    and P2, and every residue shrinks by one.  Returns its full row:
+    (P1 violations, occupancy) after delivery, then per label the label,
+    child id (None if any violation), flight id (``carried``, the one
+    started, or None), violations in check order and occupancy."""
     def delivered() -> _Node:
         node = _decode(nid, ctx)
         if node.boot_res == 0:
@@ -454,15 +453,15 @@ def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, busy: bool):
 
     node = delivered()
     ctx.violations = []
-    after_delivery = _check_occupancy(node, ip, ctx), tuple(ctx.violations)
-    options = []
+    occ = _check_occupancy(node, ip, ctx)
+    row = [(tuple(ctx.violations), occ)]
     for label in _options(node):
-        if options:  # the previous label changed node: start again
+        if len(row) > 1:  # the previous label changed node: start again
             node = delivered()
         ctx.violations = []
         _apply_choice(node, ip, label, ctx)
-        flight = None
-        if not busy and node.outq:
+        flight = carried
+        if flight is None and node.outq:
             mid, dests = node.outq.pop(0)
             reach = ctx.neighbors[ip]
             recipients = (reach if dests is None
@@ -484,15 +483,15 @@ def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, busy: bool):
                 for nip in node.nbrs:
                     node.nbrs[nip] -= 1
             child = _encode(node, ctx)
-        options.append((label, child, flight, tuple(ctx.violations), occ))
-    return after_delivery + tuple(options)
+        row += label, child, flight, tuple(ctx.violations), occ
+    return tuple(row)
 
 
 def _steps(canon, ctx: _Ctx) -> list:
-    """Each node's step, cached, for the tick that starts in ``canon``,
-    in ip order.  Due transmissions deliver in sender order; a node whose
-    send is still in flight carries it on, residue shrunk, as the flight
-    of each of its labels."""
+    """Each node's row for the tick that starts in ``canon``, in ip
+    order: the cached one or, if a node meets a violation, every node's
+    full row, uncached.  Due transmissions deliver in sender order; a
+    node whose send is still in flight carries it on, residue shrunk."""
     nids, flights = canon
     due: dict[int, tuple] = {}
     carried = {}
@@ -505,54 +504,56 @@ def _steps(canon, ctx: _Ctx) -> list:
         else:
             carried[sender] = ctx.flight_id((sender, mid, recipients, res - 1))
     cache = ctx.steps
-    steps = []
+    rows = []
     for ip, nid in zip(ctx.ips, nids):
-        inbox, busy = due.get(ip, ()), ip in carried
-        by_node = cache[ip, inbox, busy]
-        step = by_node.get(nid)
-        if step is None:
-            step = by_node[nid] = _node_step(ctx, ip, nid, inbox, busy)
-        flight = carried.get(ip)
-        if flight is not None:
-            step = step[:2] + tuple((label, child, flight, violations, occ)
-                                    for label, child, _, violations, occ
-                                    in step[2:])
-        steps.append(step)
-    return steps
+        inbox, flight = due.get(ip, ()), carried.get(ip)
+        by_node = cache[ip, inbox, flight]
+        row = by_node.get(nid)
+        if row is None:
+            row = _node_step(ctx, ip, nid, inbox, flight)
+            if row[0][0] or any(row[4::5]):  # every node's full row
+                return [_node_step(ctx, i, n, due.get(i, ()), carried.get(i))
+                        for i, n in zip(ctx.ips, nids)]
+            row = by_node[ctx.node_ids[ctx.nodes[nid]]] = (
+                max(row[0][1], *row[5::5]), *itertools.chain.from_iterable(
+                    row[i:i + 3] for i in range(1, len(row), 5)))
+        rows.append(row)
+    return rows
 
 
 # the order in which a tick checks its world
 _CHECK_RANK = {"P3": 0, "P1": 1, "P2": 2}
 
 
-def _outcome(picked, ctx: _Ctx):
-    """(combo, successor, violations) of one option per node: the P3
-    violations in ip order, then P1, then P2."""
-    combo, nids, slots, violations, occs = zip(*picked)
-    ctx.max_occ = max(ctx.max_occ, *occs)
-    found = [v for vs in violations for v in vs]
-    if found:
-        found.sort(key=lambda v: _CHECK_RANK[v.prop])
-        return combo, None, found
-    return combo, (nids, tuple(f for f in slots if f is not None)), found
-
-
-def _delivery_violations(steps, ctx: _Ctx) -> list[Violation]:
-    """The P1 violations after delivery, in ip order."""
-    ctx.max_occ = max(ctx.max_occ, *(step[0] for step in steps))
-    return [v for step in steps for v in step[1]]
-
-
 def successors(canon, ctx: _Ctx):
     """All (choice-combo, successor, violations) triples one tick onward;
-    a violation of the delivery phase comes alone, with combo None."""
-    steps = _steps(canon, ctx)
-    violations = _delivery_violations(steps, ctx)
+    a violation of the delivery phase comes alone, with combo None.  The
+    P3 violations come in ip order, then P1, then P2."""
+    rows = _steps(canon, ctx)
+    if type(rows[0][0]) is int:  # cached rows: no violation anywhere
+        tops, labels, nids, flights = zip(
+            *[(row[0], row[1::3], row[2::3], row[3::3]) for row in rows])
+        ctx.max_occ = max(ctx.max_occ, *tops)
+        # the three products walk the same combos in the same order
+        for combo, kids, slots in zip(itertools.product(*labels),
+                                      itertools.product(*nids),
+                                      itertools.product(*flights)):
+            yield combo, (kids, tuple([f for f in slots if f is not None])), []
+        return
+    # the search stops at a violation, so count each combo as yielded
+    ctx.max_occ = max(ctx.max_occ, *(row[0][1] for row in rows))
+    violations = [v for row in rows for v in row[0][0]]
     if violations:
         yield None, None, violations
         return
-    for picked in itertools.product(*(step[2:] for step in steps)):
-        yield _outcome(picked, ctx)
+    for picked in itertools.product(*(range(1, len(row), 5) for row in rows)):
+        combo, kids, slots, checks, occs = zip(
+            *(row[i:i + 5] for row, i in zip(rows, picked)))
+        ctx.max_occ = max(ctx.max_occ, *occs)
+        found = sorted(itertools.chain(*checks),
+                       key=lambda v: _CHECK_RANK[v.prop])
+        yield combo, None if found else (
+            kids, tuple([f for f in slots if f is not None])), found
 
 
 def _node_converged(ctx: _Ctx, ip: int, nid: int) -> bool:
@@ -579,11 +580,12 @@ def state_converged(canon, ctx: _Ctx) -> bool:
     for fid in flights:
         if ctx.msgs[ctx.flights[fid][1]][0] != "hello":
             return False
-    cache = ctx.converged
-    for key in zip(ctx.ips, nids):
-        ok = cache.get(key)
+    for ip, nid in zip(ctx.ips, nids):
+        by_node = ctx.converged[ip]
+        ok = by_node.get(nid)
         if ok is None:
-            ok = cache[key] = _node_converged(ctx, *key)
+            ok = by_node[ctx.node_ids[ctx.nodes[nid]]] = _node_converged(
+                ctx, ip, nid)
         if not ok:
             return False
     return True
@@ -650,24 +652,22 @@ class _States:
 
 def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
     """The engine schedule: every node runs timers first, then one message."""
-    return tuple(step[2][0] for step in _steps(canon, ctx))
+    return tuple(row[1] for row in _steps(canon, ctx))
 
 
 def explore(config: ExploreConfig) -> ExploreVerdict:
     """Breadth-first enumeration over boot offsets and interleavings.
 
-    Each canonical state is held once, as one fixed-width record of a
-    :class:`_States` store, which gives it an int id in discovery order;
-    records are compared whole, so identity stays exact.  The frontier
-    is an int array of ids, and a state's tuple is unpacked from its
-    record only to expand it.  Everything else is indexed by id: the
-    parent id (-1 for a root), the choice combo that first led to the
-    state (one tuple per distinct combo), and its unconverged successors,
-    stored flat in int arrays (see :func:`_find_unconverged_cycle`),
-    which is all that the cycle check and the longest-path pass at the
-    end read.  States are expanded in id order, so each one's successors
-    are appended after those of the states before it.  Roots keep their
-    boot offsets in ``root_boots``.
+    Each state is held once, as a record of a :class:`_States` store
+    (see the module docstring), which gives it an int id in discovery
+    order.  Everything else is indexed by id: the parent id (-1 for a
+    root), the choice combo that first led to the state (one tuple per
+    distinct combo), and its unconverged successors, stored flat in int
+    arrays (see :func:`_find_unconverged_cycle`), which is all that the
+    cycle check and the longest-path pass at the end read.  States are
+    expanded in id order, so each one's successors are appended after
+    those of the states before it.  Roots keep their boot offsets in
+    ``root_boots``.
     """
     config.validate()
     ctx = _Ctx(config)
@@ -848,20 +848,20 @@ def replay(config: ExploreConfig, counterexample: Counterexample):
                     tick, rcpt, sender, ctx.msgs[mid][0],
                     None if boot[rcpt] in (0, BOOTED) else "not_booted")
                     for rcpt in recipients)
-        steps = _steps(canon, ctx)
-        violations = _delivery_violations(steps, ctx)
-        if violations or tick == len(counterexample.choices):
-            return events, violations
-        combo = counterexample.choices[tick]
-        picked = [next((o for o in step[2:] if o[0] == label), None)
-                  for label, step in zip(combo, steps)]
-        if len(combo) != len(steps) or None in picked:
-            raise RuntimeError("counterexample does not replay: choice missing")
-        _, canon, violations = _outcome(picked, ctx)
+        outcomes = {combo: rest for combo, *rest in successors(canon, ctx)}
+        if None in outcomes or tick == len(counterexample.choices):
+            # a violation of the delivery phase comes with combo None
+            return events, outcomes.get(None, (None, []))[1]
+        try:
+            canon, violations = outcomes[tuple(counterexample.choices[tick])]
+        except KeyError:
+            raise RuntimeError(
+                "counterexample does not replay: choice missing") from None
         if violations:
             return events, violations
+        # the successor holds each node's flight, carried or started
         busy = {f[0] for f in flights if f[3] > 0}
-        started = (ctx.flights[o[2]] for o in picked if o[2] is not None)
+        started = (ctx.flights[fid] for fid in canon[1])
         events.extend(send_event(tick, sender, ctx.msgs[mid][0], recipients)
                       for sender, mid, recipients, _ in started
                       if sender not in busy)

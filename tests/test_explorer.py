@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 from array import array
 from collections import Counter
@@ -168,8 +169,8 @@ def test_bad_database_entry_flags_p2(entry):
     # booted, no timer due and nothing queued: the node idles, so its
     # database reaches the P2 check as built
     node = _Node(BOOTED, 5, 0, {}, {1: lsa}, [], [])
-    _, _, (label, child, _, violations, _) = _node_step(
-        ctx, 1, _encode(node, ctx), (), False)
+    _, label, child, _, violations, _ = _node_step(
+        ctx, 1, _encode(node, ctx), (), None)
     assert label == IDLE and child is None
     assert [(v.prop, v.detail) for v in violations] == [
         ("P2", "node 1: bad database entry for origin 1")]
@@ -194,22 +195,25 @@ LINE3_SI2 = ExploreConfig(topology=line(3), start_interval=2)
 def reachable(cfg):
     """The search context of ``cfg`` and every state reachable from its
     roots, converged states expanded too; the states hold node and
-    message ids of that context."""
+    message ids of that context.  As in ``explore``, each state is
+    checked and expanded as unpacked from its store record, so its node
+    ids are new int objects, equal to the ones that ``ctx`` interned."""
     ctx = _Ctx(cfg)
-    roots = {
-        initial_state(ctx, dict(zip(cfg.topology.nodes(), boots)))
-        for boots in itertools.product(range(cfg.start_interval + 1),
-                                       repeat=cfg.topology.n)
-        if min(boots) == 0
-    }
-    seen, todo = set(roots), list(roots)
-    while todo:
-        for _, child, violations in successors(todo.pop(), ctx):
+    store = _States(cfg.topology.n)
+    for boots in itertools.product(range(cfg.start_interval + 1),
+                                   repeat=cfg.topology.n):
+        if min(boots) == 0:
+            store.add(initial_state(ctx, dict(zip(cfg.topology.nodes(),
+                                                  boots))))
+    sid = 0
+    while sid < len(store.hashes):
+        canon = store.load(sid)
+        state_converged(canon, ctx)
+        for _, child, violations in successors(canon, ctx):
             assert not violations
-            if child not in seen:
-                seen.add(child)
-                todo.append(child)
-    return ctx, seen
+            store.add(child)
+        sid += 1
+    return ctx, {store.load(sid) for sid in range(sid)}
 
 
 @pytest.fixture(scope="module")
@@ -243,11 +247,19 @@ def test_equal_parts_are_one_object(line3_si2_states):
         for part in node[3:]:
             assert first.setdefault(part, part) is part
     assert len(set(ctx.flights)) == len(ctx.flights)
-    started = {flight for by_node in ctx.steps.values()
-               for step in by_node.values()
-               for _, _, flight, _, _ in step[2:]} - {None}
+    # no step here has a violation, so every row is (top occupancy,
+    # then label, child id, flight id per label)
+    rows = [row for by_node in ctx.steps.values() for row in by_node.values()]
+    assert all(type(row[0]) is int and len(row) % 3 == 1 for row in rows)
+    started = {flight for row in rows for flight in row[3::3]} - {None}
     carried = {fid for canon in states for fid in canon[1]}
     assert started <= carried == set(range(len(ctx.flights)))
+    # both caches key a node by the int that ``ctx.node_ids`` holds, not
+    # by the equal one unpacked from a record; ids from 256 up are not
+    # shared by the interpreter, so an unpacked one is a new object
+    assert len(ctx.nodes) > 256
+    for by_node in [*ctx.steps.values(), *ctx.converged.values()]:
+        assert all(nid is ctx.node_ids[ctx.nodes[nid]] for nid in by_node)
 
 
 def rebuilt(x):
@@ -332,13 +344,40 @@ def test_node_step_cache_is_exact(line3_si2_states):
 
 
 def test_node_step_cache_is_exact_while_a_send_is_in_flight():
-    # with one tick per send no node is ever busy; with two, a key
-    # without the busy flag gives a node whose last send is still in
-    # flight the step of one that may start the next
-    cfg = ExploreConfig(topology=line(3), start_interval=2, time_sending=2)
-    ctx, states = reachable(cfg)
-    assert any(ctx.flights[fid][3] > 0 for canon in states for fid in canon[1])
-    assert_cache_exact(cfg, ctx, states)
+    # with one tick per send no node is ever busy; with two, a node
+    # whose last send is still in flight carries it for one tick, and
+    # with three for two ticks, at two residues; a key that does not
+    # name the carried flight gives one tick the row of another
+    for time_sending in (2, 3):
+        cfg = ExploreConfig(topology=line(3), start_interval=2,
+                            time_sending=time_sending)
+        ctx, states = reachable(cfg)
+        residues = {ctx.flights[fid][3] for canon in states
+                    for fid in canon[1]}
+        assert residues == set(range(time_sending))
+        assert_cache_exact(cfg, ctx, states)
+
+
+def test_max_occupancy_counts_the_combos_up_to_the_first_violation():
+    # the search stops at the first combo with a violation, so the
+    # verdict's occupancy counts only the options of the combos up to
+    # it: node 1's one label re-originates under age bound 2 (P3), and
+    # node 2's second label, which serves node 1's request before its
+    # timer drops node 1 and so queues one more, is never reached
+    ctx = _Ctx(ExploreConfig(topology=line(2), age_bound=2))
+    hello = ctx.msg_id(("hello", (), 2))
+    node1 = _Node(BOOTED, 5, 1, {}, {1: (1, 1, ())}, [], [])
+    node2 = _Node(BOOTED, 5, 0, {1: -1}, {}, [], [(hello, None)] * 2)
+    canon = ((_encode(node1, ctx), _encode(node2, ctx)),
+             (ctx.flight_id((1, ctx.msg_id(("req", (), 1)), (2,), 0)),
+              ctx.flight_id((2, hello, (1,), 0))))
+    combo, child, violations = next(successors(canon, ctx))
+    assert combo == ("M", "TM") and child is None
+    assert [v.prop for v in violations] == ["P3"]
+    assert ctx.max_occ == 2
+    assert [c for c, _, _ in successors(canon, ctx)] == [
+        ("M", "TM"), ("M", "MT")]
+    assert ctx.max_occ == 3
 
 
 def flat(succ):
@@ -551,6 +590,93 @@ def test_pinned_verdicts(topo, start_interval, queue_bound, expected,
     assert (v.status, v.states, v.max_queue_occupancy, v.depth_reached,
             v.longest_path) == expected
     assert v.frontier_sizes == frontier_sizes
+
+
+# sha256 of each verdict's repr, then of each counterexample's replayed
+# records and violations, pinned so that no change to the explorer's
+# storage, caches or replay can move a verdict field, a frontier, a
+# counterexample or a replayed record unseen; the cases cover every
+# status, both queue bounds that trip P1, P3 under age bound 2, flights
+# carried for one and two ticks, and short dead intervals
+EXPLORE_TOPOLOGIES = {"line2": line(2), "line3": line(3), "ring3": ring(3),
+                      "star3": star(3), "star4": star(4)}
+EXPLORE_CASES = {
+    **{f"{name}-si{si}-qb{qb}": (name, dict(start_interval=si, queue_bound=qb))
+       for name in EXPLORE_TOPOLOGIES for si in (0, 1) for qb in (1, 2, 10)},
+    **{f"{name}-si1-{key}": (name, dict(start_interval=1, **kw))
+       for name in EXPLORE_TOPOLOGIES
+       for key, kw in (("age2", dict(age_bound=2)),
+                       ("ts2", dict(time_sending=2)))},
+    **{f"{name}-si2-ts3-budget": (name, dict(start_interval=2, time_sending=3,
+                                             max_states=2000))
+       for name in EXPLORE_TOPOLOGIES},
+    "line2-dead5": ("line2", dict(rtdeadintvl=5)),
+}
+PINNED_EXPLORE_DIGESTS = dict([
+    ("line2-si0-qb1", "f88ef7dc5ac640dc4543a83164920ba636e50ffddeb1641b89a093c68d0b84f9"),
+    ("line2-si0-qb2", "f88ef7dc5ac640dc4543a83164920ba636e50ffddeb1641b89a093c68d0b84f9"),
+    ("line2-si0-qb10", "f88ef7dc5ac640dc4543a83164920ba636e50ffddeb1641b89a093c68d0b84f9"),
+    ("line2-si1-qb1", "e7c34312bf9079a33776654de1454d240b92c7437576082b70bc7ebab17af9a4"),
+    ("line2-si1-qb2", "33a29818f502bf5318906e82d442165a5bbdd7e81663235d0a6b70ac0ed0c5d7"),
+    ("line2-si1-qb10", "33a29818f502bf5318906e82d442165a5bbdd7e81663235d0a6b70ac0ed0c5d7"),
+    ("line3-si0-qb1", "bf32a928e6c5bd7a5e6a5f7181ab20f57c8e26722c8319479b2b5d8b5cf3d22c"),
+    ("line3-si0-qb2", "64a136dc5f1e60dcfcef9274d3c944813c62cc585ba28dc2ce211c2ad23131ec"),
+    ("line3-si0-qb10", "6326e311c6fa1df1b3e18750c0576e1934be916f592e01c164f4c4ab0f074152"),
+    ("line3-si1-qb1", "8647bc1793dfd000e788634fd4c073caa75ca5a009d24d792a9cabc3eaaa39fd"),
+    ("line3-si1-qb2", "2f08e023739d3a62c79634f8f0a0a6ba924c3be3b02658bb067d3b7f3b2a52a1"),
+    ("line3-si1-qb10", "8613d77a27c92fe43836818d2f4ef6a871380ff28eb89af8832ac440a861f027"),
+    ("ring3-si0-qb1", "430e30a62de27e58501d4b3e6f8774ebc9f30b41deaaf43c4f47e7dd883e0483"),
+    ("ring3-si0-qb2", "7ea94e17217cb32b56585802403da5142423c5ed9ecb7581ae6a17ebdde13994"),
+    ("ring3-si0-qb10", "c49d3dfe1493b648331757e2393795be2abd90e9d36accb6986949db98d71c21"),
+    ("ring3-si1-qb1", "2ab42920570b5ccab1b8ddb3bc7509b56f89aa963c659fd899d389b0e287c85c"),
+    ("ring3-si1-qb2", "1761cf415cf75c7925bd931ec8a881ad1fded206113a58f7468f145f38c2e3eb"),
+    ("ring3-si1-qb10", "177b67d858b1c20c7c430f55417f5bb59239eed3e3310e8032ce08431c813172"),
+    ("star3-si0-qb1", "387e03005f994aea5e1bd4860d3fe2455af1e898bcfe7f6da83af8ca7363746a"),
+    ("star3-si0-qb2", "adb1723e7d1cb8db5fa8e34423a65f8c30cf5290011b67c0b0982f9e62ade095"),
+    ("star3-si0-qb10", "6326e311c6fa1df1b3e18750c0576e1934be916f592e01c164f4c4ab0f074152"),
+    ("star3-si1-qb1", "e388b2fa24e43e22c4bb3a6b9f2d5f74f9e92cf0e9ffd49dd326dc1665a67a46"),
+    ("star3-si1-qb2", "227548b625f4e47d5b8dda648b9adf2bea5365005b3ff5db2db5cac0f7818f96"),
+    ("star3-si1-qb10", "8613d77a27c92fe43836818d2f4ef6a871380ff28eb89af8832ac440a861f027"),
+    ("star4-si0-qb1", "c577739122143afff2fcfb331176cc79512f7eb376c9b99dde906b38a89760e9"),
+    ("star4-si0-qb2", "6313f4093a731e90db996b7b1ef38a73846554cb6df74d1a742b03bf1242c325"),
+    ("star4-si0-qb10", "3fc57b96f0206ed4dcf4f109f168890d7f62811c5ffe40a59488b4bcdbec026e"),
+    ("star4-si1-qb1", "060f2af090d988866d69911b39b98d097e804b222cc352734fabbbfff9202efd"),
+    ("star4-si1-qb2", "49004f7884b50414074da22126b71a767b721b76b73135c0a0cf49a9dd59109a"),
+    ("star4-si1-qb10", "6ea2a55549dbd43cff403baf7f89b245a2ae7ec7a5f58b3281539a887b9bfe18"),
+    ("line2-si1-age2", "33a29818f502bf5318906e82d442165a5bbdd7e81663235d0a6b70ac0ed0c5d7"),
+    ("line2-si1-ts2", "c18611955127a99053112c7fd8d7ca2cb06ce6325c955a585babbd68d11a8b14"),
+    ("line3-si1-age2", "431d77127f0e08ca77383f0b1f3dc990172af5fa61c86292ece3095d5626f20a"),
+    ("line3-si1-ts2", "1584edd0a8bce720527252a541b1328ded61c2721f7fa318cd5dbdfa4dee463f"),
+    ("ring3-si1-age2", "bbf0d7da67d4f3597042ca589c7cc08c290d0ff78fb58c3a8265557d46685335"),
+    ("ring3-si1-ts2", "b2dfbbbb1472a04062e2900d2a8a8273657c76b9f13986a844e68170f17f2593"),
+    ("star3-si1-age2", "9091d7229edf63476c26f1d5bdff4ace3cb65f4bffeb47e29d2f9024064c89d8"),
+    ("star3-si1-ts2", "1584edd0a8bce720527252a541b1328ded61c2721f7fa318cd5dbdfa4dee463f"),
+    ("star4-si1-age2", "7c51b74332cfeb27e24156c65a770a04b7125bc89fe04151f47f1c14a9e39bce"),
+    ("star4-si1-ts2", "1b07ef108b11aca18e2445a285424a2c941a0bf30c8f026e88ff246b47743e14"),
+    ("line2-si2-ts3-budget", "bd2a5bd85db7facbe521ad91ec01a3fe2ee1ffaf8dcd9b0f09222638dbf4eb82"),
+    ("line3-si2-ts3-budget", "30fe0b57e98d43ffa60853dc2f4a0d4676f7a82be8012fcdcfc2b9789711e8c5"),
+    ("ring3-si2-ts3-budget", "dbe6531ac36e9ee2661bd35c37ab12fcf48178f9a3f6590e3a500d1f6149d861"),
+    ("star3-si2-ts3-budget", "30fe0b57e98d43ffa60853dc2f4a0d4676f7a82be8012fcdcfc2b9789711e8c5"),
+    ("star4-si2-ts3-budget", "d7ccc058d3395767bc69d08846a143982be43cb69e8d3feaafb67535ad6984df"),
+    ("line2-dead5", "2638ac52a1f26f588bd259d5f38c77e770ea788ff1e4d04d1c6276bf75d5a257"),
+])
+
+
+def test_explore_digests_are_pinned():
+    got, statuses = {}, Counter()
+    for case, (name, kw) in EXPLORE_CASES.items():
+        cfg = ExploreConfig(topology=EXPLORE_TOPOLOGIES[name], **kw)
+        v = explore(cfg)
+        statuses[v.status] += 1
+        text = repr(v)
+        if v.counterexample is not None:
+            events, violations = replay(cfg, v.counterexample)
+            text += "".join(f"\n{e.tick} {e.node} {e.kind} "
+                            f"{sorted(e.detail.items())}" for e in events)
+            text += "".join(f"\n{x!r}" for x in violations)
+        got[case] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == PINNED_EXPLORE_DIGESTS
+    assert statuses == {"pass": 21, "violation": 24, "inconclusive": 1}
 
 
 def test_pinned_star4_counterexample():
