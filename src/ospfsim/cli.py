@@ -46,18 +46,12 @@ def _merged(file_settings: dict, args, flags) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        tf = load_topology(args.topology)
-    except (TopologyError, OSError) as exc:
-        return _die(str(exc))
+    tf = load_topology(args.topology)
     file_settings = dict(tf.overrides, boot_offsets=tf.boot_offsets,
                          adjacency=tf.adjacency)
     cfg = EngineConfig(**_merged(file_settings, args, (
         "model", "seed", "max_ticks", "loss_prob", "queue_capacity")))
-    try:
-        sim, trace, verdict = run(cfg, tf.topology, trace=bool(args.trace))
-    except ConfigError as exc:
-        return _die(str(exc))
+    sim, trace, verdict = run(cfg, tf.topology, trace=bool(args.trace))
 
     if args.trace and args.trace != "-":
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -89,25 +83,18 @@ def cmd_explore(args) -> int:
     # imported here, so that run and summarize never load the explorer
     from .explorer import ExploreConfig, explore, replay
 
-    try:
-        tf = load_topology(args.topology)
-    except (TopologyError, OSError) as exc:
-        return _die(str(exc))
+    tf = load_topology(args.topology)
     unmodelled = [key for key in tf.overrides if key not in _EXPLORE_KEYS]
     if tf.boot_offsets:
         unmodelled.append("boot")
     if tf.adjacency is not None:
         unmodelled.append("adj")
     if unmodelled:
-        return _die(f"explore does not model {', '.join(unmodelled)}; "
-                    f"a topology file may set only {', '.join(_EXPLORE_KEYS)}")
+        raise ConfigError(
+            f"explore does not model {', '.join(unmodelled)}; a topology "
+            f"file may set only {', '.join(_EXPLORE_KEYS)}")
     cfg = ExploreConfig(topology=tf.topology, **_merged(tf.overrides, args, (
-        "queue_bound", "age_bound", "start_interval", "depth_bound",
-        "max_states")))
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        return _die(str(exc))
+        "queue_bound", "age_bound", "start_interval", "max_states")))
     verdict = explore(cfg)
     for line in verdict.lines():
         print(line)
@@ -127,22 +114,18 @@ def cmd_explore(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    try:
-        fh = open(args.trace, "r", encoding="utf-8")
-    except OSError as exc:
-        return _die(str(exc))
-
     per_node: dict[int, Counter] = defaultdict(Counter)
     totals: Counter = Counter()
     converged_tick = None
     timeline: dict[int, list] = defaultdict(list)
-    with fh:
-        for idx, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(args.trace, "rb") as fh:
+        for idx, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 ev = parse_trace_line(line)
-            except ValueError:
+            except ValueError:  # a UnicodeDecodeError too
                 return _die(f"record {idx}: malformed trace record")
             if ev.kind == "send":
                 kind = ev.detail.get("type")
@@ -199,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--queue-bound", type=int, default=None)
     p_exp.add_argument("--age-bound", type=int, default=None)
     p_exp.add_argument("--start-interval", type=int, default=None)
-    p_exp.add_argument("--depth-bound", type=int, default=None)
     p_exp.add_argument("--max-states", type=int, default=None)
     p_exp.add_argument("--trace",
                        help="write a counterexample record to this file")
@@ -214,7 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ConfigError, TopologyError) as exc:
+        # faults from outside the program: its files, settings and
+        # topology; an error inside it keeps its traceback
+        return _die(str(exc))
 
 
 if __name__ == "__main__":

@@ -254,20 +254,18 @@ class SimState:
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for ip in topology.nodes():
             self.nodes[ip] = _NodeRuntime(state=NodeState(ip))
+        # the model's timer block, (state, now, cfg), and message handler,
+        # (state, msg, now, cfg), looked up in this module's globals when
+        # the simulation is built, so a wrapper put there before is called
+        if config.model == "simple":
+            self.timers, self.handle = simple_timers, handle_message_simple
+        else:
+            adj, handle = self.adjacency, handle_message_detailed
+            self.timers = detailed_timers
+            self.handle = lambda state, msg, now, cfg: handle(
+                state, msg, now, adj, cfg)
 
     # -- helpers -----------------------------------------------------
-
-    def _timers(self, state, now):
-        if self.config.model == "simple":
-            return simple_timers(state, now, self.config)
-        return detailed_timers(state, now, self.config)
-
-    def _handle(self, state, msg, now):
-        if self.config.model == "simple":
-            return handle_message_simple(state, msg, now, self.config)
-        return handle_message_detailed(
-            state, msg, now, self.adjacency, self.config
-        )
 
     def _check_capacity(self, ip: NodeId, rt: _NodeRuntime, cap: int) -> None:
         if self.overflow is not None:
@@ -329,7 +327,9 @@ class SimState:
                 events.append(delivery_event(now, rcpt, sender, kind))
             srt.sending = None
 
-        # 2. node turns: timers, then at most one queued message
+        # 2. node turns: timers, then at most one queued message; then
+        # an idle sender starts transmitting the head of its output FIFO
+        timers, handle = self.timers, self.handle
         for ip, rt in self.nodes.items():
             if not rt.booted:
                 if cfg.boot_offsets.get(ip, 0) > now:
@@ -337,10 +337,10 @@ class SimState:
                 rt.booted = True
                 events.append(TraceEvent(now, ip, "boot", {}))
             before = rt.state
-            state, ems = self._timers(before, now)
+            state, ems = timers(before, now, cfg)
             if rt.inq:
                 msg = rt.inq.popleft()
-                state, more = self._handle(state, msg, now)
+                state, more = handle(state, msg, now, cfg)
                 ems = ems + more
             if state is not before:
                 self._diff_events(ip, before, state, events)
@@ -348,9 +348,6 @@ class SimState:
             rt.outq.extend(ems)
             if cap is not None:
                 self._check_capacity(ip, rt, cap)
-
-        # 3/4. start a transmission wherever the sender is idle
-        for ip, rt in self.nodes.items():
             if rt.sending is not None or not rt.outq:
                 continue
             ins: SendInstruction = rt.outq.popleft()

@@ -52,7 +52,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import EngineConfig, TraceEvent, delivery_event, send_event
+from .engine import (ConfigError, EngineConfig, TraceEvent, delivery_event,
+                     send_event)
 from .lsdb import newer_age, next_age
 from .topology import Topology
 
@@ -76,7 +77,6 @@ class ExploreConfig:
     queue_bound: int = 10
     age_bound: Optional[int] = None  # default 2 * (n + 1)
     start_interval: int = 10
-    depth_bound: int = 150
     hellointvl: int = EngineConfig.hellointvl
     rtdeadintvl: int = EngineConfig.rtdeadintvl
     time_sending: int = EngineConfig.time_sending
@@ -91,23 +91,21 @@ class ExploreConfig:
 
     def validate(self) -> None:
         if self.topology.n > NODE_LIMIT:
-            raise ValueError(
+            raise ConfigError(
                 f"topology has {self.topology.n} nodes; exploration is "
                 f"limited to {NODE_LIMIT}"
             )
         if self.queue_bound < 1:
-            raise ValueError("queue_bound must be positive")
+            raise ConfigError("queue_bound must be positive")
         if self.start_interval < 0:
-            raise ValueError("start_interval must be non-negative")
-        if self.depth_bound < 0:
-            raise ValueError("depth_bound must be non-negative")
+            raise ConfigError("start_interval must be non-negative")
         if self.max_states < 1:
-            raise ValueError("max_states must be positive")
+            raise ConfigError("max_states must be positive")
         EngineConfig(model="simple", hellointvl=self.hellointvl,
                      rtdeadintvl=self.rtdeadintvl,
                      time_sending=self.time_sending).validate()
         if self.resolved_age_bound() < 2:
-            raise ValueError("age_bound must be at least 2")
+            raise ConfigError("age_bound must be at least 2")
 
 
 @dataclass
@@ -718,11 +716,6 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
     frontier_sizes: list[int] = []
     while frontier:
         frontier_sizes.append(len(frontier))
-        if depth >= config.depth_bound:
-            return verdict(
-                "inconclusive",
-                f"depth bound {config.depth_bound} reached with "
-                f"{len(frontier)} unconverged states on the frontier")
         next_frontier = array("i")
         for sid in frontier:
             children: list[int] = []

@@ -145,6 +145,41 @@ def test_commands_refuse_a_file_they_cannot_read(capsys, tmp_path, command):
     assert captured.out == "" and "No such file" in captured.err
 
 
+def one_error_line(err: str, *parts: str) -> bool:
+    """``err`` is one ``error:`` line that names every one of ``parts``."""
+    return (err.startswith("error: ") and err.count("\n") == 1
+            and all(part in err for part in parts))
+
+
+def test_run_trace_into_a_missing_directory_is_a_fault(capsys, tmp_path,
+                                                       line3_path):
+    path = str(tmp_path / "missing" / "run.trace")
+    assert main(["run", line3_path, "--trace", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and one_error_line(captured.err, path)
+
+
+def test_explore_trace_into_a_missing_directory_is_a_fault(capsys, tmp_path,
+                                                           line3_path):
+    path = str(tmp_path / "missing" / "ce.trace")
+    assert main(["explore", line3_path, "--start-interval", "2",
+                 "--queue-bound", "1", "--trace", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("EXPLORE VIOLATION")
+    assert one_error_line(captured.err, path)
+
+
+def test_summarize_refuses_a_record_that_is_not_utf8(capsys, tmp_path):
+    p = tmp_path / "latin1.trace"
+    # the second record holds a Latin-1 "é", which is no UTF-8
+    p.write_bytes(b'{"tick":0,"node":1,"kind":"boot","detail":{}}\n'
+                  b'{"tick":0,"node":1,"kind":"boot","detail":{"x":"\xe9"}}\n')
+    assert main(["summarize", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_error_line(captured.err, "record 2: malformed trace record")
+
+
 def test_explore_pass_and_violation(capsys, tmp_path, line3_path):
     assert main(["explore", line3_path, "--start-interval", "2"]) == 0
     out = capsys.readouterr().out
@@ -174,7 +209,7 @@ def test_explore_refuses_large_topology(capsys, tmp_path):
 @pytest.mark.parametrize("override,flags,message", [
     ("time_sending 0\n", [], "time_sending must be at least 1 tick"),
     ("rtdeadintvl 0\n", [], "rtdeadintvl must be positive"),
-    ("", ["--depth-bound", "-1"], "depth_bound must be non-negative"),
+    ("hellointvl 0\n", [], "hellointvl must be positive"),
     ("", ["--max-states", "0"], "max_states must be positive"),
     ("", ["--queue-bound", "0"], "queue_bound must be positive"),
     ("", ["--start-interval", "-1"], "start_interval must be non-negative"),
@@ -250,7 +285,7 @@ def test_each_command_honours_or_refuses_every_file_directive(
 
 def test_explore_inconclusive_exit_code(capsys, line3_path):
     assert main(["explore", line3_path, "--start-interval", "2",
-                 "--depth-bound", "4"]) == 3
+                 "--max-states", "50"]) == 3
     assert "INCONCLUSIVE" in capsys.readouterr().out
 
 

@@ -439,7 +439,6 @@ def test_config_rejects_timings_the_engine_rejects(key, value):
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("depth_bound", -1, "depth_bound must be non-negative"),
     ("max_states", 0, "max_states must be positive"),
     ("queue_bound", 0, "queue_bound must be positive"),
     ("start_interval", -1, "start_interval must be non-negative"),
@@ -448,7 +447,7 @@ def test_config_rejects_timings_the_engine_rejects(key, value):
 def test_config_rejects_negative_budgets(key, value, message):
     with pytest.raises(ValueError, match=message):
         ExploreConfig(topology=line(2), **{key: value}).validate()
-    ExploreConfig(topology=line(2), depth_bound=0, max_states=1, queue_bound=1,
+    ExploreConfig(topology=line(2), max_states=1, queue_bound=1,
                   start_interval=0, age_bound=2).validate()
 
 
@@ -456,20 +455,6 @@ def verdict_fields(v):
     return (v.status, v.states, v.max_queue_occupancy, v.depth_reached,
             v.frontier_sizes, v.longest_path,
             v.counterexample, v.message)
-
-
-def test_depth_budget_reports_inconclusive():
-    verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
-                                    depth_bound=5))
-    assert verdict_fields(verdict) == (
-        "inconclusive", 2188, 4, 5, (331, 331, 375, 379, 383, 389),
-        None, None,
-        "depth bound 5 reached with 389 unconverged states on the frontier")
-    assert verdict.lines() == [
-        "EXPLORE INCONCLUSIVE states=2188 max_queue=4 depth=5",
-        "depth bound 5 reached with 389 unconverged states on the frontier",
-        "frontier per depth: 331 331 375 379 383 389",
-    ]
 
 
 def test_state_budget_reports_inconclusive():
@@ -480,6 +465,11 @@ def test_state_budget_reports_inconclusive():
     assert verdict_fields(verdict) == (
         "inconclusive", 332, 0, 0, (331,), None, None,
         "state budget 50 exhausted")
+    assert verdict.lines() == [
+        "EXPLORE INCONCLUSIVE states=332 max_queue=0 depth=0",
+        "state budget 50 exhausted",
+        "frontier per depth: 331",
+    ]
 
 
 def test_unconverged_cycle_reports_a_convergence_counterexample():
