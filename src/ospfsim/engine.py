@@ -254,9 +254,9 @@ class SimState:
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for ip in topology.nodes():
             self.nodes[ip] = _NodeRuntime(state=NodeState(ip))
-        # the model's timer block, (state, now, cfg), and message handler,
-        # (state, msg, now, cfg), looked up in this module's globals when
-        # the simulation is built, so a wrapper put there before is called
+        # the model's timer block (state, now, cfg) and message handler
+        # (state, msg, now, cfg), read from this module's globals once:
+        # a wrapper put there before the run (bench/layertrace.py) is used
         if config.model == "simple":
             self.timers, self.handle = simple_timers, handle_message_simple
         else:
