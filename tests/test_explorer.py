@@ -470,6 +470,14 @@ def test_state_budget_reports_inconclusive():
         "state budget 50 exhausted",
         "frontier per depth: 331",
     ]
+    # a larger budget stops a few depths in, and each depth is listed
+    verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
+                                    max_states=2000))
+    assert verdict.lines() == [
+        "EXPLORE INCONCLUSIVE states=2001 max_queue=4 depth=4",
+        "state budget 2000 exhausted",
+        "frontier per depth: 331 331 375 379 383",
+    ]
 
 
 def test_unconverged_cycle_reports_a_convergence_counterexample():
