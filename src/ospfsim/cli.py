@@ -51,11 +51,14 @@ def cmd_run(args) -> int:
                          adjacency=tf.adjacency)
     cfg = EngineConfig(**_merged(file_settings, args, (
         "model", "seed", "max_ticks", "loss_prob", "queue_capacity")))
-    sim, trace, verdict = run(cfg, tf.topology, trace=bool(args.trace))
-
     if args.trace and args.trace != "-":
+        # opened before the run, so that a path it cannot write is a
+        # fault before the first tick
         with open(args.trace, "w", encoding="utf-8") as fh:
+            _, trace, verdict = run(cfg, tf.topology, trace=True)
             _write_trace(fh, trace)
+    else:
+        _, trace, verdict = run(cfg, tf.topology, trace=args.trace == "-")
     try:
         if args.trace == "-":
             _write_trace(sys.stdout, trace)
@@ -166,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a topology until steady state")
     p_run.add_argument("topology", help="topology file")
     p_run.add_argument("--model", choices=("simple", "detailed"),
-                       default="detailed")
+                       default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--max-ticks", type=int, default=None)
     p_run.add_argument("--loss-prob", type=float, default=None)

@@ -93,34 +93,26 @@ _KIND_RANK = {
 
 
 class TraceEvent:
-    """One trace record.  A record that the engine builds keeps the raw
-    values it was given and builds ``detail`` from them on first read;
-    ``TraceEvent(tick, node, kind, detail)`` keeps the dict it is given."""
+    """One trace record.  ``TraceEvent(tick, node, kind, detail)`` keeps
+    the dict it is given; a record that the engine builds keeps the raw
+    values it was given instead, and builds ``detail`` from them on each
+    read without storing it."""
 
     # the raw values _a, _b, _c: sender, message kind and drop reason of
     # a deliver or drop; message kind and recipients of a send; neighbour,
     # new and previous NeighborState of a state change; the installed Lsa
-    __slots__ = ("tick", "node", "kind", "order", "_detail", "_a", "_b", "_c")
-    __hash__ = None
+    __slots__ = ("tick", "node", "kind", "_detail", "_a", "_b", "_c")
 
     def __init__(self, tick: TimeStamp, node: NodeId, kind: str,
                  detail: Optional[dict] = None, a=None, b=None, c=None):
         self.tick = tick
         self.node = node
         self.kind = kind
-        # within a tick, records sort by this: by node, then by phase
-        self.order = node * 8 + _KIND_RANK.get(kind, 6)
         self._detail = detail
         self._a, self._b, self._c = a, b, c
 
     @property
     def detail(self) -> dict:
-        if self._detail is None:
-            self._detail = self._shown()
-        return self._detail
-
-    def _shown(self) -> dict:
-        """The detail, without keeping it when it had to be built."""
         if self._detail is not None:
             return self._detail
         kind, a, b, c = self.kind, self._a, self._b, self._c
@@ -140,16 +132,16 @@ class TraceEvent:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.tick, self.node, self.kind, self._shown())
-                == (other.tick, other.node, other.kind, other._shown()))
+        return ((self.tick, self.node, self.kind, self.detail)
+                == (other.tick, other.node, other.kind, other.detail))
 
     def __repr__(self) -> str:
         return (f"TraceEvent(tick={self.tick!r}, node={self.node!r}, "
-                f"kind={self.kind!r}, detail={self._shown()!r})")
+                f"kind={self.kind!r}, detail={self.detail!r})")
 
     def render(self) -> str:
         return _JSON.encode({"tick": self.tick, "node": self.node,
-                             "kind": self.kind, "detail": self._shown()})
+                             "kind": self.kind, "detail": self.detail})
 
 
 _JSON = json.JSONEncoder(separators=(",", ":"))
@@ -367,7 +359,7 @@ class SimState:
 
         self.now += 1
         # within a tick, events are presented per node in phase order
-        events.sort(key=lambda e: e.order)
+        events.sort(key=lambda e: e.node * 8 + _KIND_RANK[e.kind])
         return events
 
 
@@ -447,7 +439,3 @@ def run(
                                          counts=dict(sim.counts))
     return sim, records, Verdict("timed_out", at_tick=sim.now,
                                  counts=dict(sim.counts))
-
-
-def render_trace(trace: list[TraceEvent]) -> str:
-    return "".join(ev.render() + "\n" for ev in trace)

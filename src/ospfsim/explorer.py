@@ -28,7 +28,7 @@ it, the send it still has in flight and its choice label, so one node
 step per (ip, node id, inbox, carried flight) is computed once and
 cached as one flat row, in one dict per (ip, inbox, carried flight)
 keyed by the interned node id; a global successor is one row per node.
-The search, the engine-schedule choice and the replay all use them.
+The search and the replay both use them.
 
 Checked per state:
     P1  queue occupancy stays within the configured bound
@@ -39,8 +39,10 @@ Checked per state:
 A run verdict also reports whether every execution reaches a converged
 state: the reachable unconverged subgraph must be exhausted and
 acyclic.  Counterexamples carry the boot offsets and per-tick choices,
-so they can be replayed step by step; choices matching the
-deterministic engine schedule replay directly in the engine.
+so they can be replayed step by step.  The engine schedule takes each
+node's first label (:func:`_options`), but the explorer and the engine's
+simple model still differ (docs/explorer_vs_simple.md), so a path on
+that schedule need not be the engine's run.
 """
 
 from __future__ import annotations
@@ -121,9 +123,6 @@ class Counterexample:
     choices: list[tuple[str, ...]]  # one label per node per tick
     violation: Violation
     at_tick: int
-
-    def is_deterministic_schedule(self) -> bool:
-        return all(MSG_THEN_TIMER not in combo for combo in self.choices)
 
 
 @dataclass
@@ -646,11 +645,6 @@ class _States:
         rec = self.unpack_from(self.records, sid * self.size)
         n = self.n
         return rec[:n], rec[n + 1:n + 1 + rec[n]]
-
-
-def deterministic_choice(canon, ctx: _Ctx) -> tuple[str, ...]:
-    """The engine schedule: every node runs timers first, then one message."""
-    return tuple(row[1] for row in _steps(canon, ctx))
 
 
 def explore(config: ExploreConfig) -> ExploreVerdict:

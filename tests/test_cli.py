@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from ospfsim.cli import main
-from ospfsim.engine import EngineConfig, render_trace, run
+from ospfsim.engine import EngineConfig, run
 from ospfsim.explorer import ExploreConfig, explore
 from ospfsim.topology import VALID_KEYS, Topology, line
 
@@ -24,11 +24,13 @@ def line3_path(tmp_path):
 def test_run_converges(capsys, tmp_path):
     p = tmp_path / "two.top"
     p.write_text(LINE2)
-    code = main(["run", str(p), "--model", "detailed"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.startswith("CONVERGED tick=19 msgs=17 ")
-    assert "hello=4 dbd=5 req=0 upd=4 ack=4" in out
+    # the detailed model is the default
+    for flags in (["--model", "detailed"], []):
+        code = main(["run", str(p), *flags])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("CONVERGED tick=19 msgs=17 ")
+        assert "hello=4 dbd=5 req=0 upd=4 ack=4" in out
 
 
 def test_run_is_reproducible(capsys, line3_path):
@@ -152,7 +154,11 @@ def one_error_line(err: str, *parts: str) -> bool:
 
 
 def test_run_trace_into_a_missing_directory_is_a_fault(capsys, tmp_path,
-                                                       line3_path):
+                                                       line3_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before the trace file opened")
+
+    monkeypatch.setattr("ospfsim.cli.run", no_run)
     path = str(tmp_path / "missing" / "run.trace")
     assert main(["run", line3_path, "--trace", path]) == 2
     captured = capsys.readouterr()
@@ -280,7 +286,8 @@ def test_each_command_honours_or_refuses_every_file_directive(
     else:
         _, trace, verdict = run(EngineConfig(model=model, **fields), line(3),
                                 trace=True)
-        assert out == render_trace(trace) + verdict.line() + "\n"
+        rendered = "".join(ev.render() + "\n" for ev in trace)
+        assert out == rendered + verdict.line() + "\n"
 
 
 def test_explore_inconclusive_exit_code(capsys, line3_path):

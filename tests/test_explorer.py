@@ -11,6 +11,7 @@ from ospfsim.engine import ConfigError, EngineConfig, TraceEvent, run
 from ospfsim.explorer import (
     BOOTED,
     IDLE,
+    MSG_THEN_TIMER,
     Counterexample,
     ExploreConfig,
     Violation,
@@ -24,7 +25,6 @@ from ospfsim.explorer import (
     _install,
     _longest_unconverged_path,
     _node_step,
-    deterministic_choice,
     explore,
     initial_state,
     replay,
@@ -41,8 +41,8 @@ def engine_schedule_path(cfg, boots):
     canon = initial_state(ctx, boots)
     choices = []
     while not state_converged(canon, ctx):
-        want = deterministic_choice(canon, ctx)
-        canon = {c: ch for c, ch, _ in successors(canon, ctx)}[want]
+        # the first combo takes each node's first label, the engine's
+        want, canon, _ = next(successors(canon, ctx))
         choices.append(want)
     return choices, [ctx.nodes[nid] for nid in canon[0]]
 
@@ -72,7 +72,7 @@ def test_queue_bound_violation_with_replayable_counterexample():
     assert violations and violations[0].prop == "P1"
     assert violations[0].detail == ce.violation.detail
     # and the engine reproduces it whenever the schedule is its own
-    if ce.is_deterministic_schedule():
+    if all(MSG_THEN_TIMER not in combo for combo in ce.choices):
         ecfg = EngineConfig(model="simple", queue_capacity=cfg.queue_bound,
                             boot_offsets=dict(ce.boot_offsets))
         _, _, engine_verdict = run(ecfg, cfg.topology)
@@ -119,7 +119,8 @@ def test_engine_schedule_is_among_explored_interleavings():
     for _ in range(80):
         if state_converged(canon, ctx):
             break
-        want = deterministic_choice(canon, ctx)
+        # the first combo takes each node's first label, the engine's
+        want = next(successors(canon, ctx))[0]
         nxt = None
         for combo, child, violations in successors(canon, ctx):
             assert not violations
