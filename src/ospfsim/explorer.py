@@ -38,11 +38,14 @@ Checked per state:
 
 A run verdict also reports whether every execution reaches a converged
 state: the reachable unconverged subgraph must be exhausted and
-acyclic.  Counterexamples carry the boot offsets and per-tick choices,
-so they can be replayed step by step.  The engine schedule takes each
-node's first label (:func:`_options`), but the explorer and the engine's
-simple model still differ (docs/explorer_vs_simple.md), so a path on
-that schedule need not be the engine's run.
+acyclic.  The final pass is one topological pass over it, for the
+longest unconverged path; only on a cycle does a depth-first search
+pick the state on it that the counterexample reaches.  Counterexamples
+carry the boot offsets and per-tick choices, so they can be replayed
+step by step.  The engine schedule takes each node's first label
+(:func:`_options`), but the explorer and the engine's simple model
+still differ (docs/explorer_vs_simple.md), so a path on that schedule
+need not be the engine's run.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ from .engine import (ConfigError, EngineConfig, TraceEvent, delivery_event,
                      send_event)
 from .lsdb import newer_age, next_age
 from .topology import Topology
+
+# bench/layertrace.py wraps these module globals by name while tracing,
+# so each stays a global looked up at call time and renaming one needs a
+# benchmark change: explore, initial_state, successors (a generator: the
+# tracer calls next() and close() on it), _encode, _decode,
+# state_converged, _find_unconverged_cycle and _longest_unconverged_path.
 
 BOOTED = -1
 
@@ -251,10 +260,6 @@ class _Ctx:
     def flight_id(self, flight: tuple) -> int:
         return _intern(self.flight_ids, self.flights, flight)
 
-    def part(self, part: tuple) -> tuple:
-        """The one stored copy of ``part``: equal parts share one object."""
-        return self.parts.setdefault(part, part)
-
 
 class _Node:
     __slots__ = ("boot_res", "hellot", "age", "nbrs", "lsdb", "inq", "outq")
@@ -268,23 +273,17 @@ class _Node:
         self.inq = inq  # list of message ids
         self.outq = outq  # list of (message id, dests-tuple | None)
 
-    @property
-    def booted(self) -> bool:
-        return self.boot_res == BOOTED
-
 
 def _encode(node: _Node, ctx: _Ctx) -> int:
-    """The id of ``node``'s canonical tuple, interned on first sight."""
-    part = ctx.part
-    return ctx.node_id((
-        node.boot_res,
-        node.hellot,
-        node.age,
-        part(tuple(sorted(node.nbrs.items()))),
-        part(tuple(sorted(node.lsdb.values()))),
-        part(tuple(node.inq)),
-        part(tuple(node.outq)),
-    ))
+    """The id of ``node``'s canonical tuple, interned on first sight;
+    equal parts share the one copy in ``ctx.parts``."""
+    share = ctx.parts.setdefault
+    nbrs = tuple(sorted(node.nbrs.items()))
+    lsdb = tuple(sorted(node.lsdb.values()))
+    inq, outq = tuple(node.inq), tuple(node.outq)
+    return ctx.node_id((node.boot_res, node.hellot, node.age,
+                        share(nbrs, nbrs), share(lsdb, lsdb),
+                        share(inq, inq), share(outq, outq)))
 
 
 def _decode(nid: int, ctx: _Ctx) -> _Node:
@@ -402,61 +401,53 @@ def _options(node: _Node) -> tuple[str, ...]:
     """The labels a delivered node may run this tick; the first is the
     engine schedule.  A node not yet booted has nothing queued, since
     deliveries to it are lost."""
-    if node.booted and (
-            node.hellot <= 0 or any(res < 0 for res in node.nbrs.values())):
+    if node.boot_res == BOOTED and (
+            node.hellot <= 0 or min(node.nbrs.values(), default=0) < 0):
         return (TIMER_THEN_MSG, MSG_THEN_TIMER) if node.inq else (TIMER_ONLY,)
     return (MSG_ONLY,) if node.inq else (IDLE,)
 
 
-def _apply_choice(node: _Node, ip: int, label: str, ctx: _Ctx):
-    for action in label:
-        if action == "T":
-            _timer_block(node, ip, ctx)
-        elif action == "M":
-            _handle(node, ip, node.inq.pop(0), ctx)
-
-
-def _check_occupancy(node: _Node, ip: int, ctx: _Ctx) -> int:
-    """P1 on one node, into ``ctx.violations``; returns its occupancy."""
-    occ = max(len(node.inq), len(node.outq))
-    if occ > ctx.queue_bound:
-        which = "input" if len(node.inq) > ctx.queue_bound else "output"
-        ctx.violations.append(Violation(
-            "P1",
-            f"node {ip} {which} queue holds {occ} messages "
-            f"(bound {ctx.queue_bound})",
-            node=ip,
-        ))
-    return occ
+def _check_occupancy(node: _Node, ip: int, occ: int, ctx: _Ctx):
+    """P1 on one node whose occupancy ``occ`` exceeds the bound."""
+    which = "input" if len(node.inq) > ctx.queue_bound else "output"
+    ctx.violations.append(Violation(
+        "P1", f"node {ip} {which} queue holds {occ} messages "
+        f"(bound {ctx.queue_bound})", node=ip))
 
 
 def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, carried):
     """One tick of node ``ip`` in state ``nid``: it boots if due, and if
     booted receives ``inbox`` (message ids, in sender order); P1 is
-    checked.  Then, per label of :func:`_options`, it runs the label,
-    starts the head of its output queue unless it carries a flight
-    (``carried``, else None), is checked for P3 (while it installs), P1
-    and P2, and every residue shrinks by one.  Returns its full row:
-    (P1 violations, occupancy) after delivery, then per label the label,
-    child id (None if any violation), flight id (``carried``, the one
-    started, or None), violations in check order and occupancy."""
-    def delivered() -> _Node:
-        node = _decode(nid, ctx)
-        if node.boot_res == 0:
-            node.boot_res = BOOTED
-        if node.booted:
-            node.inq.extend(inbox)
-        return node
-
-    node = delivered()
+    checked.  Then, per label of :func:`_options`, it runs the label's
+    actions in order, starts the head of its output queue unless it
+    carries a flight (``carried``, else None), is checked for P3 (while
+    it installs), P1 and P2, and every residue shrinks by one.  Returns
+    its full row: (P1 violations, occupancy) after delivery, then per
+    label the label, child id (None if any violation), flight id
+    (``carried``, the one started, or None), violations in check order
+    and occupancy."""
+    queue_bound, age_bound = ctx.queue_bound, ctx.bound
+    node = _decode(nid, ctx)
+    if node.boot_res == 0:
+        node.boot_res = BOOTED
+    if node.boot_res == BOOTED:
+        node.inq.extend(inbox)
     ctx.violations = []
-    occ = _check_occupancy(node, ip, ctx)
+    occ = max(len(node.inq), len(node.outq))
+    if occ > queue_bound:
+        _check_occupancy(node, ip, occ, ctx)
     row = [(tuple(ctx.violations), occ)]
     for label in _options(node):
-        if len(row) > 1:  # the previous label changed node: start again
-            node = delivered()
-        ctx.violations = []
-        _apply_choice(node, ip, label, ctx)
+        if len(row) > 1:  # the first label changed node: deliver again
+            node = _decode(nid, ctx)  # booted, as only such have two labels
+            node.boot_res = BOOTED
+            node.inq.extend(inbox)
+        ctx.violations = violations = []
+        for action in label:
+            if action == "T":
+                _timer_block(node, ip, ctx)
+            elif action == "M":
+                _handle(node, ip, node.inq.pop(0), ctx)
         flight = carried
         if flight is None and node.outq:
             mid, dests = node.outq.pop(0)
@@ -464,23 +455,23 @@ def _node_step(ctx: _Ctx, ip: int, nid: int, inbox: tuple, carried):
             recipients = (reach if dests is None
                           else tuple(d for d in dests if d in reach))
             flight = ctx.flight_id((ip, mid, recipients, ctx.time_sending - 1))
-        occ = _check_occupancy(node, ip, ctx)
+        occ = max(len(node.inq), len(node.outq))
+        if occ > queue_bound:
+            _check_occupancy(node, ip, occ, ctx)
         for o, a, links in node.lsdb.values():
-            if not 0 <= a <= ctx.bound or o in links:
-                ctx.violations.append(Violation(
-                    "P2", f"node {ip}: bad database entry for origin {o}",
-                    node=ip,
-                ))
+            if not 0 <= a <= age_bound or o in links:
+                violations.append(Violation("P2", f"node {ip}: bad database "
+                                            f"entry for origin {o}", node=ip))
         child = None
-        if not ctx.violations:
+        if not violations:
             if node.boot_res > 0:
                 node.boot_res -= 1
-            if node.booted:
+            elif node.boot_res == BOOTED:
                 node.hellot -= 1
                 for nip in node.nbrs:
                     node.nbrs[nip] -= 1
             child = _encode(node, ctx)
-        row += label, child, flight, tuple(ctx.violations), occ
+        row += label, child, flight, tuple(violations), occ
     return tuple(row)
 
 
@@ -511,9 +502,9 @@ def _steps(canon, ctx: _Ctx) -> list:
             if row[0][0] or any(row[4::5]):  # every node's full row
                 return [_node_step(ctx, i, n, due.get(i, ()), carried.get(i))
                         for i, n in zip(ctx.ips, nids)]
+            # a node has one or two labels
             row = by_node[ctx.node_ids[ctx.nodes[nid]]] = (
-                max(row[0][1], *row[5::5]), *itertools.chain.from_iterable(
-                    row[i:i + 3] for i in range(1, len(row), 5)))
+                max(row[0][1], *row[5::5]), *row[1:4], *row[6:9])
         rows.append(row)
     return rows
 
@@ -528,6 +519,11 @@ def successors(canon, ctx: _Ctx):
     P3 violations come in ip order, then P1, then P2."""
     rows = _steps(canon, ctx)
     if type(rows[0][0]) is int:  # cached rows: no violation anywhere
+        if max(map(len, rows)) == 4:  # one label per node: one combo
+            tops, combo, kids, slots = zip(*rows)
+            ctx.max_occ = max(ctx.max_occ, *tops)
+            yield combo, (kids, tuple([f for f in slots if f is not None])), []
+            return
         tops, labels, nids, flights = zip(
             *[(row[0], row[1::3], row[2::3], row[3::3]) for row in rows])
         ctx.max_occ = max(ctx.max_occ, *tops)
@@ -656,10 +652,11 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
     root), the choice combo that first led to the state (one tuple per
     distinct combo), and its unconverged successors, stored flat in int
     arrays (see :func:`_find_unconverged_cycle`), which is all that the
-    cycle check and the longest-path pass at the end read.  States are
-    expanded in id order, so each one's successors are appended after
-    those of the states before it.  Roots keep their boot offsets in
-    ``root_boots``.
+    final pass reads: one topological pass for the longest unconverged
+    path, and the depth-first cycle search only if it meets a cycle.
+    States are expanded in id order, so each one's successors are
+    appended after those of the states before it.  Roots keep their boot
+    offsets in ``root_boots``.
     """
     config.validate()
     ctx = _Ctx(config)
@@ -733,17 +730,16 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
         frontier = next_frontier
         depth += 1
 
+    longest = _longest_unconverged_path(first, last, kids)
+    if longest is not None:
+        return verdict("pass", "every execution reaches a converged state",
+                       longest_path=longest)
     cycle = _find_unconverged_cycle(first, last, kids)
-    if cycle is not None:
-        ce = _build_counterexample(
-            parent, via, root_boots, cycle, None,
-            Violation("convergence", "execution can avoid convergence forever"),
-        )
-        return verdict("violation",
-                       "unconverged cycle: some execution never converges",
-                       counterexample=ce)
-    return verdict("pass", "every execution reaches a converged state",
-                   longest_path=_longest_unconverged_path(first, last, kids))
+    ce = _build_counterexample(parent, via, root_boots, cycle, None, Violation(
+        "convergence", "execution can avoid convergence forever"))
+    return verdict("violation",
+                   "unconverged cycle: some execution never converges",
+                   counterexample=ce)
 
 
 def _build_counterexample(parent, via, root_boots, sid, last_combo, violation):
@@ -792,27 +788,30 @@ def _find_unconverged_cycle(first, last, kids):
 
 
 def _longest_unconverged_path(first, last, kids):
-    """Longest walk through unconverged states, in ticks; this equals the
-    worst-case time to convergence.  The graph is acyclic here, and
-    stored as for :func:`_find_unconverged_cycle`."""
-    memo = [0] * len(first)  # 0 until computed, then at least 1
-    # iterative post-order to avoid recursion limits on long chains
-    for start in range(len(first)):
-        if first[start] < 0:
-            continue
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if memo[node]:
-                continue
-            children = kids[first[node]:last[node]]
-            pending = [c for c in children if not memo[c]]
-            if pending:
-                stack.append(node)
-                stack.extend(pending)
-            else:
-                memo[node] = 1 + max((memo[c] for c in children), default=0)
-    return max(memo, default=0)
+    """Longest walk through unconverged states, in ticks (the worst-case
+    time to convergence), or None when they hold a cycle; the graph is
+    stored as for :func:`_find_unconverged_cycle`.  One topological pass
+    (Kahn) in rounds: a state is taken one round after its last
+    unconverged predecessor, so the rounds count the states of the
+    longest walk, and a state never taken is on or behind a cycle."""
+    n = len(first)
+    waiting = array("i", [0]) * n  # predecessors not yet taken
+    for child in kids:
+        waiting[child] += 1
+    ready = array("i", (s for s in range(n)
+                        if first[s] >= 0 and not waiting[s]))
+    rounds = taken = 0
+    while ready:
+        rounds += 1
+        taken += len(ready)
+        after = array("i")
+        for s in ready:
+            for child in kids[first[s]:last[s]]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    after.append(child)
+        ready = after
+    return rounds if taken == n - first.count(-1) else None
 
 
 def replay(config: ExploreConfig, counterexample: Counterexample):

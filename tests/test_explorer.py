@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 from array import array
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospfsim import explorer
 from ospfsim.engine import ConfigError, EngineConfig, TraceEvent, run
@@ -25,6 +27,7 @@ from ospfsim.explorer import (
     _install,
     _longest_unconverged_path,
     _node_step,
+    _steps,
     explore,
     initial_state,
     replay,
@@ -396,6 +399,7 @@ def flat(succ):
 def test_final_pass_finds_a_state_on_a_cycle():
     succ = flat([[1], [2, 4], [3], [1], None])
     assert _find_unconverged_cycle(*succ) in {1, 2, 3}
+    assert _longest_unconverged_path(*succ) is None
     assert _find_unconverged_cycle(*flat([[1], [2], []])) is None
 
 
@@ -413,6 +417,78 @@ def test_final_pass_handles_a_long_chain_without_recursion():
     succ = flat([[i + 1] for i in range(n - 1)] + [[]])
     assert _find_unconverged_cycle(*succ) is None
     assert _longest_unconverged_path(*succ) == n
+
+
+@st.composite
+def successor_graphs(draw):
+    """Successor lists as :func:`flat` takes them, of up to 30 states:
+    each unconverged state lists unconverged successors, repeats and
+    itself allowed; a forward graph lists only later ones, so it is
+    acyclic."""
+    n = draw(st.integers(0, 30))
+    converged = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    live = [i for i in range(n) if not converged[i]]
+    forward = draw(st.booleans())
+    succ = []
+    for i in range(n):
+        targets = [j for j in live if j > i] if forward else live
+        succ.append(None if converged[i] else draw(
+            st.lists(st.sampled_from(targets), max_size=3) if targets
+            else st.just([])))
+    return succ
+
+
+def naive_longest_path(succ):
+    """Longest walk in states of an acyclic graph, by plain recursion."""
+    @functools.cache
+    def walk(s):
+        return 1 + max((walk(c) for c in succ[s]), default=0)
+
+    return max((walk(s) for s, c in enumerate(succ) if c is not None),
+               default=0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(successor_graphs())
+def test_final_pass_agrees_with_the_cycle_search_and_a_naive_path(succ):
+    graph = flat(succ)
+    longest = _longest_unconverged_path(*graph)
+    on_cycle = _find_unconverged_cycle(*graph)
+    assert (longest is None) == (on_cycle is not None)
+    if on_cycle is None:
+        assert longest == naive_longest_path(succ)
+    else:  # the state the DFS picks reaches itself
+        seen, todo = set(), list(succ[on_cycle])
+        while todo and on_cycle not in seen:
+            s = todo.pop()
+            if s not in seen:
+                seen.add(s)
+                todo.extend(succ[s])
+        assert on_cycle in seen
+
+
+def test_one_combo_successors_equal_the_product_of_the_rows(
+        line3_si2_states):
+    # warm rows come from the cache and have no violation; the triples
+    # of every state, their order and the occupancy it records must be
+    # those of the product over its rows, however many labels they hold
+    ctx, states = line3_si2_states
+    single = 0
+    for canon in states:
+        rows = _steps(canon, ctx)
+        assert all(type(row[0]) is int for row in rows)
+        single += all(len(row) == 4 for row in rows)
+        expected = [
+            (combo, (kids, tuple(f for f in slots if f is not None)), [])
+            for combo, kids, slots in zip(
+                itertools.product(*(row[1::3] for row in rows)),
+                itertools.product(*(row[2::3] for row in rows)),
+                itertools.product(*(row[3::3] for row in rows)))]
+        ctx.max_occ = 0
+        assert list(successors(canon, ctx)) == expected
+        assert ctx.max_occ == max(row[0] for row in rows)
+    # both paths ran: one-combo ticks and ticks with a choice
+    assert 0 < single < len(states)
 
 
 def test_state_converged_checks():
