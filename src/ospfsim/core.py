@@ -130,15 +130,10 @@ EMPTY_LSDB = Lsdb()
 
 
 @dataclass(frozen=True)
-class SimpleNeighbor:
-    nip: NodeId
-    inact_deadline: TimeStamp
-
-
-@dataclass(frozen=True)
-class DetailedNeighbor:
-    """Per-neighbour record: adjacency state, exchange sequencing and
-    the three retransmission bookkeeping pairs (list + deadline)."""
+class Neighbor:
+    """Per-neighbour record of both models.  The simple model keeps each
+    neighbour at 2-Way and reads only ``nip`` and ``inact_deadline``; the
+    detailed one adds exchange sequencing and three retransmission pairs."""
 
     nip: NodeId
     ns: NeighborState
@@ -156,9 +151,6 @@ class DetailedNeighbor:
                 f"neighbour {self.nip}: request/retransmission lists must be "
                 f"empty below ExStart"
             )
-
-
-Neighbor = Union[SimpleNeighbor, DetailedNeighbor]
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ from typing import Optional
 from .core import (
     Ack,
     DbdDetailed,
-    DetailedNeighbor,
     EMPTY_LSDB,
     Hello,
     LsaHeader,
     Lsdb,
     Message,
+    Neighbor,
     NeighborState,
     NodeId,
     NodeState,
@@ -35,7 +35,7 @@ from .core import (
     groupcast,
     hdr,
 )
-from .lsdb import install, lsa_exist, new_lsa_detailed, own_stamp
+from .lsdb import install, lsa_exist, new_lsa, own_stamp
 from .neighbors import (
     add_reqs,
     clean_reqs,
@@ -77,8 +77,7 @@ def _summary_to(state: NodeState, nip: NodeId) -> SendInstruction:
 def _refresh_own_lsa(
     state: NodeState, now: TimeStamp, cfg: ProtocolConfig
 ) -> tuple[NodeState, Emissions]:
-    lsa = new_lsa_detailed(state.ip, own_stamp(state.lsdb, state.ip, now),
-                           state.nbrs)
+    lsa = new_lsa(state.ip, own_stamp(state.lsdb, state.ip, now), state.nbrs)
     own = Lsdb.of([lsa])
     return _flood(state.evolve(lsdb=install(state.lsdb, own)), own, now, cfg)
 
@@ -146,7 +145,7 @@ def handle_hello_detailed(
     entry = state.nbrs.get(sip)
     nbrs = state.nbrs
     if entry is None:
-        entry = DetailedNeighbor(nip=sip, ns=NeighborState.INIT)
+        entry = Neighbor(nip=sip, ns=NeighborState.INIT)
         nbrs = new_nbr(nbrs, entry)
     fields = {"inact_deadline": now + cfg.rtdeadintvl}
     start = False

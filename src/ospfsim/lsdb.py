@@ -17,24 +17,19 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import (
-    DetailedNeighbor,
     Lsa,
     LsaHeader,
     Lsdb,
+    Neighbor,
     NeighborState,
     NodeId,
-    SimpleNeighbor,
     TimeStamp,
 )
 
 
-def new_lsa_simple(ip: NodeId, t: TimeStamp, nbrs: Iterable[SimpleNeighbor]) -> Lsa:
-    """Advertisement listing every known neighbour."""
-    return Lsa(ip, t, frozenset(n.nip for n in nbrs))
-
-
-def new_lsa_detailed(ip: NodeId, t: TimeStamp, nbrs: Iterable[DetailedNeighbor]) -> Lsa:
-    """Advertisement listing neighbours with confirmed bidirectional links."""
+def new_lsa(ip: NodeId, t: TimeStamp, nbrs: Iterable[Neighbor]) -> Lsa:
+    """Advertisement listing neighbours with confirmed bidirectional links,
+    those at 2-Way or beyond."""
     return Lsa(
         ip, t, frozenset(n.nip for n in nbrs if n.ns >= NeighborState.TWO_WAY)
     )

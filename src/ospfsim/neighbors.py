@@ -6,7 +6,7 @@ changes nothing.  The engine's trace diff relies on that identity to
 skip unchanged tables.
 
 A changed neighbour is always rebuilt through its constructor, so
-``DetailedNeighbor``'s ExStart check runs.  :func:`nbr_set` and
+``Neighbor``'s ExStart check runs.  :func:`nbr_set` and
 :func:`upd_rxmts` change neighbours in place, keeping every id and
 position, so they rebuild the table with ``NbrTable.from_sorted``: no
 re-sort and no duplicate check.  :func:`new_nbr` and :func:`drop_dead`

@@ -14,19 +14,20 @@ from .core import (
     LsaHeader,
     Lsdb,
     Message,
+    Neighbor,
+    NeighborState,
     NodeId,
     NodeState,
     ProtocolConfig,
     ReqSimple,
     SendInstruction,
-    SimpleNeighbor,
     TimeStamp,
     Upd,
     broadcast,
     groupcast,
     hdr,
 )
-from .lsdb import install, lsa_exist, new_lsa_simple, own_stamp
+from .lsdb import install, lsa_exist, new_lsa, own_stamp
 from .neighbors import drop_dead, nbr_set, new_nbr
 
 Emissions = list[SendInstruction]
@@ -43,7 +44,7 @@ def simple_timers(
         ems.append(broadcast(Hello(st.nbrs.nips(), st.ip)))
     live = drop_dead(st.nbrs, now)
     if live is not st.nbrs:
-        lsa = new_lsa_simple(st.ip, own_stamp(st.lsdb, st.ip, now), live)
+        lsa = new_lsa(st.ip, own_stamp(st.lsdb, st.ip, now), live)
         own = Lsdb.of([lsa])
         st = st.evolve(nbrs=live, lsdb=install(st.lsdb, own))
         ems.append(groupcast(Upd(own, st.ip), live.nips()))
@@ -55,8 +56,9 @@ def _discover(
 ) -> tuple[NodeState, Emissions]:
     """Shared new-neighbour block: record the sender, advertise the new
     link to everyone known, and offer the sender a database summary."""
-    nbrs = new_nbr(state.nbrs, SimpleNeighbor(sip, now + cfg.rtdeadintvl))
-    lsa = new_lsa_simple(state.ip, own_stamp(state.lsdb, state.ip, now), nbrs)
+    nbrs = new_nbr(
+        state.nbrs, Neighbor(sip, NeighborState.TWO_WAY, now + cfg.rtdeadintvl))
+    lsa = new_lsa(state.ip, own_stamp(state.lsdb, state.ip, now), nbrs)
     own = Lsdb.of([lsa])
     lsdb = install(state.lsdb, own)
     st = state.evolve(nbrs=nbrs, lsdb=lsdb)

@@ -173,6 +173,8 @@ def parse_topology(text: str) -> TopologyFile:
             if len(parts) != 3:
                 raise TopologyError(lineno, "usage: boot i t")
             node = want_node(lineno, parts[1])
+            if node in boots:
+                raise TopologyError(lineno, f"duplicate boot line for node {node}")
             try:
                 t = int(parts[2])
             except ValueError:
@@ -181,6 +183,8 @@ def parse_topology(text: str) -> TopologyFile:
                 raise TopologyError(lineno, "boot tick must be non-negative")
             boots[node] = t
         elif key in _SETTING_TYPES:
+            if key in overrides:
+                raise TopologyError(lineno, f"duplicate {key!r} setting")
             if len(parts) != 2:
                 raise TopologyError(lineno, f"usage: {key} value")
             try:

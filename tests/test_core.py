@@ -6,11 +6,11 @@ from ospfsim.core import (
     Ack,
     DbdDetailed,
     DbdSimple,
-    DetailedNeighbor,
     Hello,
     Lsa,
     LsaHeader,
     Lsdb,
+    Neighbor,
     NeighborState,
     ReqDetailed,
     ReqSimple,
@@ -60,9 +60,9 @@ def test_lsdb_is_order_insensitive_and_hashable():
 
 def test_detailed_neighbor_rejects_lists_below_exstart():
     with pytest.raises(ValueError):
-        DetailedNeighbor(nip=B, ns=NeighborState.INIT,
+        Neighbor(nip=B, ns=NeighborState.INIT,
                          req_list=frozenset({LsaHeader(A, 1)}))
-    DetailedNeighbor(nip=B, ns=NeighborState.EX_START,
+    Neighbor(nip=B, ns=NeighborState.EX_START,
                      req_list=frozenset({LsaHeader(A, 1)}))
 
 

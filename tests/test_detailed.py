@@ -8,11 +8,11 @@ from ospfsim.core import (
     Ack,
     DbdDetailed,
     DbdSimple,
-    DetailedNeighbor,
     Hello,
     Lsa,
     LsaHeader,
     Lsdb,
+    Neighbor,
     NeighborState,
     NodeState,
     ProtocolConfig,
@@ -56,7 +56,7 @@ def node(ip=A, nbrs=(), lsdb=None, hellot=0):
 
 
 def nbr(nip, ns=NS.INIT, **kw):
-    return DetailedNeighbor(nip=nip, ns=ns, **kw)
+    return Neighbor(nip=nip, ns=ns, **kw)
 
 
 def test_adjacency_is_symmetric():
@@ -144,7 +144,7 @@ def test_dbd_guard_partition_exhaustive():
 # sha256 over the partition grid of the branch each input takes and the
 # repr of the handler's (state, emissions) on a two-node state built from
 # it; swapping two guards, or changing what a branch does, changes it
-DBD_GRID_SHA256 = "8eca8eb6759847cbc6f90695d1f5d373d8a70285c64f0f11ff1cd16b4f9dc5df"
+DBD_GRID_SHA256 = "1ccb78bcd7ba09d3dd3b98eac452016d866960cfa8c44263c66ddd65bab2b3d5"
 
 
 def test_dbd_branch_and_handler_grid_is_pinned():

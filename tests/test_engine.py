@@ -513,6 +513,10 @@ PARSE_ERRORS = [
     ("# no nodes line\n", 0, "missing 'nodes N' directive"),
     ("nodes 3\nedge 1 3\nnodes 2\n", 3, "duplicate 'nodes N' directive"),
     ("nodes 2\nnodes 3\n", 2, "duplicate 'nodes N' directive"),
+    ("nodes 2\nhellointvl 5\nhellointvl 7\n", 3,
+     "duplicate 'hellointvl' setting"),
+    ("nodes 2\nseed 1\nedge 1 2\nseed 1\n", 4, "duplicate 'seed' setting"),
+    ("nodes 2\nboot 2 3\nboot 2 0\n", 3, "duplicate boot line for node 2"),
 ]
 
 
@@ -523,6 +527,14 @@ def test_parse_topology_errors_carry_line_numbers(text, lineno, message):
         parse_topology(text)
     assert err.value.lineno == lineno
     assert str(err.value) == f"line {lineno}: {message}"
+
+
+def test_repeated_pair_lines_name_the_same_pair():
+    text = "nodes 2\nedge 1 2\nedge 2 1\nedge 1 2\nadj 1 2\nadj 1 2\nboot 1 3\n"
+    parsed = parse_topology(text)
+    assert parsed.topology.edges == {(1, 2)}
+    assert parsed.adjacency.edges == {(1, 2)}
+    assert parsed.boot_offsets == {1: 3}
 
 
 def test_unknown_key_lists_valid_keys():

@@ -387,7 +387,9 @@ def test_max_occupancy_counts_the_combos_up_to_the_first_violation():
 def flat(succ):
     """Hand-built successor lists in the flat form of the final pass:
     ``succ[i]`` lists the unconverged successors of state i, None marks a
-    converged state."""
+    converged state.  As in the graphs ``explore`` builds, no state lists
+    a converged one."""
+    assert all(succ[c] is not None for kids in succ for c in kids or ())
     first, last, kids = array("i"), array("i"), []
     for children in succ:
         first.append(-1 if children is None else len(kids))
@@ -397,7 +399,7 @@ def flat(succ):
 
 
 def test_final_pass_finds_a_state_on_a_cycle():
-    succ = flat([[1], [2, 4], [3], [1], None])
+    succ = flat([[1], [2, 4], [3], [1], []])
     assert _find_unconverged_cycle(*succ) in {1, 2, 3}
     assert _longest_unconverged_path(*succ) is None
     assert _find_unconverged_cycle(*flat([[1], [2], []])) is None

@@ -2,18 +2,16 @@ import itertools
 import random
 
 from ospfsim.core import (
-    DetailedNeighbor,
     Lsa,
     LsaHeader,
     Lsdb,
+    Neighbor,
     NeighborState,
-    SimpleNeighbor,
 )
 from ospfsim.lsdb import (
     install,
     lsa_exist,
-    new_lsa_detailed,
-    new_lsa_simple,
+    new_lsa,
     newer_age,
     next_age,
     own_stamp,
@@ -26,13 +24,6 @@ def db(*entries):
     return Lsdb.of(Lsa(o, s, frozenset(links)) for o, s, links in entries)
 
 
-def test_new_lsa_simple():
-    nbrs = [SimpleNeighbor(B, 55), SimpleNeighbor(C, 60)]
-    assert new_lsa_simple(A, 5, nbrs) == Lsa(A, 5, frozenset({B, C}))
-    assert new_lsa_simple(A, 0, []) == Lsa(A, 0, frozenset())
-    assert new_lsa_simple(B, 9, [SimpleNeighbor(A, 10)]) == Lsa(B, 9, frozenset({A}))
-
-
 def test_own_stamp_is_now_or_one_past_the_stored_own_entry():
     assert own_stamp(db(), A, 7) == 7
     # another origin's entry does not count
@@ -43,16 +34,25 @@ def test_own_stamp_is_now_or_one_past_the_stored_own_entry():
     assert own_stamp(db((A, 8, [B])), A, 7) == 9
 
 
+def test_new_lsa_simple():
+    # the simple model's records: every neighbour at 2-Way
+    two_way = NeighborState.TWO_WAY
+    nbrs = [Neighbor(B, two_way, 55), Neighbor(C, two_way, 60)]
+    assert new_lsa(A, 5, nbrs) == Lsa(A, 5, frozenset({B, C}))
+    assert new_lsa(A, 0, []) == Lsa(A, 0, frozenset())
+    assert new_lsa(B, 9, [Neighbor(A, two_way, 10)]) == Lsa(B, 9, frozenset({A}))
+
+
 def test_new_lsa_detailed_filters_below_two_way():
+    # the detailed model's: a neighbour still at Init is left out
     nbrs = [
-        DetailedNeighbor(nip=B, ns=NeighborState.INIT),
-        DetailedNeighbor(nip=C, ns=NeighborState.FULL),
+        Neighbor(nip=B, ns=NeighborState.INIT),
+        Neighbor(nip=C, ns=NeighborState.FULL),
     ]
-    assert new_lsa_detailed(A, 4, nbrs) == Lsa(A, 4, frozenset({C}))
-    assert new_lsa_detailed(
-        A, 4, [DetailedNeighbor(nip=B, ns=NeighborState.TWO_WAY)]
-    ) == Lsa(A, 4, frozenset({B}))
-    assert new_lsa_detailed(A, 4, []) == Lsa(A, 4, frozenset())
+    assert new_lsa(A, 4, nbrs) == Lsa(A, 4, frozenset({C}))
+    two_way = NeighborState.TWO_WAY
+    assert new_lsa(A, 4, [Neighbor(nip=B, ns=two_way)]) == Lsa(A, 4, frozenset({B}))
+    assert new_lsa(A, 4, []) == Lsa(A, 4, frozenset())
 
 
 def test_install_examples():

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ospfsim.core import (
-    DetailedNeighbor,
     Lsa,
     LsaHeader,
     Lsdb,
+    Neighbor,
     NeighborState,
     hdr,
 )
@@ -90,9 +90,9 @@ def oracle_clean_rxmts(nbrs, nip, hdrs):
 def table(req_list, rxmt_list):
     """Neighbour 1 holds the lists; neighbour 2 is a bystander."""
     return NbrTable.of([
-        DetailedNeighbor(nip=1, ns=NeighborState.LOADING,
+        Neighbor(nip=1, ns=NeighborState.LOADING,
                          req_list=req_list, rxmt_list=rxmt_list),
-        DetailedNeighbor(nip=2, ns=NeighborState.FULL),
+        Neighbor(nip=2, ns=NeighborState.FULL),
     ])
 
 
@@ -228,7 +228,7 @@ def nbr_entries():
         if ns < NeighborState.EX_START:
             reqs, rxmts = frozenset(), Lsdb()
         inact, dd, req, rxmt = deadlines
-        return DetailedNeighbor(nip=nip, ns=ns, inact_deadline=inact,
+        return Neighbor(nip=nip, ns=ns, inact_deadline=inact,
                                 ddsqn=dd % 3, dd_deadline=dd, req_list=reqs,
                                 req_deadline=req, rxmt_list=rxmts,
                                 rxmt_deadline=rxmt)

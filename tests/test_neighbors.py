@@ -3,13 +3,12 @@ import random
 import pytest
 
 from ospfsim.core import (
-    DetailedNeighbor,
     Lsa,
     LsaHeader,
     Lsdb,
+    Neighbor,
     NeighborState,
     ProtocolConfig,
-    SimpleNeighbor,
 )
 from ospfsim.core import NodeState
 from ospfsim.detailed import handle_hello_detailed
@@ -36,7 +35,7 @@ def dtable(*entries):
 
 
 def dn(nip, ns=NS.INIT, **kw):
-    return DetailedNeighbor(nip=nip, ns=ns, **kw)
+    return Neighbor(nip=nip, ns=ns, **kw)
 
 
 def db(*entries):
@@ -44,21 +43,21 @@ def db(*entries):
 
 
 def test_nbr_table_get():
-    t = NbrTable.of([SimpleNeighbor(B, 50)])
-    assert t.get(B) == SimpleNeighbor(B, 50)
+    t = NbrTable.of([Neighbor(B, NS.TWO_WAY, 50)])
+    assert t.get(B) == Neighbor(B, NS.TWO_WAY, 50)
     assert t.get(C) is None
     assert NbrTable().get(B) is None
     with pytest.raises(ValueError, match="duplicate neighbour entries"):
-        NbrTable.of([SimpleNeighbor(B, 50), SimpleNeighbor(B, 60)])
+        NbrTable.of([Neighbor(B, NS.TWO_WAY, 50), Neighbor(B, NS.TWO_WAY, 60)])
 
 
 def test_new_nbr_duplicate_fault():
-    t = new_nbr(NbrTable(), SimpleNeighbor(B, 60))
-    assert t.get(B) == SimpleNeighbor(B, 60)
-    both = new_nbr(t, SimpleNeighbor(A, 70))
+    t = new_nbr(NbrTable(), Neighbor(B, NS.TWO_WAY, 60))
+    assert t.get(B) == Neighbor(B, NS.TWO_WAY, 60)
+    both = new_nbr(t, Neighbor(A, NS.TWO_WAY, 70))
     assert [n.nip for n in both] == [A, B]
     with pytest.raises(RuntimeError):
-        new_nbr(both, SimpleNeighbor(B, 0))
+        new_nbr(both, Neighbor(B, NS.TWO_WAY, 0))
     with pytest.raises(RuntimeError):
         new_nbr(dtable(dn(B)), dn(B, NS.FULL))
 
@@ -71,7 +70,7 @@ def test_new_nbr_detailed_initial_fields():
     st, ems = handle_hello_detailed(
         NodeState(ip=A), frozenset(), B, 11, adj, cfg
     )
-    assert st.nbrs.get(B) == DetailedNeighbor(
+    assert st.nbrs.get(B) == Neighbor(
         nip=B, ns=NS.INIT, inact_deadline=11 + cfg.rtdeadintvl, ddsqn=0,
         dd_deadline=0, req_list=frozenset(), req_deadline=0,
         rxmt_list=Lsdb(), rxmt_deadline=0,
@@ -114,7 +113,7 @@ def test_nbr_set_applies_every_field_at_once():
 
 
 def test_drop_dead_strict():
-    t = NbrTable.of([SimpleNeighbor(B, 5), SimpleNeighbor(C, 9)])
+    t = NbrTable.of([Neighbor(B, NS.TWO_WAY, 5), Neighbor(C, NS.TWO_WAY, 9)])
     assert drop_dead(t, 6).nips() == {C}
     assert drop_dead(t, 5) is t
     empty = NbrTable()

@@ -26,6 +26,9 @@ schedule, and the engine's simple model must end with the same links.
 
 On connected graphs of 2 to 6 nodes a run that keeps no trace must end
 with the verdict and node states of the same run with its trace kept.
+On the same graphs the simple model keeps every neighbour record at
+2-Way with no detailed bookkeeping, and advertises exactly its
+neighbours, after every tick.
 """
 
 import random
@@ -33,6 +36,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ospfsim.core import Neighbor, NeighborState
 from ospfsim.engine import EngineConfig, SimState, converged, run
 from ospfsim.explorer import ExploreConfig
 from ospfsim.topology import Topology
@@ -196,3 +200,22 @@ def test_untraced_run_agrees_with_traced_run(rng, model, capacity, max_ticks):
     assert verdict == traced_verdict, (topo, boots, model, capacity, max_ticks)
     assert {ip: rt.state for ip, rt in sim.nodes.items()} == {
         ip: rt.state for ip, rt in traced_sim.nodes.items()}
+
+
+@CASES
+@given(RNGS)
+def test_simple_model_neighbours_stay_two_way_and_are_advertised(rng):
+    topo, boots = random_case(rng, 2, 6)
+    sim = SimState(EngineConfig(model="simple", boot_offsets=boots), topo)
+    for _ in range(400):
+        sim.tick()
+        for ip in topo.nodes():
+            state = sim.nodes[ip].state
+            for n in state.nbrs:
+                assert n == Neighbor(n.nip, NeighborState.TWO_WAY,
+                                     n.inact_deadline), (topo, boots, sim.now)
+            # no neighbour expires on these lossless runs, so a node
+            # without neighbours has never advertised
+            own = state.lsdb.get(ip)
+            links = None if own is None else own.links
+            assert links == (state.nbrs.nips() or None), (topo, boots, sim.now, ip)

@@ -10,11 +10,12 @@ from ospfsim.core import (
     Lsa,
     LsaHeader,
     Lsdb,
+    Neighbor,
+    NeighborState,
     NodeState,
     ProtocolConfig,
     ReqDetailed,
     ReqSimple,
-    SimpleNeighbor,
     Upd,
 )
 from ospfsim.neighbors import NbrTable
@@ -38,7 +39,8 @@ def db(*entries):
 def node(ip=A, nbrs=(), lsdb=None, hellot=0):
     return NodeState(
         ip=ip,
-        nbrs=NbrTable.of(SimpleNeighbor(n, t) for n, t in nbrs),
+        nbrs=NbrTable.of(
+            Neighbor(n, NeighborState.TWO_WAY, t) for n, t in nbrs),
         lsdb=lsdb if lsdb is not None else Lsdb(),
         hellot=hellot,
     )
@@ -67,7 +69,7 @@ def test_timers_nothing_due_is_identity():
 
 def test_hello_unknown_sender_discovers():
     st, ems = handle_hello_simple(node(), frozenset(), B, now=3, cfg=CFG)
-    assert st.nbrs.get(B) == SimpleNeighbor(B, 53)
+    assert st.nbrs.get(B) == Neighbor(B, NeighborState.TWO_WAY, 53)
     assert st.lsdb.get(A) == Lsa(A, 3, frozenset({B}))
     upd, dbd = ems
     assert upd.payload == Upd(db((A, 3, {B})), A) and upd.dests == {B}
