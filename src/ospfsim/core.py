@@ -222,8 +222,8 @@ class NodeState:
 
 
 # --- control messages ---------------------------------------------------
-# each class names its wire-level family (hello, dbd, req, upd or ack) in
-# ``kind``, a class attribute and not a field
+# one class per wire-level kind (hello, dbd, req, upd or ack), which it
+# names in ``kind``, a class attribute and not a field
 
 
 @dataclass(frozen=True)
@@ -234,14 +234,9 @@ class Hello:
 
 
 @dataclass(frozen=True)
-class DbdSimple:
-    kind: ClassVar[str] = "dbd"
-    hdrs: frozenset[LsaHeader]
-    sip: NodeId
+class Dbd:
+    """A database summary; the simple model never reads sqn or ibit."""
 
-
-@dataclass(frozen=True)
-class DbdDetailed:
     kind: ClassVar[str] = "dbd"
     hdrs: frozenset[LsaHeader]
     sqn: DdSqn
@@ -250,16 +245,9 @@ class DbdDetailed:
 
 
 @dataclass(frozen=True)
-class ReqSimple:
+class Req:
     kind: ClassVar[str] = "req"
     hdrs: frozenset[LsaHeader]
-    sip: NodeId
-
-
-@dataclass(frozen=True)
-class ReqDetailed:
-    kind: ClassVar[str] = "req"
-    hdr: LsaHeader
     sip: NodeId
 
 
@@ -277,7 +265,7 @@ class Ack:
     sip: NodeId
 
 
-Message = Union[Hello, DbdSimple, DbdDetailed, ReqSimple, ReqDetailed, Upd, Ack]
+Message = Union[Hello, Dbd, Req, Upd, Ack]
 
 
 @dataclass(frozen=True)

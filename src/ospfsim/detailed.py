@@ -16,7 +16,7 @@ from typing import Optional
 
 from .core import (
     Ack,
-    DbdDetailed,
+    Dbd,
     EMPTY_LSDB,
     Hello,
     LsaHeader,
@@ -27,7 +27,7 @@ from .core import (
     NodeId,
     NodeState,
     ProtocolConfig,
-    ReqDetailed,
+    Req,
     SendInstruction,
     TimeStamp,
     Upd,
@@ -121,7 +121,7 @@ def detailed_timers(
     if req is not None:
         st = st.evolve(nbrs=nbr_set(st.nbrs, req, req_deadline=rearm))
         first = min(st.nbrs.get(req).req_list)
-        ems.append(groupcast(ReqDetailed(first, st.ip), {req}))
+        ems.append(groupcast(Req(frozenset({first}), st.ip), {req}))
     if rxmt is not None:
         st = st.evolve(nbrs=nbr_set(st.nbrs, rxmt, rxmt_deadline=rearm))
         ems.append(groupcast(Upd(st.nbrs.get(rxmt).rxmt_list, st.ip), {rxmt}))
@@ -332,19 +332,18 @@ def handle_dbd_detailed(
 
 
 def handle_req_detailed(
-    state: NodeState, h: LsaHeader, sip: NodeId
+    state: NodeState, hdrs: frozenset[LsaHeader], sip: NodeId
 ) -> tuple[NodeState, Emissions]:
-    """Serve a request when the sender is far enough along and we hold a
-    copy at least as fresh as the one asked for; drop otherwise."""
+    """Serve a sender at Exchange or beyond one update with each asked-for
+    entry we hold at least as fresh; send nothing when none qualifies."""
     entry = state.nbrs.get(sip)
-    if (
-        entry is None
-        or entry.ns < NeighborState.EXCHANGE
-        or not lsa_exist(state.lsdb, h)
-    ):
+    if entry is None or entry.ns < NeighborState.EXCHANGE:
         return state, []
-    lsa = state.lsdb.get(h.origin)
-    return state, [groupcast(Upd(Lsdb.of([lsa]), state.ip), {sip})]
+    lsas = Lsdb.of(state.lsdb.get(h.origin) for h in hdrs
+                   if lsa_exist(state.lsdb, h))
+    if not lsas:
+        return state, []
+    return state, [groupcast(Upd(lsas, state.ip), {sip})]
 
 
 def handle_upd_detailed(
@@ -391,12 +390,12 @@ def handle_message_detailed(
 ) -> tuple[NodeState, Emissions]:
     if isinstance(msg, Hello):
         return handle_hello_detailed(state, msg.ips, msg.sip, now, adj, cfg)
-    if isinstance(msg, DbdDetailed):
+    if isinstance(msg, Dbd):
         return handle_dbd_detailed(
             state, msg.hdrs, msg.sqn, msg.ibit, msg.sip, now, adj, cfg
         )
-    if isinstance(msg, ReqDetailed):
-        return handle_req_detailed(state, msg.hdr, msg.sip)
+    if isinstance(msg, Req):
+        return handle_req_detailed(state, msg.hdrs, msg.sip)
     if isinstance(msg, Upd):
         return handle_upd_detailed(state, msg.lsas, msg.sip, now, cfg)
     if isinstance(msg, Ack):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (
-    DbdDetailed,
+    Dbd,
     LsaHeader,
     Lsdb,
     NbrTable,
@@ -128,7 +128,7 @@ def flood_nips(nbrs: NbrTable) -> frozenset[NodeId]:
 
 def gen_dbd(
     nbrs: NbrTable, lsdb: Lsdb, nip: NodeId, ip: NodeId
-) -> Optional[DbdDetailed]:
+) -> Optional[Dbd]:
     """Database summary message for ``nip``.
 
     At ExStart the message opens the exchange (init bit set); from
@@ -138,7 +138,7 @@ def gen_dbd(
     entry = nbrs.get(nip)
     if entry is None or entry.ns < NeighborState.EX_START:
         return None
-    return DbdDetailed(
+    return Dbd(
         hdrs=lsdb.headers(),
         sqn=entry.ddsqn,
         ibit=entry.ns == NeighborState.EX_START,

@@ -9,7 +9,7 @@ instructions for its output queue.
 from __future__ import annotations
 
 from .core import (
-    DbdSimple,
+    Dbd,
     Hello,
     LsaHeader,
     Lsdb,
@@ -19,7 +19,7 @@ from .core import (
     NodeId,
     NodeState,
     ProtocolConfig,
-    ReqSimple,
+    Req,
     SendInstruction,
     TimeStamp,
     Upd,
@@ -64,7 +64,7 @@ def _discover(
     st = state.evolve(nbrs=nbrs, lsdb=lsdb)
     return st, [
         groupcast(Upd(own, st.ip), nbrs.nips()),
-        groupcast(DbdSimple(lsdb.headers(), st.ip), {sip}),
+        groupcast(Dbd(lsdb.headers(), 0, False, st.ip), {sip}),
     ]
 
 
@@ -95,7 +95,7 @@ def handle_dbd_simple(
         st, ems = _discover(st, sip, now, cfg)
     reqs = frozenset(h for h in hdrs if not lsa_exist(st.lsdb, h))
     if reqs:
-        ems.append(groupcast(ReqSimple(reqs, st.ip), {sip}))
+        ems.append(groupcast(Req(reqs, st.ip), {sip}))
     return st, ems
 
 
@@ -127,9 +127,9 @@ def handle_message_simple(
 ) -> tuple[NodeState, Emissions]:
     if isinstance(msg, Hello):
         return handle_hello_simple(state, msg.ips, msg.sip, now, cfg)
-    if isinstance(msg, DbdSimple):
+    if isinstance(msg, Dbd):
         return handle_dbd_simple(state, msg.hdrs, msg.sip, now, cfg)
-    if isinstance(msg, ReqSimple):
+    if isinstance(msg, Req):
         return handle_req_simple(state, msg.hdrs, msg.sip)
     if isinstance(msg, Upd):
         return handle_upd_simple(state, msg.lsas, msg.sip)

@@ -1,25 +1,26 @@
 import dataclasses
+import typing
 
 import pytest
 
 from ospfsim.core import (
     Ack,
-    DbdDetailed,
-    DbdSimple,
+    Dbd,
     Hello,
     Lsa,
     LsaHeader,
     Lsdb,
+    Message,
     Neighbor,
     NeighborState,
-    ReqDetailed,
-    ReqSimple,
+    Req,
     SendInstruction,
     Upd,
     broadcast,
     groupcast,
     hdr,
 )
+from ospfsim.engine import MESSAGE_KINDS
 
 A, B, C = 1, 2, 3
 
@@ -79,11 +80,14 @@ def test_send_instruction_hello_must_broadcast():
 def test_message_kind():
     db = Lsdb.of([Lsa(A, 1, frozenset())])
     assert Hello(frozenset(), A).kind == "hello"
-    assert DbdSimple(frozenset(), A).kind == "dbd"
-    assert DbdDetailed(frozenset(), 0, True, A).kind == "dbd"
-    assert ReqSimple(frozenset(), A).kind == "req"
-    assert ReqDetailed(LsaHeader(A, 1), A).kind == "req"
+    assert Dbd(frozenset(), 0, True, A).kind == "dbd"
+    assert Req(frozenset({LsaHeader(A, 1)}), A).kind == "req"
     assert Upd(db, A).kind == "upd"
     assert Ack(frozenset(), A).kind == "ack"
     # a class attribute, not a field: equality and hashing ignore it
     assert [f.name for f in dataclasses.fields(Hello)] == ["ips", "sip"]
+
+
+def test_one_message_class_per_kind():
+    # both models exchange the same five packet kinds (RFC 2328 §A.3)
+    assert [cls.kind for cls in typing.get_args(Message)] == list(MESSAGE_KINDS)

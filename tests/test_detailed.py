@@ -2,13 +2,9 @@ import hashlib
 import itertools
 import random
 
-import pytest
-
 from ospfsim.core import (
     Ack,
-    DbdDetailed,
-    DbdSimple,
-    Hello,
+    Dbd,
     Lsa,
     LsaHeader,
     Lsdb,
@@ -16,8 +12,7 @@ from ospfsim.core import (
     NeighborState,
     NodeState,
     ProtocolConfig,
-    ReqDetailed,
-    ReqSimple,
+    Req,
     Upd,
 )
 from ospfsim.detailed import (
@@ -27,7 +22,6 @@ from ospfsim.detailed import (
     handle_ack,
     handle_dbd_detailed,
     handle_hello_detailed,
-    handle_message_detailed,
     handle_req_detailed,
     handle_upd_detailed,
     snmis,
@@ -78,7 +72,7 @@ def test_hello_init_adjacent_starts_exchange():
     assert entry.dd_deadline == 11 + CFG.rxmtintvl
     assert entry.inact_deadline == 11 + CFG.rtdeadintvl
     assert len(ems) == 1
-    assert ems[0].payload == DbdDetailed(frozenset(), 1, True, A)
+    assert ems[0].payload == Dbd(frozenset(), 1, True, A)
     assert ems[0].dests == {B}
 
 
@@ -144,7 +138,7 @@ def test_dbd_guard_partition_exhaustive():
 # sha256 over the partition grid of the branch each input takes and the
 # repr of the handler's (state, emissions) on a two-node state built from
 # it; swapping two guards, or changing what a branch does, changes it
-DBD_GRID_SHA256 = "1ccb78bcd7ba09d3dd3b98eac452016d866960cfa8c44263c66ddd65bab2b3d5"
+DBD_GRID_SHA256 = "72f4769fdf222abd4d7309ef8f872923619e6a42b4560cfc92c59a11bbe14b13"
 
 
 def test_dbd_branch_and_handler_grid_is_pinned():
@@ -196,7 +190,7 @@ def test_dbd_negotiate_slave():
     assert entry.ddsqn == 1  # adopted from the message, not incremented
     assert entry.dd_deadline == 15  # slave leaves the timer alone
     assert len(ems) == 1
-    assert ems[0].payload == DbdDetailed(frozenset(), 1, False, A)
+    assert ems[0].payload == Dbd(frozenset(), 1, False, A)
 
 
 def test_dbd_negotiate_master_then_full_on_reply():
@@ -207,7 +201,7 @@ def test_dbd_negotiate_master_then_full_on_reply():
     entry = st.nbrs.get(A)
     assert entry.ns == NS.EXCHANGE and entry.ddsqn == 2
     assert entry.dd_deadline == 13 + CFG.rxmtintvl
-    assert ems[0].payload == DbdDetailed(frozenset(), 2, False, B)
+    assert ems[0].payload == Dbd(frozenset(), 2, False, B)
     # the slave's echo with matching number finishes the exchange
     st, ems = handle_dbd_detailed(
         st, frozenset(), sqn=2, ibit=False, sip=A, now=15, adj=ADJ, cfg=CFG
@@ -278,7 +272,7 @@ def test_snmis_restarts_exchange():
     assert entry.req_list == frozenset() and len(entry.rxmt_list) == 0
     assert entry.dd_deadline == 30 + CFG.rxmtintvl
     assert len(ems) == 1
-    assert ems[0].payload == DbdDetailed(frozenset({LsaHeader(A, 1)}), 5, True, A)
+    assert ems[0].payload == Dbd(frozenset({LsaHeader(A, 1)}), 5, True, A)
     assert ems[0].dests == {B}
     assert snmis(before, C, 30, CFG) == (before, [])
 
@@ -286,9 +280,12 @@ def test_snmis_restarts_exchange():
 # --- requests and updates -------------------------------------------------
 
 
+REQ_C4 = frozenset({LsaHeader(C, 4)})
+
+
 def test_req_served_when_fresh_enough():
     before = node(ip=A, nbrs=[nbr(B, NS.LOADING)], lsdb=db((C, 6, {A})))
-    st, ems = handle_req_detailed(before, LsaHeader(C, 4), B)
+    st, ems = handle_req_detailed(before, REQ_C4, B)
     assert st == before
     assert len(ems) == 1
     assert ems[0].payload == Upd(db((C, 6, {A})), A) and ems[0].dests == {B}
@@ -296,23 +293,26 @@ def test_req_served_when_fresh_enough():
 
 def test_req_dropped_in_premature_state_or_unknown():
     premature = node(ip=A, nbrs=[nbr(B, NS.INIT)], lsdb=db((C, 6, ())))
-    assert handle_req_detailed(premature, LsaHeader(C, 4), B) == (premature, [])
+    assert handle_req_detailed(premature, REQ_C4, B) == (premature, [])
     unknown = node(ip=A, lsdb=db((C, 6, ())))
-    assert handle_req_detailed(unknown, LsaHeader(C, 4), B) == (unknown, [])
-
-
-@pytest.mark.parametrize("msg", [
-    DbdSimple(frozenset(), B), ReqSimple(frozenset({LsaHeader(C, 4)}), B)],
-    ids=lambda m: type(m).__name__)
-def test_simple_messages_are_refused(msg):
-    before = node(ip=A, nbrs=[nbr(B, NS.FULL)])
-    with pytest.raises(TypeError, match="detailed model cannot handle"):
-        handle_message_detailed(before, msg, 7, ADJ, CFG)
+    assert handle_req_detailed(unknown, REQ_C4, B) == (unknown, [])
 
 
 def test_req_dropped_when_requested_is_newer_than_stored():
     before = node(ip=A, nbrs=[nbr(B, NS.FULL)], lsdb=db((C, 3, ())))
-    assert handle_req_detailed(before, LsaHeader(C, 4), B) == (before, [])
+    assert handle_req_detailed(before, REQ_C4, B) == (before, [])
+
+
+def test_req_of_two_headers_serves_only_those_held_as_fresh():
+    # C is held newer than asked for, A only older
+    hdrs = frozenset({LsaHeader(C, 4), LsaHeader(A, 9)})
+    lsdb = db((A, 2, {B}), (C, 6, ()))
+    full = node(ip=A, nbrs=[nbr(B, NS.FULL)], lsdb=lsdb)
+    st, ems = handle_req_detailed(full, hdrs, B)
+    assert st == full
+    assert [(e.payload, e.dests) for e in ems] == [(Upd(db((C, 6, ())), A), {B})]
+    init = node(ip=A, nbrs=[nbr(B, NS.INIT)], lsdb=lsdb)
+    assert handle_req_detailed(init, hdrs, B) == (init, [])
 
 
 def test_upd_stale_payload_only_acked():
@@ -381,7 +381,7 @@ def test_timers_dd_retransmit():
     st, ems = detailed_timers(before, now=5, cfg=CFG)
     assert st.nbrs.get(B).dd_deadline == 5 + CFG.rxmtintvl
     assert len(ems) == 1
-    assert ems[0].payload == DbdDetailed(frozenset({LsaHeader(A, 1)}), 2, True, A)
+    assert ems[0].payload == Dbd(frozenset({LsaHeader(A, 1)}), 2, True, A)
 
 
 def test_timers_req_retransmit_picks_minimum_header():
@@ -393,7 +393,7 @@ def test_timers_req_retransmit_picks_minimum_header():
     st, ems = detailed_timers(before, now=5, cfg=CFG)
     assert st.nbrs.get(B).req_deadline == 5 + CFG.rxmtintvl
     assert len(ems) == 1
-    assert ems[0].payload == ReqDetailed(LsaHeader(B, 2), A)
+    assert ems[0].payload == Req(frozenset({LsaHeader(B, 2)}), A)
 
 
 def test_timers_rxmt_retransmit_sends_whole_list():
@@ -460,7 +460,7 @@ def test_timers_request_the_least_header_by_origin_then_stamp():
     before = quiet(A, nbr(B, NS.LOADING, req_deadline=0, req_list=reqs,
                           inact_deadline=99))
     _, ems = detailed_timers(before, now=5, cfg=CFG)
-    assert [e.payload for e in ems] == [ReqDetailed(LsaHeader(B, 2), A)]
+    assert [e.payload for e in ems] == [Req(frozenset({LsaHeader(B, 2)}), A)]
 
 
 def test_timers_dd_req_and_rxmt_fire_in_that_order_and_rearm():
@@ -476,7 +476,7 @@ def test_timers_dd_req_and_rxmt_fire_in_that_order_and_rearm():
     )
     st, ems = detailed_timers(before, now=5, cfg=CFG)
     assert [(type(e.payload), e.dests) for e in ems] == [
-        (DbdDetailed, {B}), (ReqDetailed, {C}), (Upd, {4})]
+        (Dbd, {B}), (Req, {C}), (Upd, {4})]
     rearm = 5 + CFG.rxmtintvl
     assert st.nbrs.get(B).dd_deadline == rearm
     assert st.nbrs.get(C).req_deadline == rearm

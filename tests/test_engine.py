@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from ospfsim.core import Lsa, NeighborState
+from ospfsim.core import Hello, Lsa, NeighborState
 from ospfsim.engine import (
     ConfigError,
     EngineConfig,
@@ -229,6 +229,49 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="adj"):
         EngineConfig(model="simple", adjacency=restricted).validate()
     EngineConfig(model="detailed", adjacency=restricted).validate()
+
+
+def test_every_lower_bound_of_one_is_accepted():
+    keys = ("hellointvl", "rtdeadintvl", "rxmtintvl", "refreshintvl",
+            "time_sending", "max_ticks", "queue_capacity")
+    for key in keys:
+        with pytest.raises(ConfigError, match=key):
+            EngineConfig(**{key: 0}).validate()
+    EngineConfig(**dict.fromkeys(keys, 1)).validate()
+
+
+@pytest.mark.parametrize("model,time_sending,at_tick", [
+    ("simple", 1, 20), ("simple", 2, 24), ("simple", 3, 39),
+    ("detailed", 1, 63), ("detailed", 2, 95), ("detailed", 3, 169),
+])
+def test_a_longer_send_delays_convergence(model, time_sending, at_tick):
+    # a message sent in tick t is delivered in tick t + time_sending
+    cfg = EngineConfig(model=model, time_sending=time_sending,
+                       boot_offsets=dict.fromkeys(range(1, 5), 0))
+    verdict = run(cfg, ring(4))[2]
+    assert (verdict.kind, verdict.at_tick) == ("converged", at_tick)
+
+
+def test_a_non_hello_in_an_output_queue_holds_convergence_back():
+    # random_case(random.Random(7), 2, 8) of test_random_topologies.py
+    cfg = EngineConfig(model="simple", time_sending=2,
+                       boot_offsets={1: 1, 2: 8, 3: 1, 4: 5})
+    verdict = run(cfg, line(4))[2]
+    assert (verdict.kind, verdict.at_tick) == ("converged", 39)
+    assert sum(verdict.counts.values()) == 46
+    sim = SimState(cfg, line(4))
+    while sim.now <= 35:
+        sim.tick()
+    # at the end of tick 35 every database is exact, and nothing but
+    # hellos is on a link or in an input queue; node 4 has yet to send
+    # an update
+    assert not converged(sim)
+    rts = sim.nodes.values()
+    assert all(rt.sending is None or isinstance(rt.sending.payload, Hello)
+               for rt in rts)
+    assert all(isinstance(m, Hello) for rt in rts for m in rt.inq)
+    assert [ip for ip, rt in sim.nodes.items()
+            if any(not isinstance(i.payload, Hello) for i in rt.outq)] == [4]
 
 
 def test_simulation_refuses_adjacencies_that_split_a_component():

@@ -163,6 +163,10 @@ def test_wrap_window_install_flags_p3():
     # an age jump of exactly half the bound is ambiguous both ways
     assert _install(node, 1, 1, 5, frozenset(), ctx)
     assert ctx.violations and ctx.violations[0].prop == "P3"
+    # so the jump back, 5 -> 1, wraps forward and is installed too
+    assert _install(node, 1, 1, 1, frozenset(), ctx)
+    assert node.lsdb[1][1] == 1
+    assert [v.prop for v in ctx.violations] == ["P3", "P3"]
 
 
 @pytest.mark.parametrize("entry", ["too old", "self-link"])

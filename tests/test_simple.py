@@ -4,8 +4,7 @@ import pytest
 
 from ospfsim.core import (
     Ack,
-    DbdDetailed,
-    DbdSimple,
+    Dbd,
     Hello,
     Lsa,
     LsaHeader,
@@ -14,8 +13,7 @@ from ospfsim.core import (
     NeighborState,
     NodeState,
     ProtocolConfig,
-    ReqDetailed,
-    ReqSimple,
+    Req,
     Upd,
 )
 from ospfsim.neighbors import NbrTable
@@ -73,7 +71,7 @@ def test_hello_unknown_sender_discovers():
     assert st.lsdb.get(A) == Lsa(A, 3, frozenset({B}))
     upd, dbd = ems
     assert upd.payload == Upd(db((A, 3, {B})), A) and upd.dests == {B}
-    assert dbd.payload == DbdSimple(frozenset({LsaHeader(A, 3)}), A)
+    assert dbd.payload == Dbd(frozenset({LsaHeader(A, 3)}), 0, False, A)
     assert dbd.dests == {B}
 
 
@@ -95,7 +93,7 @@ def test_dbd_unknown_sender_discovers_without_request():
         node(), frozenset({LsaHeader(A, 0)}), B, now=2, cfg=CFG
     )
     # discovery installs (A,2,{B}), dominating the offered (A,0)
-    assert [type(e.payload) for e in ems] == [Upd, DbdSimple]
+    assert [type(e.payload) for e in ems] == [Upd, Dbd]
 
 
 def test_dbd_known_sender_requests_missing():
@@ -106,7 +104,7 @@ def test_dbd_known_sender_requests_missing():
     assert st == before
     assert ems == [e for e in ems]
     assert len(ems) == 1
-    assert ems[0].payload == ReqSimple(frozenset({LsaHeader(C, 4)}), A)
+    assert ems[0].payload == Req(frozenset({LsaHeader(C, 4)}), A)
     assert ems[0].dests == {B}
 
 
@@ -162,9 +160,8 @@ def test_handlers_are_pure():
     assert first == second
 
 
-@pytest.mark.parametrize("msg", [
-    DbdDetailed(frozenset(), 1, True, B), ReqDetailed(LsaHeader(C, 4), B),
-    Ack(frozenset(), B)], ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("msg", [Ack(frozenset(), B)],
+                         ids=lambda m: type(m).__name__)
 def test_detailed_messages_are_refused(msg):
     with pytest.raises(TypeError, match="simple model cannot handle"):
         handle_message_simple(node(nbrs=[(B, 50)]), msg, 7, CFG)
@@ -178,10 +175,10 @@ def test_stamps_never_decrease_and_methods_match():
         st, ems = simple_timers(st, tick, CFG)
         msg = rng.choice([
             Hello(frozenset({A}), rng.randint(2, 4)),
-            DbdSimple(frozenset({LsaHeader(rng.randint(2, 4), rng.randint(0, 9))}),
-                      rng.randint(2, 4)),
+            Dbd(frozenset({LsaHeader(rng.randint(2, 4), rng.randint(0, 9))}),
+                0, False, rng.randint(2, 4)),
             Upd(db((rng.randint(2, 4), rng.randint(0, 9), ())), rng.randint(2, 4)),
-            ReqSimple(frozenset({LsaHeader(A, 0)}), rng.randint(2, 4)),
+            Req(frozenset({LsaHeader(A, 0)}), rng.randint(2, 4)),
         ])
         st, more = handle_message_simple(st, msg, tick, CFG)
         for em in more + ems:
