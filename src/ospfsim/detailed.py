@@ -35,7 +35,7 @@ from .core import (
     groupcast,
     hdr,
 )
-from .lsdb import install, lsa_exist, new_lsa, own_stamp
+from .lsdb import install, lsa_exist, originate
 from .neighbors import (
     add_reqs,
     clean_reqs,
@@ -77,9 +77,8 @@ def _summary_to(state: NodeState, nip: NodeId) -> SendInstruction:
 def _refresh_own_lsa(
     state: NodeState, now: TimeStamp, cfg: ProtocolConfig
 ) -> tuple[NodeState, Emissions]:
-    lsa = new_lsa(state.ip, own_stamp(state.lsdb, state.ip, now), state.nbrs)
-    own = Lsdb.of([lsa])
-    return _flood(state.evolve(lsdb=install(state.lsdb, own)), own, now, cfg)
+    st, own = originate(state, now)
+    return _flood(st, own, now, cfg)
 
 
 def detailed_timers(

@@ -387,12 +387,9 @@ def converged(sim: SimState) -> bool:
     for ip in topology.nodes():
         lsdb: Lsdb = sim.nodes[ip].state.lsdb
         for other in topology.component_of(ip):
-            expected = topology.neighbors(other)
             entry = lsdb.get(other)
-            if expected:
-                if entry is None or entry.links != expected:
-                    return False
-            elif entry is not None and entry.links:
+            links = frozenset() if entry is None else entry.links
+            if links != topology.neighbors(other):
                 return False
 
     if sim.config.model == "detailed":

@@ -559,13 +559,8 @@ def _node_converged(ctx: _Ctx, ip: int, nid: int) -> bool:
     if any(msgs[m][0] != "hello" for m, _ in outq):
         return False
     links = {o: links for o, _, links in lsdb}
-    for other, expected in ctx.expected[ip]:
-        if expected:
-            if links.get(other) != expected:
-                return False
-        elif links.get(other):
-            return False
-    return True
+    return all(links.get(other, ()) == expected
+               for other, expected in ctx.expected[ip])
 
 
 def state_converged(canon, ctx: _Ctx) -> bool:

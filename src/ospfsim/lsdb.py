@@ -1,4 +1,4 @@
-"""LSA creation, database installation and freshness comparisons.
+"""Origination, database installation and freshness comparisons.
 
 Two freshness regimes coexist: the protocol state machines compare
 unbounded timestamps of entries with the same origin, while the
@@ -14,33 +14,24 @@ without a second validation.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .core import (
-    Lsa,
-    LsaHeader,
-    Lsdb,
-    Neighbor,
-    NeighborState,
-    NodeId,
-    TimeStamp,
-)
+from .core import Lsa, LsaHeader, Lsdb, NeighborState, NodeState, TimeStamp
 
 
-def new_lsa(ip: NodeId, t: TimeStamp, nbrs: Iterable[Neighbor]) -> Lsa:
-    """Advertisement listing neighbours with confirmed bidirectional links,
-    those at 2-Way or beyond."""
-    return Lsa(
-        ip, t, frozenset(n.nip for n in nbrs if n.ns >= NeighborState.TWO_WAY)
-    )
+def originate(state: NodeState, now: TimeStamp) -> tuple[NodeState, Lsdb]:
+    """A new own advertisement of ``state``'s node, installed in its
+    database, and that advertisement as a one-entry database.
 
-
-def own_stamp(lsdb: Lsdb, ip: NodeId, now: TimeStamp) -> TimeStamp:
-    """The stamp of a new own advertisement of ``ip``: ``now``, or one
-    past the stamp it already holds, so that each new instance is newer
-    than the last (RFC 2328 §12.1.6) even when two originate in one tick."""
-    own = lsdb.get(ip)
-    return now if own is None else max(now, own.stamp + 1)
+    It lists the neighbours with confirmed bidirectional links, those at
+    2-Way or beyond.  Its stamp is ``now``, or one past the stamp of the
+    own entry already held, so that each new instance is newer than the
+    last (RFC 2328 §12.1.6) even when two originate in one tick.
+    """
+    held = state.lsdb.get(state.ip)
+    stamp = now if held is None else max(now, held.stamp + 1)
+    links = frozenset(
+        n.nip for n in state.nbrs if n.ns >= NeighborState.TWO_WAY)
+    own = Lsdb.of([Lsa(state.ip, stamp, links)])
+    return state.evolve(lsdb=install(state.lsdb, own)), own
 
 
 def install(lsdb: Lsdb, lsas: Lsdb) -> Lsdb:

@@ -27,7 +27,7 @@ from .core import (
     groupcast,
     hdr,
 )
-from .lsdb import install, lsa_exist, new_lsa, own_stamp
+from .lsdb import install, lsa_exist, originate
 from .neighbors import drop_dead, nbr_set, new_nbr
 
 Emissions = list[SendInstruction]
@@ -44,9 +44,7 @@ def simple_timers(
         ems.append(broadcast(Hello(st.nbrs.nips(), st.ip)))
     live = drop_dead(st.nbrs, now)
     if live is not st.nbrs:
-        lsa = new_lsa(st.ip, own_stamp(st.lsdb, st.ip, now), live)
-        own = Lsdb.of([lsa])
-        st = st.evolve(nbrs=live, lsdb=install(st.lsdb, own))
+        st, own = originate(st.evolve(nbrs=live), now)
         ems.append(groupcast(Upd(own, st.ip), live.nips()))
     return st, ems
 
@@ -58,13 +56,10 @@ def _discover(
     link to everyone known, and offer the sender a database summary."""
     nbrs = new_nbr(
         state.nbrs, Neighbor(sip, NeighborState.TWO_WAY, now + cfg.rtdeadintvl))
-    lsa = new_lsa(state.ip, own_stamp(state.lsdb, state.ip, now), nbrs)
-    own = Lsdb.of([lsa])
-    lsdb = install(state.lsdb, own)
-    st = state.evolve(nbrs=nbrs, lsdb=lsdb)
+    st, own = originate(state.evolve(nbrs=nbrs), now)
     return st, [
         groupcast(Upd(own, st.ip), nbrs.nips()),
-        groupcast(Dbd(lsdb.headers(), 0, False, st.ip), {sip}),
+        groupcast(Dbd(st.lsdb.headers(), 0, False, st.ip), {sip}),
     ]
 
 

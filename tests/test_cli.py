@@ -44,11 +44,13 @@ def test_run_is_reproducible(capsys, line3_path):
 
 def test_run_rejects_bad_topology(capsys, tmp_path):
     p = tmp_path / "bad.top"
+    # a repeated setting is refused, not overwritten by its last line
     for text, lineno in (("nodes 2\nedge 1 3\n", 2),
-                         ("nodes 3\nedge 1 3\nnodes 2\n", 3)):
+                         ("nodes 3\nedge 1 3\nnodes 2\n", 3),
+                         (LINE2 + "hellointvl 5\nhellointvl 7\n", 4)):
         p.write_text(text)
         assert main(["run", str(p)]) == 2
-        assert f"line {lineno}: " in capsys.readouterr().err
+        assert one_error_line(capsys.readouterr().err, f"line {lineno}: ")
 
 
 def test_run_rejects_unknown_key(capsys, tmp_path):
@@ -186,22 +188,39 @@ def test_summarize_refuses_a_record_that_is_not_utf8(capsys, tmp_path):
     assert one_error_line(captured.err, "record 2: malformed trace record")
 
 
-def test_explore_pass_and_violation(capsys, tmp_path, line3_path):
+def test_explore_pass(capsys, line3_path):
     assert main(["explore", line3_path, "--start-interval", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("EXPLORE PASS")
+    assert capsys.readouterr().out.startswith("EXPLORE PASS")
 
+
+# a queue-bound, a wrap-window, a two-tick-send and an unconverged-cycle
+# counterexample (a dead interval of 5 ticks lets line(2) cycle
+# unconverged): the topology file, the flags, what the verdict names and
+# how many records its replay writes
+@pytest.mark.parametrize("text,flags,names,count", [
+    (LINE3, ["--start-interval", "2", "--queue-bound", "1"], "P1 at tick 1", 10),
+    (LINE3, ["--age-bound", "2", "--start-interval", "0"], "P3 at tick 3", 16),
+    (LINE3 + "time_sending 2\n", ["--start-interval", "2", "--queue-bound", "2"],
+     "P1 at tick 4", 13),
+    (LINE2 + "rtdeadintvl 5\n", [], "convergence at tick 5", 18),
+], ids=["queue-bound", "wrap-window", "two-tick-send", "unconverged-cycle"])
+def test_explore_counterexample_is_replayed_into_a_trace(
+        capsys, tmp_path, text, flags, names, count):
+    p = tmp_path / "case.top"
+    p.write_text(text)
     ce_path = tmp_path / "ce.trace"
-    assert main(["explore", line3_path, "--start-interval", "2",
-                 "--queue-bound", "1", "--trace", str(ce_path)]) == 1
+    assert main(["explore", str(p), *flags, "--trace", str(ce_path)]) == 1
     out = capsys.readouterr().out
-    assert "EXPLORE VIOLATION" in out
-    assert "boot offsets" in out
+    assert out.startswith("EXPLORE VIOLATION")
+    assert f"counterexample: {names} " in out and "boot offsets" in out
     # the counterexample trace uses the engine's record format
     records = [json.loads(l) for l in ce_path.read_text().splitlines()]
-    assert records
+    assert len(records) == count
     assert all(set(r) == {"tick", "node", "kind", "detail"} for r in records)
     assert any(r["kind"] == "send" for r in records)
+    # and goes through the one trace consumer
+    assert main(["summarize", str(ce_path)]) == 0
+    assert "no convergence recorded" in capsys.readouterr().out
 
 
 def test_explore_refuses_large_topology(capsys, tmp_path):
