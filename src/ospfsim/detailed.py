@@ -3,11 +3,11 @@ master/slave database exchange, request lists, retransmission and
 acknowledgements.
 
 Handlers are pure transitions, as in the simplified model.  The
-database-description guards are one ordered table, from which both
-:func:`dbd_branch` and ``DBD_BRANCHES`` derive; they partition the
-inputs, exactly one branch applying to each.  The hello and
-database-description handlers take ``adj``, the graph of node pairs
-allowed to become adjacent (RFC 2328 §10.4).
+database-description guards are one ordered table, from which
+:func:`dbd_branch` derives; they partition the inputs, exactly one
+branch applying to each.  The hello and database-description handlers
+take ``adj``, the graph of node pairs allowed to become adjacent
+(RFC 2328 §10.4).
 """
 
 from __future__ import annotations
@@ -199,11 +199,6 @@ def _dbd_guards(known, ns, sqn, ddsqn, ibit, is_slave, is_master, dd_deadline, n
         ("load_duplicate_master", ld_dup_master),
         ("load_others", loading and not (ld_dup_slave or ld_dup_master)),
     )
-
-
-DBD_BRANCHES = tuple(
-    name for name, _ in _dbd_guards(False, None, 0, 0, False, False, False, 0, 0)
-)
 
 
 def dbd_branch(

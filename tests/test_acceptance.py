@@ -52,18 +52,15 @@ def test_criterion_1_two_node_steady_state():
                               trace=True)
     elapsed = time.time() - started
     total = verdict.total_messages
-    ok = verdict.kind == "converged" and elapsed < 1.0
-    if total != 18:
-        # the count differs from the quoted 18: the annotated trace and
-        # the written reconciliation must ship with the build, and the
-        # count must stay within the accepted window
-        ok = ok and 14 <= total <= 22
-        reconciliation = os.path.join(DOCS, "two_node_reconciliation.md")
-        trace_file = os.path.join(DOCS, "two_node_trace.jsonl")
-        ok = ok and os.path.exists(reconciliation) and os.path.exists(trace_file)
-        with open(trace_file) as fh:
-            ok = ok and fh.read() == "".join(ev.render() + "\n"
-                                             for ev in trace)
+    ok = verdict.kind == "converged" and elapsed < 1.0 and 14 <= total <= 22
+    # the run reproduces the annotated trace byte for byte, whatever its
+    # count, and the written reconciliation of that count ships beside it;
+    # the trace's last record pins the verdict: converged at tick 19 with
+    # hello 4, dbd 5, req 0, upd 4 and ack 4
+    reconciliation = os.path.join(DOCS, "two_node_reconciliation.md")
+    ok = ok and os.path.exists(reconciliation)
+    with open(os.path.join(DOCS, "two_node_trace.jsonl")) as fh:
+        ok = ok and fh.read() == "".join(ev.render() + "\n" for ev in trace)
     _report(1, "two-node steady state", ok)
     assert ok, f"count={total} elapsed={elapsed:.3f}s"
 
@@ -287,21 +284,24 @@ def test_criterion_7_engine_schedule_inclusion():
         _Ctx, initial_state, state_converged, successors,
     )
 
+    # The walk follows the engine's schedule as the explorer models it,
+    # the first combo, which takes each node's first label.  The engine's
+    # own run is not yet among the explored ones: the two differ in
+    # schedule details until ROADMAP item 1 lands, and
+    # test_explorer_requests_on_age_ties_unlike_simple_model pins the gap.
     cfg = ExploreConfig(topology=line(3), queue_bound=10, start_interval=10)
     ctx = _Ctx(cfg)
     canon = initial_state(ctx, {1: 0, 2: 0, 3: 0})
-    ok = False
-    for _ in range(100):
+    ok = True
+    for _ in range(80):
         if state_converged(canon, ctx):
-            ok = True
             break
-        step = {c: child for c, child, _ in successors(canon, ctx)}
-        # the first combo takes each node's first label, the engine's
-        want = next(iter(step))
-        if want not in step:
-            break
-        canon = step[want]
-    _report(7, "engine schedule inclusion", ok)
+        step = list(successors(canon, ctx))
+        # no interleaving out of a state on the path breaks a property
+        ok = ok and not any(violations for _, _, violations in step)
+        canon = step[0][1]
+    ok = ok and state_converged(canon, ctx)
+    _report(7, "engine-schedule path", ok)
     assert ok
 
 
@@ -325,9 +325,9 @@ def test_criterion_9_determinism():
     for name, topo in TOPOLOGIES:
         for model in ("simple", "detailed"):
             cfg = lambda: EngineConfig(model=model, seed=5, max_ticks=4000)
-            _, one, _ = run(cfg(), topo, trace=True)
-            _, two, _ = run(cfg(), topo, trace=True)
-            if [ev.render() for ev in one] != [ev.render() for ev in two]:
-                ok = False
+            _, one, v1 = run(cfg(), topo, trace=True)
+            _, two, v2 = run(cfg(), topo, trace=True)
+            same = [ev.render() for ev in one] == [ev.render() for ev in two]
+            ok = ok and same and v1 == v2
     _report(9, "determinism", ok)
     assert ok

@@ -208,11 +208,17 @@ def test_explore_counterexample_is_replayed_into_a_trace(
         capsys, tmp_path, text, flags, names, count):
     p = tmp_path / "case.top"
     p.write_text(text)
+    # without --trace the command prints the same lines and writes no file
+    assert main(["explore", str(p), *flags]) == 1
+    untraced = capsys.readouterr().out
+    assert os.listdir(tmp_path) == ["case.top"]
     ce_path = tmp_path / "ce.trace"
     assert main(["explore", str(p), *flags, "--trace", str(ce_path)]) == 1
     out = capsys.readouterr().out
+    assert out == untraced
     assert out.startswith("EXPLORE VIOLATION")
     assert f"counterexample: {names} " in out and "boot offsets" in out
+    assert out.splitlines()[-1].startswith("counterexample choices: ")
     # the counterexample trace uses the engine's record format
     records = [json.loads(l) for l in ce_path.read_text().splitlines()]
     assert len(records) == count

@@ -16,7 +16,6 @@ from ospfsim.core import (
     Upd,
 )
 from ospfsim.detailed import (
-    DBD_BRANCHES,
     dbd_branch,
     detailed_timers,
     handle_ack,
@@ -108,31 +107,6 @@ def test_hello_non_adjacent_goes_two_way():
 
 
 # --- database description guards ----------------------------------------
-
-
-def test_dbd_guard_partition_exhaustive():
-    for known, ns, rel, ibit, relation, ddt_off in itertools.product(
-        (False, True),
-        list(NS),
-        range(-2, 3),
-        (False, True),
-        ("slave", "master", "non-adjacent"),
-        (-1, 1),
-    ):
-        ddsqn = 5
-        held = dbd_branch(
-            known=known,
-            ns=ns if known else None,
-            sqn=ddsqn + rel,
-            ddsqn=ddsqn,
-            ibit=ibit,
-            is_slave=relation == "slave",
-            is_master=relation == "master",
-            dd_deadline=20 + ddt_off,
-            now=20,
-        )
-        assert len(held) == 1, (known, ns, rel, ibit, relation, ddt_off, held)
-        assert held[0] in DBD_BRANCHES
 
 
 # sha256 over the partition grid of the branch each input takes and the

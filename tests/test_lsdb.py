@@ -1,4 +1,3 @@
-import itertools
 import random
 
 from ospfsim.core import (
@@ -116,13 +115,6 @@ def test_lsa_exist():
     assert lsa_exist(db(), LsaHeader(A, 1)) is False
 
 
-def test_newer_age_zero_cases():
-    for other in range(0, 9):
-        assert newer_age(0, other, 8) is False
-    for live in range(1, 9):
-        assert newer_age(live, 0, 8) is True
-
-
 def test_newer_age_examples():
     assert newer_age(3, 5, 8) is False
     assert newer_age(1, 8, 8) is True
@@ -133,15 +125,6 @@ def test_newer_age_equal_nonzero_counts_as_newer():
     # age is "not older", so reinstalling identical content is a no-op
     for a in range(1, 9):
         assert newer_age(a, a, 8) is True
-
-
-def test_newer_age_exactly_one_within_half_window():
-    for bound in (8, 16):
-        for a, b in itertools.permutations(range(1, bound + 1), 2):
-            diff = abs(a - b)
-            circ = min(diff, bound - diff)
-            if circ < bound / 2:
-                assert newer_age(a, b, bound) != newer_age(b, a, bound)
 
 
 def test_next_age_wraps_to_one():
