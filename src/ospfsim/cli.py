@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from collections import Counter, defaultdict
+from dataclasses import fields
 
 from .engine import (
     ConfigError,
@@ -21,7 +22,7 @@ from .engine import (
     parse_trace_line,
     run,
 )
-from .topology import TopologyError, load_topology
+from .topology import VALID_KEYS, TopologyError, load_topology
 
 
 def _die(message: str) -> int:
@@ -77,17 +78,15 @@ def cmd_run(args) -> int:
     return 2
 
 
-# the topology-file settings the explorer models; it enumerates boot
-# offsets itself and runs the lossless simple model with every adjacency
-_EXPLORE_KEYS = ("hellointvl", "rtdeadintvl", "time_sending")
-
-
 def cmd_explore(args) -> int:
     # imported here, so that run and summarize never load the explorer
     from .explorer import ExploreConfig, explore, replay
 
+    # the topology-file settings the explorer models; it enumerates boot
+    # offsets itself and runs the lossless simple model with every adjacency
+    modelled = [f.name for f in fields(ExploreConfig) if f.name in VALID_KEYS]
     tf = load_topology(args.topology)
-    unmodelled = [key for key in tf.overrides if key not in _EXPLORE_KEYS]
+    unmodelled = [key for key in tf.overrides if key not in modelled]
     if tf.boot_offsets:
         unmodelled.append("boot")
     if tf.adjacency is not None:
@@ -95,7 +94,7 @@ def cmd_explore(args) -> int:
     if unmodelled:
         raise ConfigError(
             f"explore does not model {', '.join(unmodelled)}; a topology "
-            f"file may set only {', '.join(_EXPLORE_KEYS)}")
+            f"file may set only {', '.join(modelled)}")
     cfg = ExploreConfig(topology=tf.topology, **_merged(tf.overrides, args, (
         "queue_bound", "age_bound", "start_interval", "max_states")))
     verdict = explore(cfg)

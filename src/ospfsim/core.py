@@ -122,9 +122,6 @@ class Lsdb:
     def __len__(self):
         return len(self.entries)
 
-    def __bool__(self):
-        return bool(self.entries)
-
 
 EMPTY_LSDB = Lsdb()
 

@@ -3,9 +3,9 @@ master/slave database exchange, request lists, retransmission and
 acknowledgements.
 
 Handlers are pure transitions, as in the simplified model.  The
-database-description guards are one ordered table, from which
-:func:`dbd_branch` derives; they partition the inputs, exactly one
-branch applying to each.  The hello and database-description handlers
+database-description guards are one ordered table,
+:func:`dbd_branch`; they partition the inputs, exactly one branch
+applying to each.  The hello and database-description handlers
 take ``adj``, the graph of node pairs allowed to become adjacent
 (RFC 2328 §10.4).
 """
@@ -164,10 +164,22 @@ def handle_hello_detailed(
 
 # --- database description handling ---------------------------------------
 
-def _dbd_guards(known, ns, sqn, ddsqn, ibit, is_slave, is_master, dd_deadline, now):
-    """Every database-description branch, in the model's order, next to
-    whether its guard holds (arguments as for :func:`dbd_branch`); each
-    ``*_others`` branch takes what its state's other branches leave."""
+def dbd_branch(
+    known: bool,
+    ns: Optional[NeighborState],
+    sqn: int,
+    ddsqn: int,
+    ibit: bool,
+    is_slave: bool,
+    is_master: bool,
+    dd_deadline: TimeStamp,
+    now: TimeStamp,
+) -> list[str]:
+    """Every branch whose guard holds, each guard evaluated on its own;
+    the handler relies on this being a singleton for every input, and the
+    partition tests check that exhaustively.  The branches are listed in
+    the model's order; each ``*_others`` branch takes what its state's
+    other branches leave."""
     adjacent = is_slave or is_master
     init = known and ns == NeighborState.INIT
     ex_start = known and ns == NeighborState.EX_START
@@ -182,7 +194,7 @@ def _dbd_guards(known, ns, sqn, ddsqn, ibit, is_slave, is_master, dd_deadline, n
     ld_dup_slave = loading and is_slave and sqn <= ddsqn and not ibit and dd_deadline >= now
     ld_dup_master = loading and is_master and sqn < ddsqn and not ibit
     ex_any = ex_dup_slave or ex_dup_master or ex_slave or ex_master
-    return (
+    guards = (
         ("unknown", not known),
         ("init_non_adjacent", init and not adjacent),
         ("two_way", known and ns == NeighborState.TWO_WAY),
@@ -199,24 +211,6 @@ def _dbd_guards(known, ns, sqn, ddsqn, ibit, is_slave, is_master, dd_deadline, n
         ("load_duplicate_master", ld_dup_master),
         ("load_others", loading and not (ld_dup_slave or ld_dup_master)),
     )
-
-
-def dbd_branch(
-    known: bool,
-    ns: Optional[NeighborState],
-    sqn: int,
-    ddsqn: int,
-    ibit: bool,
-    is_slave: bool,
-    is_master: bool,
-    dd_deadline: TimeStamp,
-    now: TimeStamp,
-) -> list[str]:
-    """Every branch whose guard holds, each guard evaluated on its own;
-    the handler relies on this being a singleton for every input, and the
-    partition tests check that exhaustively."""
-    guards = _dbd_guards(known, ns, sqn, ddsqn, ibit, is_slave, is_master,
-                         dd_deadline, now)
     return [name for name, held in guards if held]
 
 

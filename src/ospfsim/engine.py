@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_args
 
 from .core import (
     Hello,
@@ -33,7 +33,7 @@ from .detailed import detailed_timers, handle_message_detailed
 from .simple import handle_message_simple, simple_timers
 from .topology import Topology
 
-MESSAGE_KINDS = ("hello", "dbd", "req", "upd", "ack")
+MESSAGE_KINDS = tuple(cls.kind for cls in get_args(Message))
 
 
 def format_counts(counts) -> str:
@@ -72,9 +72,9 @@ class EngineConfig(ProtocolConfig):
             raise ConfigError("loss_prob must lie in [0, 1]")
         if self.time_sending < 1:
             raise ConfigError("time_sending must be at least 1 tick")
-        for key in ("hellointvl", "rtdeadintvl", "rxmtintvl", "refreshintvl"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be positive")
+        for timer in fields(ProtocolConfig):
+            if getattr(self, timer.name) < 1:
+                raise ConfigError(f"{timer.name} must be positive")
         if self.max_ticks < 1:
             raise ConfigError("max_ticks must be positive")
         if self.queue_capacity is not None and self.queue_capacity < 1:
@@ -82,14 +82,6 @@ class EngineConfig(ProtocolConfig):
         for node, t in self.boot_offsets.items():
             if t < 0:
                 raise ConfigError(f"boot offset for node {node} must be >= 0")
-
-
-# a node that boots in a tick was not booted when that tick's messages
-# arrived, so its boot record follows their drop records
-_KIND_RANK = {
-    "deliver": 0, "drop": 1, "boot": 2, "state_change": 3,
-    "lsa_install": 4, "send": 5,
-}
 
 
 class TraceEvent:
@@ -235,6 +227,10 @@ class SimState:
                     raise ConfigError(
                         f"adj pairs split a topology component: node {ip} "
                         f"reaches only {sorted(reach)} by adjacencies")
+        absent = sorted(set(config.boot_offsets).difference(topology.nodes()))
+        if absent:
+            raise ConfigError(f"boot offsets for nodes {absent}, which the "
+                              f"topology lacks")
         self.config = config
         self.topology = topology
         self.now: TimeStamp = 0
@@ -298,7 +294,10 @@ class SimState:
         cfg = self.config
         loss_prob, cap = cfg.loss_prob, cfg.queue_capacity
 
-        # 1. complete due transmissions, in ascending sender id
+        # 1. complete due transmissions, in ascending sender id; each
+        # recipient's deliver and drop records wait for its turn
+        delivered: dict[NodeId, list[TraceEvent]] = {}
+        dropped: dict[NodeId, list[TraceEvent]] = {}
         for sender, srt in self.nodes.items():
             flight = srt.sending
             if flight is None or flight.deliver_at > now:
@@ -307,22 +306,27 @@ class SimState:
             for rcpt in flight.recipients:
                 rt = self.nodes[rcpt]
                 if not rt.booted:
-                    events.append(
-                        delivery_event(now, rcpt, sender, kind, "not_booted"))
-                    continue
-                if loss_prob > 0 and self.rng.random() < loss_prob:
-                    events.append(delivery_event(now, rcpt, sender, kind, "loss"))
-                    continue
-                rt.inq.append(flight.payload)
-                if cap is not None:
-                    self._check_capacity(rcpt, rt, cap)
-                events.append(delivery_event(now, rcpt, sender, kind))
+                    reason = "not_booted"
+                elif loss_prob > 0 and self.rng.random() < loss_prob:
+                    reason = "loss"
+                else:
+                    reason = None
+                    rt.inq.append(flight.payload)
+                    if cap is not None:
+                        self._check_capacity(rcpt, rt, cap)
+                (dropped if reason else delivered).setdefault(rcpt, []).append(
+                    delivery_event(now, rcpt, sender, kind, reason))
             srt.sending = None
 
-        # 2. node turns: timers, then at most one queued message; then
-        # an idle sender starts transmitting the head of its output FIFO
+        # 2. node turns, each making its node's records in phase order:
+        # what arrived, timers, then at most one queued message; then an
+        # idle sender starts transmitting the head of its output FIFO.  A
+        # node that boots in this tick was not booted when its messages
+        # arrived, so its boot follows their drops
         timers, handle = self.timers, self.handle
         for ip, rt in self.nodes.items():
+            events += delivered.get(ip, ())
+            events += dropped.get(ip, ())
             if not rt.booted:
                 if cfg.boot_offsets.get(ip, 0) > now:
                     continue
@@ -358,8 +362,6 @@ class SimState:
             events.append(send_event(now, ip, kind, recipients))
 
         self.now += 1
-        # within a tick, events are presented per node in phase order
-        events.sort(key=lambda e: e.node * 8 + _KIND_RANK[e.kind])
         return events
 
 

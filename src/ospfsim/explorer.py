@@ -686,6 +686,13 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
                               frontier_sizes=tuple(frontier_sizes),
                               message=message, **rest)
 
+    def exhausted() -> ExploreVerdict:
+        return verdict("inconclusive",
+                       f"state budget {config.max_states} exhausted")
+
+    # the roots are depth 0's frontier, and the budget bounds them too
+    depth = 0
+    frontier_sizes: list[int] = []
     frontier = array("i")
     for combo in itertools.product(
         range(config.start_interval + 1), repeat=topo.n
@@ -697,9 +704,10 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
         boots = {ip: combo[ip - 1] for ip in topo.nodes()}
         root_boots.setdefault(
             visit(initial_state(ctx, boots), -1, None, frontier), boots)
+        if len(parent) > config.max_states:
+            frontier_sizes.append(len(frontier))
+            return exhausted()
 
-    depth = 0
-    frontier_sizes: list[int] = []
     while frontier:
         frontier_sizes.append(len(frontier))
         next_frontier = array("i")
@@ -719,9 +727,7 @@ def explore(config: ExploreConfig) -> ExploreVerdict:
             kids.extend(children)
             last[sid] = len(kids)
             if len(parent) > config.max_states:
-                return verdict(
-                    "inconclusive",
-                    f"state budget {config.max_states} exhausted")
+                return exhausted()
         frontier = next_frontier
         depth += 1
 

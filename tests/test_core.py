@@ -1,5 +1,4 @@
 import dataclasses
-import typing
 
 import pytest
 
@@ -10,7 +9,6 @@ from ospfsim.core import (
     Lsa,
     LsaHeader,
     Lsdb,
-    Message,
     Neighbor,
     NeighborState,
     Req,
@@ -20,7 +18,6 @@ from ospfsim.core import (
     groupcast,
     hdr,
 )
-from ospfsim.engine import MESSAGE_KINDS
 
 A, B, C = 1, 2, 3
 
@@ -86,8 +83,3 @@ def test_message_kind():
     assert Ack(frozenset(), A).kind == "ack"
     # a class attribute, not a field: equality and hashing ignore it
     assert [f.name for f in dataclasses.fields(Hello)] == ["ips", "sip"]
-
-
-def test_one_message_class_per_kind():
-    # both models exchange the same five packet kinds (RFC 2328 §A.3)
-    assert [cls.kind for cls in typing.get_args(Message)] == list(MESSAGE_KINDS)

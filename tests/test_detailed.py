@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 from ospfsim.core import (
     Ack,
     Dbd,
@@ -21,6 +23,7 @@ from ospfsim.detailed import (
     handle_ack,
     handle_dbd_detailed,
     handle_hello_detailed,
+    handle_message_detailed,
     handle_req_detailed,
     handle_upd_detailed,
     snmis,
@@ -341,6 +344,11 @@ def test_ack_cleans_retransmissions():
     stale, _ = handle_ack(before, frozenset({LsaHeader(A, 2)}), B)
     assert len(stale.nbrs.get(B).rxmt_list) == 1
     assert handle_ack(before, frozenset(), C) == (before, [])
+
+
+def test_non_messages_are_refused():
+    with pytest.raises(TypeError, match="detailed model cannot handle str"):
+        handle_message_detailed(node(), "hello", 7, ADJ, CFG)
 
 
 # --- timers ----------------------------------------------------------------

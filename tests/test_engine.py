@@ -49,21 +49,6 @@ def test_isolated_node_broadcasts_to_nobody():
     assert all(e.detail["recipients"] == [] for e in sends)
 
 
-def test_two_node_simple_final_databases():
-    sim, _, verdict = run(EngineConfig(model="simple"), line(2))
-    assert verdict.kind == "converged"
-    assert sim.nodes[1].state.lsdb.get(2).links == {1}
-    assert sim.nodes[1].state.lsdb.get(1).links == {2}
-    assert sim.nodes[2].state.lsdb.get(1).links == {2}
-
-
-def test_three_node_line_middle_links_both_ends():
-    sim, _, verdict = run(EngineConfig(model="simple"), line(3))
-    assert verdict.kind == "converged"
-    for ip in (1, 2, 3):
-        assert sim.nodes[ip].state.lsdb.get(2).links == {1, 3}
-
-
 def test_converged_predicate():
     topo = line(2)
     sim = SimState(EngineConfig(model="detailed"), topo)
@@ -383,6 +368,12 @@ def test_records_round_trip_and_render_the_same_once_read():
             assert isinstance(ev.detail, dict)
             assert ev.render() == text
             assert parse_trace_line(text) == ev
+    # a record never equals what is not a record, and its repr shows it
+    send = simple[1]
+    assert send != send.render()
+    assert repr(send) == (
+        "TraceEvent(tick=0, node=1, kind='send', detail={'type': 'hello', "
+        "'method': 'broadcast', 'recipients': [2]})")
 
 
 def test_retained_record_memory_is_bounded():
@@ -441,6 +432,11 @@ def test_boot_offsets_delay_boot():
     drops = [e for e in trace if e.kind == "drop"]
     assert any(e.detail["reason"] == "not_booted" for e in drops)
     assert verdict.kind == "converged"
+    # an offset for a node that the topology lacks is refused, not dropped
+    cfg = EngineConfig(model="simple", boot_offsets={9: 5, 0: 7})
+    with pytest.raises(ConfigError,
+                       match=r"nodes \[0, 9\], which the topology lacks"):
+        run(cfg, line(2))
 
 
 def test_stale_request_list_entry_holds_detailed_model_in_loading():

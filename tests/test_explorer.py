@@ -524,17 +524,27 @@ def verdict_fields(v):
 
 
 def test_state_budget_reports_inconclusive():
-    # line(3) has 331 roots at start interval 10 and the budget is
-    # checked after each expansion, so the search stops after the first
+    # line(3) has 331 roots at start interval 10, and the budget is
+    # checked after each root as after each expansion, so the search
+    # stops at the 51st root, which are depth 0's frontier so far
     verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
                                     max_states=50))
     assert verdict_fields(verdict) == (
-        "inconclusive", 332, 0, 0, (331,), None, None,
+        "inconclusive", 51, 0, 0, (51,), None, None,
         "state budget 50 exhausted")
     assert verdict.lines() == [
-        "EXPLORE INCONCLUSIVE states=332 max_queue=0 depth=0",
+        "EXPLORE INCONCLUSIVE states=51 max_queue=0 depth=0",
         "state budget 50 exhausted",
-        "frontier per depth: 331",
+        "frontier per depth: 51",
+    ]
+    # line(4) has 31**4 - 30**4 = 113,521 roots at start interval 30;
+    # none past the budget is stored
+    verdict = explore(ExploreConfig(topology=line(4), start_interval=30,
+                                    max_states=1000))
+    assert verdict.lines() == [
+        "EXPLORE INCONCLUSIVE states=1001 max_queue=0 depth=0",
+        "state budget 1000 exhausted",
+        "frontier per depth: 1001",
     ]
     # a larger budget stops a few depths in, and each depth is listed
     verdict = explore(ExploreConfig(topology=line(3), start_interval=10,
