@@ -2,10 +2,16 @@
 
 All nodes share a global tick.  Per tick: due transmissions deliver
 into per-node FIFO input queues (subject to the loss model), every
-booted node runs its timer actions and consumes at most one queued
-message, emitted send instructions join the node's output FIFO, and an
-idle sender starts transmitting the head of that FIFO.  One
+booted node runs its timer block if it is due and consumes at most one
+queued message, emitted send instructions join the node's output FIFO,
+and an idle sender starts transmitting the head of that FIFO.  One
 transmission per node is in flight at a time.
+
+A node's timer block is due from the tick its model's ``*_timers_due``
+gives for the node's state; before that tick the block would return the
+state unchanged and send nothing, so it is not called.  The due tick is
+computed once per state object, so a state set from outside is read
+again.
 
 Identical (config, topology, seed) produce bit-identical traces.
 """
@@ -29,8 +35,12 @@ from .core import (
     SendInstruction,
     TimeStamp,
 )
-from .detailed import detailed_timers, handle_message_detailed
-from .simple import handle_message_simple, simple_timers
+from .detailed import (
+    detailed_timers,
+    detailed_timers_due,
+    handle_message_detailed,
+)
+from .simple import handle_message_simple, simple_timers, simple_timers_due
 from .topology import Topology
 
 MESSAGE_KINDS = tuple(cls.kind for cls in get_args(Message))
@@ -186,6 +196,10 @@ class _NodeRuntime:
     inq: deque = field(default_factory=deque)
     outq: deque = field(default_factory=deque)
     sending: Optional[InFlight] = None
+    # the tick from which the timer block acts on ``due_of``, the state
+    # object it was computed from
+    due_of: object = None
+    due: TimeStamp = 0
 
 
 @dataclass
@@ -242,14 +256,16 @@ class SimState:
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for ip in topology.nodes():
             self.nodes[ip] = _NodeRuntime(state=NodeState(ip))
-        # the model's timer block (state, now, cfg) and message handler
-        # (state, msg, now, cfg), read from this module's globals once:
-        # a wrapper put there before the run (bench/layertrace.py) is used
+        # the model's timer block (state, now, cfg), its due tick
+        # (state, cfg) and message handler (state, msg, now, cfg), read
+        # from this module's globals once: a wrapper put there before the
+        # run (bench/layertrace.py) is used
         if config.model == "simple":
             self.timers, self.handle = simple_timers, handle_message_simple
+            self.timers_due = simple_timers_due
         else:
             adj, handle = self.adjacency, handle_message_detailed
-            self.timers = detailed_timers
+            self.timers, self.timers_due = detailed_timers, detailed_timers_due
             self.handle = lambda state, msg, now, cfg: handle(
                 state, msg, now, adj, cfg)
 
@@ -319,11 +335,11 @@ class SimState:
             srt.sending = None
 
         # 2. node turns, each making its node's records in phase order:
-        # what arrived, timers, then at most one queued message; then an
-        # idle sender starts transmitting the head of its output FIFO.  A
-        # node that boots in this tick was not booted when its messages
-        # arrived, so its boot follows their drops
-        timers, handle = self.timers, self.handle
+        # what arrived, timers if due, then at most one queued message;
+        # then an idle sender starts transmitting the head of its output
+        # FIFO.  A node that boots in this tick was not booted when its
+        # messages arrived, so its boot follows their drops
+        timers, timers_due, handle = self.timers, self.timers_due, self.handle
         for ip, rt in self.nodes.items():
             events += delivered.get(ip, ())
             events += dropped.get(ip, ())
@@ -332,16 +348,18 @@ class SimState:
                     continue
                 rt.booted = True
                 events.append(TraceEvent(now, ip, "boot", {}))
-            before = rt.state
-            state, ems = timers(before, now, cfg)
+            state = before = rt.state
+            if before is not rt.due_of:
+                rt.due_of, rt.due = before, timers_due(before, cfg)
+            if now >= rt.due:
+                state, ems = timers(before, now, cfg)
+                rt.outq.extend(ems)
             if rt.inq:
-                msg = rt.inq.popleft()
-                state, more = handle(state, msg, now, cfg)
-                ems = ems + more
+                state, ems = handle(state, rt.inq.popleft(), now, cfg)
+                rt.outq.extend(ems)
             if state is not before:
                 self._diff_events(ip, before, state, events)
                 rt.state = state
-            rt.outq.extend(ems)
             if cap is not None:
                 self._check_capacity(ip, rt, cap)
             if rt.sending is not None or not rt.outq:

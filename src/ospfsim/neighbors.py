@@ -5,12 +5,13 @@ was given, as the same object, when it targets an absent neighbour or
 changes nothing.  The engine's trace diff relies on that identity to
 skip unchanged tables.
 
-A changed neighbour is always rebuilt through its constructor, so
-``Neighbor``'s ExStart check runs.  :func:`nbr_set` and
-:func:`upd_rxmts` change neighbours in place, keeping every id and
-position, so they rebuild the table with ``NbrTable.from_sorted``: no
-re-sort and no duplicate check.  :func:`new_nbr` and :func:`drop_dead`
-go through ``NbrTable.of``.
+A changed neighbour is one copy of the record's fields with the
+changes applied, after which ``Neighbor.__post_init__`` runs, so the
+ExStart check stays without the constructor's keyword binding.
+:func:`nbr_set` and :func:`upd_rxmts` change neighbours in place,
+keeping every id and position, so they rebuild the table with
+``NbrTable.from_sorted``: no re-sort and no duplicate check.
+:func:`new_nbr` and :func:`drop_dead` go through ``NbrTable.of``.
 """
 
 from __future__ import annotations
@@ -41,19 +42,35 @@ def new_nbr(nbrs: NbrTable, entry: Neighbor) -> NbrTable:
 
 
 def _rebuilt(entry: Neighbor, fields: dict) -> Neighbor:
-    """``entry`` with ``fields`` changed, through its constructor."""
-    return type(entry)(**{**entry.__dict__, **fields})
+    """``entry`` with ``fields`` changed: one copy of its fields, checked
+    by ``Neighbor.__post_init__`` but not bound by the constructor; the
+    caller names only fields that ``Neighbor`` has."""
+    changed = object.__new__(Neighbor)
+    attrs = changed.__dict__
+    attrs.update(entry.__dict__)
+    attrs.update(fields)
+    changed.__post_init__()
+    return changed
 
 
 def nbr_set(nbrs: NbrTable, nip: NodeId, **fields) -> NbrTable:
     """Apply every field change of one transition to neighbour ``nip``
-    in a single rebuild."""
-    entry = nbrs.get(nip)
-    if entry is None or all(getattr(entry, k) == v for k, v in fields.items()):
+    in a single rebuild.  A field that ``Neighbor`` lacks raises
+    AttributeError when ``nip`` is in the table."""
+    entries = nbrs.entries
+    for i, entry in enumerate(entries):
+        if entry.nip == nip:
+            break
+    else:
         return nbrs
-    changed = _rebuilt(entry, fields)
+    same = True
+    for k, v in fields.items():
+        if getattr(entry, k) != v:
+            same = False
+    if same:
+        return nbrs
     return NbrTable.from_sorted(
-        tuple(changed if n is entry else n for n in nbrs.entries))
+        entries[:i] + (_rebuilt(entry, fields),) + entries[i + 1:])
 
 
 def drop_dead(nbrs: NbrTable, t: TimeStamp) -> NbrTable:

@@ -37,7 +37,8 @@ def simple_timers(
     state: NodeState, now: TimeStamp, cfg: ProtocolConfig
 ) -> tuple[NodeState, Emissions]:
     """Periodic work: send a hello when due, then drop dead neighbours
-    and advertise the shrunken link set."""
+    and advertise the shrunken link set.  Before :func:`simple_timers_due`
+    of ``state`` neither is due and ``(state, [])`` comes back."""
     st, ems = state, []
     if st.hellot <= now:
         st = st.evolve(hellot=now + cfg.hellointvl)
@@ -47,6 +48,18 @@ def simple_timers(
         st, own = originate(st.evolve(nbrs=live), now)
         ems.append(groupcast(Upd(own, st.ip), live.nips()))
     return st, ems
+
+
+def simple_timers_due(state: NodeState, cfg: ProtocolConfig) -> TimeStamp:
+    """The first tick at which :func:`simple_timers` acts on ``state``:
+    the hello due tick, or the tick after the earliest inactivity
+    deadline if that comes first."""
+    del cfg
+    due = state.hellot
+    for n in state.nbrs.entries:
+        if n.inact_deadline < due:
+            due = n.inact_deadline + 1
+    return due
 
 
 def _discover(

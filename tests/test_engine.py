@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from ospfsim import engine
 from ospfsim.core import Hello, Lsa, NeighborState
 from ospfsim.engine import (
     ConfigError,
@@ -422,6 +423,45 @@ def test_untraced_run_keeps_no_records():
     assert all(trace is None and verdict.kind == "converged"
                for _, trace, verdict in untraced)
     assert _live_records() == before
+
+
+@pytest.mark.parametrize("model,topo,boots", [
+    ("detailed", star(7), _seeded_boots(1, 7, 2)),
+    ("detailed", star(7), _seeded_boots(2, 7, 2)),
+    ("simple", ring(6), {}),
+    ("detailed", ring(6), {}),
+], ids=["star7-seed1", "star7-seed2", "simple-ring6", "detailed-ring6"])
+def test_every_timer_call_acts(monkeypatch, model, topo, boots):
+    """The engine calls a timer block only from its due tick, where the
+    block changes the state or sends something."""
+    idle = []
+
+    def watched(timers):
+        def call(state, now, cfg):
+            after, ems = timers(state, now, cfg)
+            if after is state and not ems:
+                idle.append((state.ip, now))
+            return after, ems
+        return call
+
+    # wrapped before SimState reads them, as bench/layertrace.py does
+    monkeypatch.setattr(engine, "detailed_timers", watched(engine.detailed_timers))
+    monkeypatch.setattr(engine, "simple_timers", watched(engine.simple_timers))
+    cfg = EngineConfig(model=model, boot_offsets=boots, max_ticks=300)
+    sim, _, _ = run(cfg, topo)
+    assert sim.now > 0 and idle == []
+
+
+@pytest.mark.parametrize("model", ["simple", "detailed"])
+def test_a_state_set_between_ticks_is_read_again(model):
+    sim = SimState(EngineConfig(model=model), line(2))
+    while not converged(sim) or sim.nodes[1].state.hellot <= sim.now:
+        sim.tick()
+    rt = sim.nodes[1]
+    assert not rt.outq
+    rt.state = rt.state.evolve(hellot=sim.now)
+    sends = [(e.node, e.detail["type"]) for e in sim.tick() if e.kind == "send"]
+    assert (1, "hello") in sends
 
 
 def test_boot_offsets_delay_boot():

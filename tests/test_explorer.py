@@ -180,6 +180,15 @@ def test_request_is_served_only_to_a_known_sender():
     assert node.outq[0][1] == (2,)
 
 
+def test_handle_refuses_an_unknown_message_kind():
+    # the explorer's copy of the simple model has no acknowledgements
+    ctx = _Ctx(ExploreConfig(topology=line(2)))
+    node = _Node(BOOTED, 5, 1, {2: ctx.rtdeadintvl}, {}, [], [])
+    ack = ctx.msg_id(("ack", ((1, 1),), 2))
+    with pytest.raises(ValueError, match="unknown message kind 'ack'"):
+        _handle(node, 1, ack, ctx)
+
+
 LINE3_SI2 = ExploreConfig(topology=line(3), start_interval=2)
 
 

@@ -24,6 +24,10 @@ stays here as an oracle, on graphs that may be disconnected.
 On connected graphs of 2 to 4 nodes the explorer, following the engine
 schedule, and the engine's simple model must end with the same links.
 
+On connected graphs of 2 to 6 nodes, for every state a node takes in a
+run, each model's timer block must return that state and send nothing
+at every tick below the model's due tick, and act at the due tick.
+
 On connected graphs of 2 to 6 nodes a run that keeps no trace must end
 with the verdict and node states of the same run with its trace kept.
 On the same graphs the simple model keeps every neighbour record at
@@ -37,8 +41,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospfsim.core import Neighbor, NeighborState
+from ospfsim.detailed import detailed_timers, detailed_timers_due
 from ospfsim.engine import EngineConfig, SimState, converged, run
 from ospfsim.explorer import ExploreConfig
+from ospfsim.simple import simple_timers, simple_timers_due
 from ospfsim.topology import Topology
 
 from test_acceptance import replay_lsdbs
@@ -183,6 +189,39 @@ def test_explorer_engine_schedule_and_simple_model_end_with_the_same_links(rng):
         for ip in topo.nodes()
     }
     assert explorer_links == engine_links, (topo, boots)
+
+
+TIMER_BLOCKS = {"simple": (simple_timers, simple_timers_due),
+                "detailed": (detailed_timers, detailed_timers_due)}
+
+
+@CASES
+@given(RNGS, st.sampled_from(["simple", "detailed"]))
+def test_timers_due_is_the_first_tick_the_timer_block_acts(rng, model):
+    # short dead, retransmission and refresh intervals and a lossy
+    # detailed model bring every guard of both timer blocks due
+    topo, boots = random_case(rng, 2, 6)
+    cfg = EngineConfig(
+        model=model, boot_offsets=boots, seed=rng.randrange(100),
+        loss_prob=0.0 if model == "simple" else rng.choice((0.1, 0.3)),
+        rtdeadintvl=rng.choice((15, 50)), rxmtintvl=rng.choice((5, 24)),
+        refreshintvl=rng.choice((40, 1000)))
+    timers, timers_due = TIMER_BLOCKS[model]
+    sim = SimState(cfg, topo)
+    checked = {}
+    for _ in range(120):
+        for ip, rt in sim.nodes.items():
+            state = rt.state
+            if checked.get(ip) is state:
+                continue
+            checked[ip] = state
+            due = timers_due(state, cfg)
+            for now in range(due):
+                after, ems = timers(state, now, cfg)
+                assert after is state and ems == [], (topo, boots, ip, now, due)
+            after, ems = timers(state, due, cfg)
+            assert after is not state or ems, (topo, boots, ip, due)
+        sim.tick()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
